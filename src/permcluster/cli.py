@@ -14,6 +14,7 @@ import argparse
 import csv
 import datetime
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,7 @@ from .perms import (
     DomainError,
     ParseError,
     PatternSet,
+    UndefinedProbabilityError,
     is_cluster_free,
     parse_permutation,
 )
@@ -105,9 +107,7 @@ def _cmd_enumerate(args) -> tuple[list[dict], bool]:
     return records, False
 
 
-def _closed_form(n: int, ps: PatternSet, event: ClusterEvent | None, cache) -> tuple[str, Fraction | None]:
-    if event is None:
-        return "none", None
+def _closed_form(n: int, ps: PatternSet, event: ClusterEvent, cache) -> tuple[str, Fraction | None]:
     if ps.is_empty():
         return "uniform", formulas.uniform_probability(n, event.l, event.k)
     if len(ps) == 1 and ps.patterns[0].values in ((3, 2, 1), (1, 2, 3)):
@@ -119,29 +119,28 @@ def _closed_form(n: int, ps: PatternSet, event: ClusterEvent | None, cache) -> t
     return "none", None
 
 
-def _prob_record(n: int, ps: PatternSet, event: ClusterEvent | None, union_l: int | None,
-                 with_formula: bool, cache, jobs: int) -> dict:
-    if union_l is not None:
-        count = enumeration.count_union_event(n, ps, union_l, cache=cache, jobs=jobs)
-        prob = enumeration.exact_probability(n, ps, union_l=union_l, cache=cache, jobs=jobs)
-    else:
-        count = enumeration.count_event(n, ps, event, cache=cache, jobs=jobs)
-        prob = enumeration.exact_probability(n, ps, event, cache=cache, jobs=jobs)
-    total = enumeration.event_count_table(n, ps, cache=cache, jobs=jobs).total
+def _prob_record(n: int, ps: PatternSet, event: ClusterEvent, with_formula: bool,
+                 cache, jobs: int) -> dict:
+    """One probability row; an event without k stands for the union over k."""
+    event.validate(n)
+    table = enumeration.event_count_table(n, ps, cache=cache, jobs=jobs)
+    if table.total == 0:
+        raise UndefinedProbabilityError(f"S_{n}({ps}) is empty")
+    count = table.count(event)
+    prob = Fraction(count, table.total)
     rec = {
         "n": str(n),
         "avoid": ps.key(),
-        "l": str(union_l if union_l is not None else event.l),
-        "k": "" if (union_l is not None or event.k is None) else str(event.k),
-        "a": "" if (union_l is not None or event.a is None) else str(event.a),
-        "union": "yes" if union_l is not None else "",
+        "l": str(event.l),
+        "k": "" if event.k is None else str(event.k),
+        "a": "" if event.a is None else str(event.a),
+        "union": "yes" if event.k is None else "",
         "event_count": str(count),
-        "class_count": str(total),
+        "class_count": str(table.total),
     }
     rec.update(_ratio_cells("probability", prob))
     if with_formula:
-        anchored = event is not None and event.a is not None
-        name, value = ("none", None) if (union_l is not None or anchored) \
+        name, value = ("none", None) if (event.k is None or event.a is not None) \
             else _closed_form(n, ps, event, cache)
         rec["formula"] = name
         if value is None:
@@ -161,9 +160,8 @@ def _cmd_prob(args) -> tuple[list[dict], bool]:
         raise ParseError("--union excludes --k and --a")
     if not args.union and args.k is None:
         raise ParseError("give --k (or --union)")
-    event = None if args.union else ClusterEvent(args.l, args.k, args.a)
-    union_l = args.l if args.union else None
-    rec = _prob_record(args.n, ps, event, union_l, args.formula, _cache(args), args.jobs)
+    event = ClusterEvent(args.l) if args.union else ClusterEvent(args.l, args.k, args.a)
+    rec = _prob_record(args.n, ps, event, args.formula, _cache(args), args.jobs)
     disagree = rec.get("agree") == "DISAGREE"
     return [rec], disagree
 
@@ -264,14 +262,14 @@ def _cmd_table(args) -> tuple[list[dict], bool]:
             if not 2 <= l <= n - 1:
                 continue
             if args.union:
-                rec = _prob_record(n, ps, None, l, args.formula, cache, args.jobs)
+                rec = _prob_record(n, ps, ClusterEvent(l), args.formula, cache, args.jobs)
                 records.append(rec)
                 continue
             ks = parse_int_range(args.k) if args.k else list(range(1, n - l + 2))
             for k in ks:
                 if not 1 <= k <= n - l + 1:
                     continue
-                rec = _prob_record(n, ps, ClusterEvent(l, k), None, args.formula, cache, args.jobs)
+                rec = _prob_record(n, ps, ClusterEvent(l, k), args.formula, cache, args.jobs)
                 records.append(rec)
                 disagree = disagree or rec.get("agree") == "DISAGREE"
     return records, disagree
@@ -396,6 +394,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     try:
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            raise ParseError(f"--jobs {args.jobs} outside 1..{cpus}")
         records, failed = _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

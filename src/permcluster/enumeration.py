@@ -1,14 +1,16 @@
 """Exhaustive generation and exact counting over S_n and S_n(patterns).
 
-The enumerator grows avoiders length by length.  Because avoidance only
-depends on relative order, each level holds the full numpy array of
-avoiding patterns of that length; a length-j avoider is extended by
+One growth engine serves every class, S_n included (no forbidden
+patterns).  It grows avoiders length by length.  Because avoidance only
+depends on relative order, each level below n holds the full numpy array
+of avoiding patterns of that length; a length-j avoider is extended by
 appending a new last entry of rank r in 1..j+1 (existing values >= r are
 bumped up by one).  Since the parent already avoids everything, the child
 survives iff the appended entry does not complete a forbidden occurrence
 ending at the last position, and that test reduces per candidate
 occurrence to an interval of bad ranks, which we accumulate as a bitmask
-per row.  At the final level the rows are exactly S_n(patterns).
+per row.  The final level, exactly S_n(patterns), is produced one parent
+chunk at a time and never held whole.
 
 Event counts (which blocks of l consecutive values sit in l consecutive
 positions) are tabulated from the leaf rows with sliding window min/max
@@ -17,11 +19,12 @@ is then the window minimum.  For a fixed l, the block determines its
 positions, so per permutation each (l, k) and each (l, k, a) occurs at
 most once and bin counting rows counts permutations.
 
-Counting fast paths (factorial for the empty set, Catalan for a single
-length-3 pattern, a Schroeder-type linear recurrence for the separable
-class) are only used for n above the enumeration range after the closed
-form has been validated against enumerated counts for n <= 10 in the same
-process; otherwise they fall back to enumeration.
+|S_n| = n! is an identity, returned for every n without enumeration.  The
+other counting fast paths (Catalan for a single length-3 pattern, a
+Schroeder-type linear recurrence for the separable class) are only used
+for n above the enumeration range after the closed form has been
+validated against enumerated counts for n <= 10 in the same process;
+otherwise they fall back to enumeration.
 
 All counting is exact integer arithmetic; probabilities are Fractions.
 Work splitting partitions an intermediate level's rows into disjoint
@@ -38,7 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -58,12 +61,10 @@ _MAX_ENUM_N = 60  # rank bitmasks are uint64
 _FAST_PATH_MIN = 11  # strictly below this, always enumerate
 _VALIDATE_UPTO = 10
 
+T = TypeVar("T")
+
 BigCount = int
 ExactRatio = Fraction
-
-
-def _catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,48 +135,72 @@ def _bad_rank_masks(rows: np.ndarray, metas: list[_PatternMeta], lut: np.ndarray
     return bad
 
 
-def _extend_rows(rows: np.ndarray, metas: list[_PatternMeta], lut: np.ndarray) -> np.ndarray:
+def _children(rows: np.ndarray, metas: list[_PatternMeta], lut: np.ndarray) -> np.ndarray:
     """All avoiding children obtained by appending a new last entry."""
-    n_rows, j = rows.shape
+    j = rows.shape[1]
+    bad = _bad_rank_masks(rows, metas, lut)
     out = []
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        chunk = rows[start : start + _CHUNK_ROWS]
-        if metas:
-            bad = _bad_rank_masks(chunk, metas, lut)
-        else:
-            bad = np.zeros(len(chunk), dtype=np.uint64)
-        for r in range(1, j + 2):
-            keep = (np.right_shift(bad, np.uint64(r)) & np.uint64(1)) == 0
-            base = chunk[keep]
-            if not len(base):
-                continue
-            child = (base + (base >= r)).astype(rows.dtype)
-            col = np.full((len(child), 1), r, dtype=rows.dtype)
-            out.append(np.hstack([child, col]))
-    if not out:
-        return np.empty((0, j + 1), dtype=rows.dtype)
+    for r in range(1, j + 2):
+        keep = (np.right_shift(bad, np.uint64(r)) & np.uint64(1)) == 0
+        base = rows[keep]
+        child = (base + (base >= r)).astype(rows.dtype)
+        col = np.full((len(child), 1), r, dtype=rows.dtype)
+        out.append(np.hstack([child, col]))
     return np.vstack(out)
 
 
-def _grow_rows(rows: np.ndarray, n: int, ps: PatternSet) -> np.ndarray:
-    metas = [_pattern_meta(t) for t in ps]
-    lut = _rank_interval_lut(n)
-    while rows.shape[1] < n:
-        rows = _extend_rows(rows, metas, lut)
-    return rows
+def _row_chunks(rows: np.ndarray) -> list[np.ndarray]:
+    # an empty level still gives one (empty) chunk, so its children are an
+    # empty array of the next width
+    return [rows[s : s + _CHUNK_ROWS] for s in range(0, max(len(rows), 1), _CHUNK_ROWS)]
 
 
-def _avoider_rows(n: int, ps: PatternSet) -> np.ndarray:
-    """Array of all members of S_n(ps), one row per permutation (unsorted)."""
+def _root(n: int) -> np.ndarray:
+    """S_1, the root every growth starts from, once n is in range."""
     if n < 1:
         raise DomainError("enumeration needs n >= 1")
     if n > _MAX_ENUM_N:
         raise DomainError(f"enumeration supports n <= {_MAX_ENUM_N}")
-    return _grow_rows(np.ones((1, 1), dtype=np.int8), n, ps)
+    return np.ones((1, 1), dtype=np.int8)
+
+
+def _leaf_chunks(rows: np.ndarray, n: int, ps: PatternSet) -> Iterator[np.ndarray]:
+    """The width-n descendants of `rows` that avoid ps, in chunks.
+
+    Levels below n are held whole; the leaves are yielded one parent chunk
+    at a time, so the largest level is never materialized.
+    """
+    if rows.shape[1] == n:
+        yield rows
+        return
+    metas = [_pattern_meta(t) for t in ps]
+    lut = _rank_interval_lut(n)
+    while rows.shape[1] < n - 1:
+        rows = np.vstack([_children(c, metas, lut) for c in _row_chunks(rows)])
+    for chunk in _row_chunks(rows):
+        yield _children(chunk, metas, lut)
+
+
+def _split_grow(n: int, ps: PatternSet, jobs: int,
+                consume: Callable[[int, PatternSet, np.ndarray], T]) -> list[T]:
+    """consume(n, ps, roots) over disjoint sets of roots covering S_n(ps).
+
+    With one job the root is S_1, run in-process.  Otherwise the roots are
+    grown until there are at least 4 * jobs of them, split into `jobs`
+    chunks and consumed in a process pool; the parts merge by addition.
+    """
+    rows = _root(n)
+    while jobs > 1 and rows.shape[1] < n and len(rows) < 4 * jobs:
+        rows = np.vstack(list(_leaf_chunks(rows, rows.shape[1] + 1, ps)))
+    if jobs <= 1 or rows.shape[1] == n:
+        return [consume(n, ps, rows)]
+    chunks = [c for c in np.array_split(rows, jobs) if len(c)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(consume, [n] * len(chunks), [ps] * len(chunks), chunks))
 
 
 # ---------------------------------------------------------------------------
-# bulk containment and flattening helpers (used by the verification suites)
+# bulk containment and the cluster window scan (shared with the verification suites)
 
 
 def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
@@ -199,12 +224,18 @@ def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
     return hit
 
 
-def flatten_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise order-isomorphic patterns (values 1..width)."""
-    order = np.argsort(rows, axis=1, kind="stable")
-    out = np.empty_like(rows)
-    np.put_along_axis(out, order, np.arange(1, rows.shape[1] + 1, dtype=rows.dtype)[None, :], axis=1)
-    return out
+def cluster_windows(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Sliding window min/max scan over the rows, for l = 2 .. width - 1.
+
+    Yields (l, cluster, cmin): cluster[i, a] says whether the l entries of
+    row i starting at position a + 1 are l consecutive values, and then
+    cmin[i, a] is the smallest of them, the block start k.
+    """
+    cmin = cmax = rows
+    for l in range(2, rows.shape[1]):
+        cmin = np.minimum(cmin[:, :-1], rows[:, l - 1 :])
+        cmax = np.maximum(cmax[:, :-1], rows[:, l - 1 :])
+        yield l, (cmax - cmin) == (l - 1), cmin
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +253,18 @@ class EventTable:
     by_lka: dict[tuple[int, int, int], int]
     union_by_l: dict[int, int]
 
+    def count(self, event: ClusterEvent) -> int:
+        """Members in the event; an event without k is the union over k."""
+        if event.k is None:
+            return self.union_by_l.get(event.l, 0)
+        if event.a is None:
+            return self.by_lk.get((event.l, event.k), 0)
+        return self.by_lka.get((event.l, event.k, event.a), 0)
+
 
 def _accumulate_events(rows: np.ndarray, by_lk, by_lka, union_by_l) -> None:
-    n_rows, n = rows.shape
-    if n_rows == 0:
-        return
-    cmin = rows
-    cmax = rows
-    for l in range(2, n):
-        cmin = np.minimum(cmin[:, :-1], rows[:, l - 1 :])
-        cmax = np.maximum(cmax[:, :-1], rows[:, l - 1 :])
-        cluster = (cmax - cmin) == (l - 1)
+    n = rows.shape[1]
+    for l, cluster, cmin in cluster_windows(rows):
         if not cluster.any():
             continue
         union_by_l[l] = union_by_l.get(l, 0) + int(cluster.any(axis=1).sum())
@@ -246,18 +278,6 @@ def _accumulate_events(rows: np.ndarray, by_lk, by_lka, union_by_l) -> None:
             by_lk[(l, k)] = by_lk.get((l, k), 0) + cnt
 
 
-def _all_perm_chunks(n: int, chunk: int = _CHUNK_ROWS) -> Iterator[np.ndarray]:
-    it = itertools.permutations(range(1, n + 1))
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(it, chunk)),
-            dtype=np.int8,
-        )
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, n)
-
-
 def _tabulate(n: int, key: str, row_chunks: Iterator[np.ndarray]) -> EventTable:
     by_lk: dict[tuple[int, int], int] = {}
     by_lka: dict[tuple[int, int, int], int] = {}
@@ -267,6 +287,10 @@ def _tabulate(n: int, key: str, row_chunks: Iterator[np.ndarray]) -> EventTable:
         total += len(rows)
         _accumulate_events(rows, by_lk, by_lka, union_by_l)
     return EventTable(n, key, total, by_lk, by_lka, union_by_l)
+
+
+def _table_leaves(n: int, ps: PatternSet, roots: np.ndarray) -> EventTable:
+    return _tabulate(n, ps.key(), _leaf_chunks(roots, n, ps))
 
 
 def _merge_tables(parts: list[EventTable]) -> EventTable:
@@ -284,63 +308,28 @@ def _merge_tables(parts: list[EventTable]) -> EventTable:
     return out
 
 
-def _worker_table(args: tuple[np.ndarray, int, tuple[tuple[int, ...], ...]]) -> EventTable:
-    rows, n, pattern_values = args
-    ps = PatternSet(tuple(Permutation(v) for v in pattern_values))
-    leaves = _grow_rows(rows, n, ps)
-    return _tabulate(n, ps.key(), iter([leaves]))
-
-
 _EVENT_MEMO: dict[tuple[int, str], EventTable] = {}
 _COUNT_MEMO: dict[str, int] = {}
 
 
 def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCache | None" = None) -> EventTable:
     """Counts of S_n(ps) members in every cluster event, from one full pass."""
-    if n < 1:
-        raise DomainError("event tables need n >= 1")
     memo_key = (n, ps.key())
     hit = _EVENT_MEMO.get(memo_key)
     if hit is not None:
         if cache is not None and not ps.is_empty() and cache.get(cache_key(n, ps)) is None:
             cache.put(cache_key(n, ps), hit.total)
         return hit
-    if ps.is_empty():
-        if n > 11:
-            raise DomainError(
-                f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= 11"
-            )
-        table = _tabulate(n, ps.key(), _all_perm_chunks(n))
-    elif jobs > 1:
-        rows = np.ones((1, 1), dtype=np.int8)
-        metas = [_pattern_meta(t) for t in ps]
-        lut = _rank_interval_lut(n)
-        while rows.shape[1] < n and len(rows) < 4 * jobs:
-            rows = _extend_rows(rows, metas, lut)
-        if rows.shape[1] == n:
-            table = _tabulate(n, ps.key(), iter([rows]))
-        else:
-            chunks = [c for c in np.array_split(rows, jobs) if len(c)]
-            pattern_values = tuple(t.values for t in ps)
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_worker_table, [(c, n, pattern_values) for c in chunks]))
-            table = _merge_tables(parts)
-    else:
-        table = _tabulate(n, ps.key(), iter([_avoider_rows(n, ps)]))
+    if ps.is_empty() and n > 11:
+        raise DomainError(
+            f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= 11"
+        )
+    table = _merge_tables(_split_grow(n, ps, jobs, _table_leaves))
     _EVENT_MEMO[memo_key] = table
     _COUNT_MEMO[cache_key(n, ps)] = table.total
     if cache is not None and not ps.is_empty():
         cache.put(cache_key(n, ps), table.total)
     return table
-
-
-def position_value_counts(n: int, ps: PatternSet) -> np.ndarray:
-    """counts[a-1, k-1] = number of members of S_n(ps) with value k at position a."""
-    rows = _avoider_rows(n, ps) if not ps.is_empty() else np.vstack(list(_all_perm_chunks(n)))
-    out = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        out[a] = np.bincount(rows[:, a], minlength=n + 1)[1:]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -427,30 +416,11 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
         return 1
     if ps.is_empty():
         return math.factorial(n)
-    if jobs > 1:
-        return _fresh_count_jobs(n, ps, jobs)
-    return len(_avoider_rows(n, ps))
+    return sum(_split_grow(n, ps, jobs, _count_leaves))
 
 
-def _fresh_count_jobs(n: int, ps: PatternSet, jobs: int) -> int:
-    rows = np.ones((1, 1), dtype=np.int8)
-    metas = [_pattern_meta(t) for t in ps]
-    lut = _rank_interval_lut(n)
-    while rows.shape[1] < n and len(rows) < 4 * jobs:
-        rows = _extend_rows(rows, metas, lut)
-    if rows.shape[1] == n:
-        return len(rows)
-    chunks = [c for c in np.array_split(rows, jobs) if len(c)]
-    pattern_values = tuple(t.values for t in ps)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_worker_count, [(c, n, pattern_values) for c in chunks]))
-    return sum(parts)
-
-
-def _worker_count(args: tuple[np.ndarray, int, tuple[tuple[int, ...], ...]]) -> int:
-    rows, n, pattern_values = args
-    ps = PatternSet(tuple(Permutation(v) for v in pattern_values))
-    return len(_grow_rows(rows, n, ps))
+def _count_leaves(n: int, ps: PatternSet, roots: np.ndarray) -> int:
+    return sum(len(c) for c in _leaf_chunks(roots, n, ps))
 
 
 def _enumerated_count(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:
@@ -488,13 +458,15 @@ def _schroeder_counts(n: int) -> list[int]:
 
 
 def _catalan_fast(n: int, tau: Permutation, cache: CountCache | None, jobs: int) -> int | None:
+    from .formulas import catalan  # formulas imports this module
+
     tag = "catalan:" + tau.text()
     if tag not in _VALIDATED_FAST_PATHS:
         ps = PatternSet((tau,))
-        if any(_enumerated_count(j, ps, cache, jobs) != _catalan(j) for j in range(1, _VALIDATE_UPTO + 1)):
+        if any(_enumerated_count(j, ps, cache, jobs) != catalan(j) for j in range(1, _VALIDATE_UPTO + 1)):
             return None
         _VALIDATED_FAST_PATHS.add(tag)
-    return _catalan(n)
+    return catalan(n)
 
 
 def _separable_fast(n: int, cache: CountCache | None, jobs: int) -> int | None:
@@ -529,15 +501,7 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
 
 def enumerate_avoiders(n: int, ps: PatternSet) -> Iterator[Permutation]:
     """Yield S_n(ps) exactly once each, in lexicographic one-line order."""
-    if n < 1:
-        raise DomainError("enumeration needs n >= 1")
-    if ps.is_empty():
-        for vals in itertools.permutations(range(1, n + 1)):
-            yield Permutation(vals)
-        return
-    rows = _avoider_rows(n, ps)
-    if not len(rows):
-        return
+    rows = np.vstack(list(_leaf_chunks(_root(n), n, ps)))
     order = np.lexsort(rows.T[::-1])
     for row in rows[order]:
         yield Permutation(tuple(int(v) for v in row))
@@ -552,18 +516,15 @@ def count_event(n: int, ps: PatternSet, event: ClusterEvent, *, cache: CountCach
     event.validate(n)
     if event.k is None:
         raise DomainError("count_event needs k; use count_union_event for the union")
-    table = event_count_table(n, ps, jobs=jobs, cache=cache)
-    if event.a is not None:
-        return table.by_lka.get((event.l, event.k, event.a), 0)
-    return table.by_lk.get((event.l, event.k), 0)
+    return event_count_table(n, ps, jobs=jobs, cache=cache).count(event)
 
 
 def count_union_event(n: int, ps: PatternSet, l: int, *, cache: CountCache | None = None, jobs: int = 1) -> int:
     """Exact count of S_n(ps) members with some block of l consecutive values
     in consecutive positions (the union of the events over k)."""
-    ClusterEvent(l).validate(n)
-    table = event_count_table(n, ps, jobs=jobs, cache=cache)
-    return table.union_by_l.get(l, 0)
+    event = ClusterEvent(l)
+    event.validate(n)
+    return event_count_table(n, ps, jobs=jobs, cache=cache).count(event)
 
 
 def exact_probability(

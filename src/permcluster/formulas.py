@@ -16,6 +16,7 @@ from . import enumeration
 from .perms import (
     SEP,
     ApplicabilityError,
+    ClusterEvent,
     ConditionReport,
     DomainError,
     PatternSet,
@@ -108,19 +109,12 @@ SEP_GROWTH = Sqrt2Number(Fraction(3), Fraction(2))
 # finite-n probabilities
 
 
-def _validate_event(n: int, l: int, k: int | None = None) -> None:
-    if not 2 <= l <= n - 1:
-        raise DomainError(f"l={l} outside 2..{n - 1} for n={n}")
-    if k is not None and not 1 <= k <= n - l + 1:
-        raise DomainError(f"k={k} outside 1..{n - l + 1} for n={n}, l={l}")
-
-
 def uniform_probability(n: int, l: int, k: int) -> Fraction:
     """P(cluster block k..k+l-1 in consecutive positions) under uniform S_n.
 
     Equals (n-l+1) * l! * (n-l)! / n!, independent of k.
     """
-    _validate_event(n, l, k)
+    ClusterEvent(l, k).validate(n)
     return Fraction(
         (n - l + 1) * math.factorial(l) * math.factorial(n - l), math.factorial(n)
     )
@@ -132,7 +126,7 @@ def monotone_cluster_probability(n: int, l: int, k: int) -> Fraction:
 
     Equals (C_{n-l+1} + C_{k-1} * C_{n-k-l+1} * (C_l - 1)) / C_n.
     """
-    _validate_event(n, l, k)
+    ClusterEvent(l, k).validate(n)
     num = catalan(n - l + 1) + catalan(k - 1) * catalan(n - k - l + 1) * (catalan(l) - 1)
     return Fraction(num, catalan(n))
 
@@ -142,7 +136,7 @@ def separable_cluster_probability(n: int, l: int, *, cache=None) -> Fraction:
 
     Equals sep(n-l+1) * sep(l) / sep(n), independent of k.
     """
-    _validate_event(n, l)
+    ClusterEvent(l).validate(n)
     return Fraction(
         sep_count(n - l + 1, cache=cache) * sep_count(l, cache=cache),
         sep_count(n, cache=cache),
@@ -158,7 +152,7 @@ def cluster_free_probability(n: int, l: int, ps: PatternSet, *, cache=None) -> F
     for tau in ps:
         if not is_cluster_free(tau):
             raise ApplicabilityError(f"pattern {tau} has a cluster; the product form does not apply")
-    _validate_event(n, l)
+    ClusterEvent(l).validate(n)
     c = enumeration.count_avoiders
     return Fraction(
         c(n - l + 1, ps, cache=cache) * c(l, ps, cache=cache), c(n, ps, cache=cache)
@@ -187,7 +181,7 @@ class BoundReport:
 
 def cluster_probability_bounds(n: int, l: int, tau: Permutation, *, cache=None) -> BoundReport:
     """Sandwich bounds on the cluster probability for the class avoiding tau."""
-    _validate_event(n, l)
+    ClusterEvent(l).validate(n)
     ps = PatternSet((tau,))
     c = enumeration.count_avoiders
     upper = Fraction(c(n - l + 1, ps, cache=cache) * c(l, ps, cache=cache), c(n, ps, cache=cache))

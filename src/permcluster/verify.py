@@ -430,18 +430,14 @@ def _contract_monotone_rows(max_n: int, patterns=None) -> list[CheckRow]:
     for tau in patterns or (S3_PATTERNS + S4_PATTERNS):
         ps = PatternSet((tau,))
         for n in range(3, max_n + 1):
-            arr = enumeration._avoider_rows(n, ps)
+            avoiders = list(enumeration.enumerate_avoiders(n, ps))
+            arr = np.array([p.values for p in avoiders], dtype=np.int8).reshape(-1, n)
             contracted: list[tuple[int, ...]] = []
-            cmin = arr
-            cmax = arr
-            for l in range(2, n):
-                cmin = np.minimum(cmin[:, :-1], arr[:, l - 1 :])
-                cmax = np.maximum(cmax[:, :-1], arr[:, l - 1 :])
-                ridx, aidx = np.nonzero((cmax - cmin) == (l - 1))
+            for l, cluster, cmin in enumeration.cluster_windows(arr):
+                ridx, aidx = np.nonzero(cluster)
                 for r, a0 in zip(ridx.tolist(), aidx.tolist()):
-                    sigma = Permutation(tuple(int(v) for v in arr[r]))
                     k = int(cmin[r, a0])
-                    contracted.append(transform.contract(sigma, l, k, a0 + 1).values)
+                    contracted.append(transform.contract(avoiders[r], l, k, a0 + 1).values)
             hits = sum(
                 _count_containing(group, tau)
                 for width, group in _group_by_len(contracted).items()
@@ -491,11 +487,9 @@ def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
 
 
 def run_all(max_n: int | None = None) -> list[SuiteReport]:
+    """Every suite, each at its default size capped by max_n."""
     reports = []
-    for name, (func, default) in SUITES.items():
-        if default is None:
-            reports.append(func())
-        else:
-            cap = default if max_n is None else min(default, max_n)
-            reports.append(func(cap))
+    for name, (_, default) in SUITES.items():
+        cap = max_n if max_n is None or default is None else min(default, max_n)
+        reports.append(run_suite(name, cap))
     return reports

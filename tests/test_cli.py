@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
-from permcluster import cli
+from permcluster import cli, enumeration
 
 
 def run_cli(args, tmp_path):
@@ -164,6 +165,17 @@ def test_jobs_flag_gives_same_answers(tmp_path):
         tmp_path,
     )
     assert code == 0
+
+
+def test_jobs_out_of_range_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected --jobs value started a worker pool")
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    for jobs in ("0", "-1", str((os.cpu_count() or 1) + 1)):
+        code, out = run_cli(["count", "--n", "8", "--avoid", "132", "--jobs", jobs], tmp_path)
+        assert code == 2 and out == ""
+        assert f"--jobs {jobs} outside 1.." in capsys.readouterr().err
 
 
 def test_cache_audit_clean_and_tampered(tmp_path):

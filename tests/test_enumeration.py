@@ -214,13 +214,19 @@ def test_probability_requires_exactly_one_event_form():
         exact_probability(5, EMPTY_PATTERNS, ClusterEvent(2, 1), union_l=2)
 
 
+def position_value_counts(n, ps):
+    """counts[a-1, k-1] = number of members of S_n(ps) with value k at position a."""
+    rows = np.array([p.values for p in enumerate_avoiders(n, ps)])
+    return np.array([np.bincount(rows[:, a], minlength=n + 1)[1:] for a in range(n)])
+
+
 def test_per_anchor_structure_for_321():
     # anchored counts match the position-value census of the contracted
     # class, with the extra diagonal term C_{k-1} C_{n-k-l+1} (C_l - 1)
     ps = ps_of("321")
     for n in range(3, 11):
         table = event_count_table(n, ps)
-        pv = {m: enumeration.position_value_counts(m, ps) for m in {n - l + 1 for l in range(2, n)}}
+        pv = {m: position_value_counts(m, ps) for m in {n - l + 1 for l in range(2, n)}}
         for l in range(2, n):
             census = pv[n - l + 1]
             for k in range(1, n - l + 2):
@@ -310,14 +316,14 @@ def test_cached_value_is_used(tmp_path):
 
 
 def test_parallel_event_table_matches_serial():
-    ps = ps_of("132")
-    serial = event_count_table(8, ps)
-    enumeration._EVENT_MEMO.pop((8, ps.key()), None)
-    parallel = event_count_table(8, ps, jobs=2)
-    assert parallel.total == serial.total
-    assert parallel.by_lk == serial.by_lk
-    assert parallel.by_lka == serial.by_lka
-    assert parallel.union_by_l == serial.union_by_l
+    for ps in (ps_of("132"), EMPTY_PATTERNS):
+        serial = event_count_table(8, ps)
+        enumeration._EVENT_MEMO.pop((8, ps.key()), None)
+        parallel = event_count_table(8, ps, jobs=2)
+        assert parallel.total == serial.total
+        assert parallel.by_lk == serial.by_lk
+        assert parallel.by_lka == serial.by_lka
+        assert parallel.union_by_l == serial.union_by_l
 
 
 def test_parallel_fresh_count_matches_serial():
@@ -337,13 +343,3 @@ def test_contains_pattern_rows_matches_scalar():
         for row, flag in zip(rows, got):
             p = Permutation(tuple(int(v) for v in row))
             assert bool(flag) == (not avoids_all(p, PatternSet((tau,))))
-
-
-def test_flatten_rows_matches_scalar():
-    from permcluster import flatten
-
-    rng = np.random.default_rng(11)
-    words = np.array([rng.choice(50, size=6, replace=False) + 1 for _ in range(40)])
-    arr = enumeration.flatten_rows(words.astype(np.int64))
-    for word, flat in zip(words, arr):
-        assert tuple(int(v) for v in flat) == flatten(tuple(int(v) for v in word)).values
