@@ -67,8 +67,13 @@ def _dec(x) -> str:
     return format(float(x), ".15g")
 
 
-def _ratio_cells(name: str, value: Fraction) -> dict[str, str]:
-    return {name: f"{value.numerator}/{value.denominator}", f"{name}_dec": _dec(value)}
+def _ratio_cells(name: str, value: Fraction | float | None) -> dict[str, str]:
+    """The exact cell and its decimal; a float is shown as a decimal in both,
+    and a missing value as two empty cells."""
+    if value is None:
+        return {name: "", f"{name}_dec": ""}
+    exact = f"{value.numerator}/{value.denominator}" if isinstance(value, Fraction) else _dec(value)
+    return {name: exact, f"{name}_dec": _dec(value)}
 
 
 def _emit(records: list[dict], meta: dict, args, out) -> None:
@@ -143,14 +148,8 @@ def _prob_record(n: int, ps: PatternSet, event: ClusterEvent, with_formula: bool
         name, value = ("none", None) if (event.k is None or event.a is not None) \
             else _closed_form(n, ps, event, cache)
         rec["formula"] = name
-        if value is None:
-            rec["formula_value"] = ""
-            rec["formula_value_dec"] = ""
-            rec["agree"] = ""
-        else:
-            rec.update({"formula_value": f"{value.numerator}/{value.denominator}",
-                        "formula_value_dec": _dec(value)})
-            rec["agree"] = "AGREE" if value == prob else "DISAGREE"
+        rec.update(_ratio_cells("formula_value", value))
+        rec["agree"] = "" if value is None else "AGREE" if value == prob else "DISAGREE"
     return rec
 
 
@@ -230,23 +229,12 @@ def _cmd_limits(args) -> tuple[list[dict], bool]:
         tau = parse_permutation(args.target.split(":", 1)[1])
         for l in ls:
             rep = formulas.cluster_limit_report(tau, l, sw_limit=args.sw_limit, cache=cache)
-            def cell(v):
-                if v is None:
-                    return "", ""
-                if isinstance(v, Fraction):
-                    return f"{v.numerator}/{v.denominator}", _dec(v)
-                return _dec(v), _dec(v)
-            up, up_d = cell(rep.upper)
-            ex, ex_d = cell(rep.exact)
-            lo, lo_d = cell(rep.lower)
-            records.append({
-                "pattern": tau.text(), "l": str(l),
-                "growth_limit": "unavailable" if rep.limit_used is None else str(rep.limit_used),
-                "upper": up, "upper_dec": up_d,
-                "exact": ex, "exact_dec": ex_d,
-                "lower": lo, "lower_dec": lo_d,
-                "note": rep.note,
-            })
+            rec = {"pattern": tau.text(), "l": str(l),
+                   "growth_limit": "unavailable" if rep.limit_used is None else str(rep.limit_used)}
+            for name in ("upper", "exact", "lower"):
+                rec.update(_ratio_cells(name, getattr(rep, name)))
+            rec["note"] = rep.note
+            records.append(rec)
         return records, False
     raise ParseError(f"unknown limits target {args.target!r} (use sep, cor2, or cor1:<pattern>)")
 

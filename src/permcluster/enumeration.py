@@ -22,9 +22,11 @@ most once and bin counting rows counts permutations.
 |S_n| = n! is an identity, returned for every n without enumeration.  The
 other counting fast paths (Catalan for a single length-3 pattern, a
 Schroeder-type linear recurrence for the separable class) are only used
-for n above the enumeration range after the closed form has been
-validated against enumerated counts for n <= 10 in the same process;
-otherwise they fall back to enumeration.
+for n > 10, once per process the closed form has reproduced the counts
+for every n <= 10.  Those counts are read like any other: from the
+in-process memo, then the count cache, then by enumeration, so a cache
+written by an earlier run can satisfy the check.  A wrong cached count
+only fails the check, and the fast path then falls back to enumeration.
 
 All counting is exact integer arithmetic; probabilities are Fractions.
 Work splitting partitions an intermediate level's rows into disjoint
@@ -58,7 +60,6 @@ from .perms import (
 
 _CHUNK_ROWS = 1 << 16
 _MAX_ENUM_N = 60  # rank bitmasks are uint64
-_FAST_PATH_MIN = 11  # strictly below this, always enumerate
 _VALIDATE_UPTO = 10
 
 T = TypeVar("T")
@@ -71,11 +72,26 @@ ExactRatio = Fraction
 # vectorized "does the appended rank complete a forbidden occurrence" test
 
 
+def _order_matches(rows: np.ndarray, t: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's entries at every len(t)-subset of its columns, and
+    whether they are order-isomorphic to t.
+
+    Returns cols (N, T, m) and ok (N, T).  Entries are distinct, so order
+    isomorphism is m - 1 comparisons: the entries at t's positions, taken
+    by increasing value of t, must increase.
+    """
+    combos = np.array(list(itertools.combinations(range(rows.shape[1]), len(t))), dtype=np.intp)
+    cols = rows[:, combos]
+    ok = np.ones(cols.shape[:2], dtype=bool)
+    by_value = sorted(range(len(t)), key=t.__getitem__)
+    for s, u in zip(by_value, by_value[1:]):
+        ok &= cols[:, :, s] < cols[:, :, u]
+    return cols, ok
+
+
 @dataclass(frozen=True)
 class _PatternMeta:
-    length: int
-    # order profile of the pattern minus its last entry: (s, u, s_below_u)
-    pairs: tuple[tuple[int, int, bool], ...]
+    head: tuple[int, ...]  # the pattern minus its last entry
     under: tuple[int, ...]  # head slots valued below the last entry
     over: tuple[int, ...]  # head slots valued above the last entry
 
@@ -84,12 +100,9 @@ def _pattern_meta(tau: Permutation) -> _PatternMeta:
     t = tau.values
     m = len(t)
     head = t[:-1]
-    pairs = tuple(
-        (s, u, head[s] < head[u]) for s in range(m - 1) for u in range(s + 1, m - 1)
-    )
     under = tuple(i for i in range(m - 1) if head[i] < t[-1])
     over = tuple(i for i in range(m - 1) if head[i] > t[-1])
-    return _PatternMeta(m, pairs, under, over)
+    return _PatternMeta(head, under, over)
 
 
 def _rank_interval_lut(n: int) -> np.ndarray:
@@ -113,15 +126,9 @@ def _bad_rank_masks(rows: np.ndarray, metas: list[_PatternMeta], lut: np.ndarray
     n_rows, j = rows.shape
     bad = np.zeros(n_rows, dtype=np.uint64)
     for meta in metas:
-        w = meta.length - 1
-        if w > j:
+        if len(meta.head) > j:
             continue
-        combos = np.array(list(itertools.combinations(range(j), w)), dtype=np.intp)
-        cols = rows[:, combos]  # (N, T, w)
-        ok = np.ones(cols.shape[:2], dtype=bool)
-        for s, u, below in meta.pairs:
-            cmp = cols[:, :, s] < cols[:, :, u]
-            ok &= cmp if below else ~cmp
+        cols, ok = _order_matches(rows, meta.head)
         if meta.under:
             lo = cols[:, :, meta.under].max(axis=2).astype(np.intp)
         else:
@@ -205,22 +212,12 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
 
 def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
     """Vectorized containment: for each row, does it contain tau anywhere."""
-    t = tau.values
-    m = len(t)
-    n_rows, w = rows.shape
-    hit = np.zeros(n_rows, dtype=bool)
-    if m > w or n_rows == 0:
+    hit = np.zeros(len(rows), dtype=bool)
+    if len(tau) > rows.shape[1]:
         return hit
-    combos = np.array(list(itertools.combinations(range(w), m)), dtype=np.intp)
-    rel = [(s, u, t[s] < t[u]) for s in range(m) for u in range(s + 1, m)]
-    for start in range(0, n_rows, _CHUNK_ROWS):
+    for start in range(0, len(rows), _CHUNK_ROWS):
         sl = slice(start, start + _CHUNK_ROWS)
-        cols = rows[sl][:, combos]  # (N, T, m)
-        ok = np.ones(cols.shape[:2], dtype=bool)
-        for s, u, below in rel:
-            cmp = cols[:, :, s] < cols[:, :, u]
-            ok &= cmp if below else ~cmp
-        hit[sl] = ok.any(axis=1)
+        hit[sl] = _order_matches(rows[sl], tau.values)[1].any(axis=1)
     return hit
 
 
@@ -457,26 +454,16 @@ def _schroeder_counts(n: int) -> list[int]:
     return d
 
 
-def _catalan_fast(n: int, tau: Permutation, cache: CountCache | None, jobs: int) -> int | None:
+def _closed_count(ps: PatternSet) -> Callable[[int], int] | None:
+    """The known closed form n -> |S_n(ps)|, if any: Catalan numbers for a
+    single length-3 pattern, the Schroeder-type recurrence for SEP."""
     from .formulas import catalan  # formulas imports this module
 
-    tag = "catalan:" + tau.text()
-    if tag not in _VALIDATED_FAST_PATHS:
-        ps = PatternSet((tau,))
-        if any(_enumerated_count(j, ps, cache, jobs) != catalan(j) for j in range(1, _VALIDATE_UPTO + 1)):
-            return None
-        _VALIDATED_FAST_PATHS.add(tag)
-    return catalan(n)
-
-
-def _separable_fast(n: int, cache: CountCache | None, jobs: int) -> int | None:
-    tag = "separable"
-    if tag not in _VALIDATED_FAST_PATHS:
-        d = _schroeder_counts(_VALIDATE_UPTO)
-        if any(_enumerated_count(j, SEP, cache, jobs) != d[j] for j in range(1, _VALIDATE_UPTO + 1)):
-            return None
-        _VALIDATED_FAST_PATHS.add(tag)
-    return _schroeder_counts(n)[n]
+    if len(ps) == 1 and len(ps.patterns[0]) == 3:
+        return catalan
+    if ps == SEP:
+        return lambda n: _schroeder_counts(n)[n]
+    return None
 
 
 def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, jobs: int = 1) -> int:
@@ -487,15 +474,15 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
         return 1
     if ps.is_empty():
         return math.factorial(n)
-    if n >= _FAST_PATH_MIN:
-        if len(ps) == 1 and len(ps.patterns[0]) == 3:
-            value = _catalan_fast(n, ps.patterns[0], cache, jobs)
-            if value is not None:
-                return value
-        elif ps == SEP:
-            value = _separable_fast(n, cache, jobs)
-            if value is not None:
-                return value
+    form = _closed_count(ps) if n > _VALIDATE_UPTO else None
+    if form is not None:
+        key = ps.key()
+        if key not in _VALIDATED_FAST_PATHS and all(
+            _enumerated_count(j, ps, cache, jobs) == form(j) for j in range(1, _VALIDATE_UPTO + 1)
+        ):
+            _VALIDATED_FAST_PATHS.add(key)
+        if key in _VALIDATED_FAST_PATHS:
+            return form(n)
     return _enumerated_count(n, ps, cache, jobs)
 
 
@@ -539,14 +526,14 @@ def exact_probability(
     """Exact probability of a cluster event under the uniform measure on S_n(ps)."""
     if (event is None) == (union_l is None):
         raise DomainError("give exactly one of an event or union_l")
+    event = ClusterEvent(union_l) if event is None else event
+    event.validate(n)
+    if union_l is None and event.k is None:
+        raise DomainError("count_event needs k; use count_union_event for the union")
     table = event_count_table(n, ps, jobs=jobs, cache=cache)
     if table.total == 0:
         raise UndefinedProbabilityError(f"S_{n}({ps}) is empty")
-    if union_l is not None:
-        hits = count_union_event(n, ps, union_l, cache=cache, jobs=jobs)
-    else:
-        hits = count_event(n, ps, event, cache=cache, jobs=jobs)
-    return Fraction(hits, table.total)
+    return Fraction(table.count(event), table.total)
 
 
 def ratio_sequence(ps: PatternSet, n_max: int, *, cache: CountCache | None = None) -> list[Fraction]:

@@ -311,9 +311,7 @@ def in_cluster_event(sigma: Permutation, event: ClusterEvent) -> bool:
 def in_any_cluster_event(sigma: Permutation, l: int) -> bool:
     """True iff some block of l consecutive values sits in l consecutive
     positions of sigma (the union of the events over all k)."""
-    n = len(sigma)
-    if not 2 <= l <= n - 1:
-        raise DomainError(f"l={l} outside 2..{n - 1} for n={n}")
+    ClusterEvent(l).validate(len(sigma))
     return _window_has_cluster(sigma.values, l, None)
 
 

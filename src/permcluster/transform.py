@@ -104,10 +104,4 @@ def cluster_anchors(sigma: Permutation, l: int, k: int) -> list[int]:
     list has at most one element; it is returned as a list for uniformity.
     """
     ClusterEvent(l, k).validate(len(sigma))
-    v = sigma.values
-    out = []
-    for a in range(len(v) - l + 1):
-        w = v[a : a + l]
-        if min(w) == k and max(w) == k + l - 1:
-            out.append(a + 1)
-    return out
+    return [a for a in range(1, len(sigma) - l + 2) if in_cluster_event(sigma, ClusterEvent(l, k, a))]

@@ -9,6 +9,7 @@ sweeps) aggregate one row per slice with the number of cases covered.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .perms import (
 
 S3_PATTERNS = tuple(Permutation(p) for p in itertools.permutations((1, 2, 3)))
 S4_PATTERNS = tuple(Permutation(p) for p in itertools.permutations((1, 2, 3, 4)))
+CLUSTER_FREE_4 = (Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2)))
 
 
 @dataclass
@@ -68,50 +70,65 @@ def _brute(table: enumeration.EventTable, l: int, k: int) -> Fraction:
     return Fraction(table.by_lk.get((l, k), 0), table.total)
 
 
+def _table_rows(suite: str, ps: PatternSet, max_n: int, instance: str, check) -> list[CheckRow]:
+    """One row per (n, l, k) for n = 3..max_n: the brute-force probability
+    read from the event table of S_n(ps) against a closed form.
+
+    `instance` is a str.format template over ps, n, l and k.  check(n, l)
+    is evaluated once per (n, l) and returns judge(k, got) -> (expected
+    text, passed).
+    """
+    rows = []
+    for n in range(3, max_n + 1):
+        table = enumeration.event_count_table(n, ps)
+        for l in range(2, n):
+            judge = check(n, l)
+            for k in range(1, n - l + 2):
+                got = _brute(table, l, k)
+                expected, ok = judge(k, got)
+                rows.append(CheckRow(suite, instance.format(ps=ps, n=n, l=l, k=k),
+                                     expected, str(got), ok))
+    return rows
+
+
+def _equals(want):
+    """A judge requiring the brute-force value to equal want(k)."""
+    def judge(k: int, got: Fraction) -> tuple[str, bool]:
+        value = want(k)
+        return str(value), got == value
+    return judge
+
+
 # ---------------------------------------------------------------------------
 
 
 def uniform_suite(max_n: int = 8) -> SuiteReport:
     """Brute force over all of S_n versus the uniform product formula."""
-    rows = []
-    for n in range(3, max_n + 1):
-        table = enumeration.event_count_table(n, EMPTY_PATTERNS)
-        for l, k in _events(n):
-            got = _brute(table, l, k)
-            want = formulas.uniform_probability(n, l, k)
-            rows.append(CheckRow("uniform", f"n={n} l={l} k={k}", str(want), str(got), got == want))
-    return SuiteReport("uniform", rows)
+    return SuiteReport("uniform", _table_rows(
+        "uniform", EMPTY_PATTERNS, max_n, "n={n} l={l} k={k}",
+        lambda n, l: _equals(lambda k: formulas.uniform_probability(n, l, k)),
+    ))
 
 
 def monotone_exact_suite(max_n: int = 11) -> SuiteReport:
     """Brute force over the 321- and 123-avoiders versus the exact formula."""
     rows = []
-    for text in ("321", "123"):
-        ps = PatternSet((Permutation(tuple(int(c) for c in text)),))
-        for n in range(3, max_n + 1):
-            table = enumeration.event_count_table(n, ps)
-            for l, k in _events(n):
-                got = _brute(table, l, k)
-                want = formulas.monotone_cluster_probability(n, l, k)
-                rows.append(CheckRow(
-                    "thm3", f"avoid={text} n={n} l={l} k={k}", str(want), str(got), got == want
-                ))
+    for tau in (Permutation((3, 2, 1)), Permutation((1, 2, 3))):
+        rows += _table_rows(
+            "thm3", PatternSet((tau,)), max_n, "avoid={ps} n={n} l={l} k={k}",
+            lambda n, l: _equals(lambda k: formulas.monotone_cluster_probability(n, l, k)),
+        )
     return SuiteReport("thm3", rows)
 
 
 def separable_exact_suite(max_n: int = 11) -> SuiteReport:
     """Brute force over separable permutations versus the product formula,
     including independence of the block start k and the large-n behavior."""
-    rows = []
-    for n in range(3, max_n + 1):
-        table = enumeration.event_count_table(n, SEP)
-        for l in range(2, n):
-            want = formulas.separable_cluster_probability(n, l)
-            for k in range(1, n - l + 2):
-                got = _brute(table, l, k)
-                rows.append(CheckRow(
-                    "thm2", f"n={n} l={l} k={k}", str(want), str(got), got == want
-                ))
+    def check(n, l):
+        want = formulas.separable_cluster_probability(n, l)
+        return _equals(lambda k: want)
+
+    rows = _table_rows("thm2", SEP, max_n, "n={n} l={l} k={k}", check)
     for l in range(2, 6):
         lim = formulas.separable_cluster_limit(l)
         lo, hi = lim.bounds(40)
@@ -133,18 +150,14 @@ def separable_exact_suite(max_n: int = 11) -> SuiteReport:
 def cluster_free_singleton_suite(max_n: int = 10) -> SuiteReport:
     """Exact product form for the cluster-free singleton classes."""
     rows = []
-    for tau in (Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2))):
+    for tau in CLUSTER_FREE_4:
         ps = PatternSet((tau,))
-        for n in range(3, max_n + 1):
-            table = enumeration.event_count_table(n, ps)
-            for l in range(2, n):
-                want = formulas.cluster_free_probability(n, l, ps)
-                for k in range(1, n - l + 2):
-                    got = _brute(table, l, k)
-                    rows.append(CheckRow(
-                        "thm1", f"avoid={tau} n={n} l={l} k={k} (exact)",
-                        str(want), str(got), got == want,
-                    ))
+
+        def check(n, l):
+            want = formulas.cluster_free_probability(n, l, ps)
+            return _equals(lambda k: want)
+
+        rows += _table_rows("thm1", ps, max_n, "avoid={ps} n={n} l={l} k={k} (exact)", check)
     return SuiteReport("thm1-exact", rows)
 
 
@@ -153,19 +166,15 @@ def sandwich_suite(max_n: int = 9) -> SuiteReport:
     pattern of length 3 and 4."""
     rows = []
     for tau in S3_PATTERNS + S4_PATTERNS:
-        ps = PatternSet((tau,))
-        for n in range(3, max_n + 1):
-            table = enumeration.event_count_table(n, ps)
-            for l in range(2, n):
-                rep = formulas.cluster_probability_bounds(n, l, tau)
-                for k in range(1, n - l + 2):
-                    got = _brute(table, l, k)
-                    ok = got <= rep.upper and (rep.lower is None or rep.lower <= got)
-                    lower_s = str(rep.lower) if rep.lower is not None else "(none)"
-                    rows.append(CheckRow(
-                        "thm1", f"avoid={tau} n={n} l={l} k={k}",
-                        f"{lower_s} <= p <= {rep.upper}", str(got), ok,
-                    ))
+        def check(n, l):
+            rep = formulas.cluster_probability_bounds(n, l, tau)
+            lower_s = str(rep.lower) if rep.lower is not None else "(none)"
+            expected = f"{lower_s} <= p <= {rep.upper}"
+            return lambda k, got: (
+                expected, got <= rep.upper and (rep.lower is None or rep.lower <= got)
+            )
+
+        rows += _table_rows("thm1", PatternSet((tau,)), max_n, "avoid={ps} n={n} l={l} k={k}", check)
     return SuiteReport("thm1-bounds", rows)
 
 
@@ -177,21 +186,13 @@ def thm1_suite(max_n: int = 9) -> SuiteReport:
 def cor2_suite(max_n: int | None = None) -> SuiteReport:
     """Large-n convergence of the exact 321/123 formula to its limits."""
     rows = []
-    rows.append(CheckRow(
-        "cor2", "limit l=2 fixed k=1", "5/16",
-        str(formulas.monotone_cluster_limit(2, formulas.LimitSpec.fixed_k(1))),
-        formulas.monotone_cluster_limit(2, formulas.LimitSpec.fixed_k(1)) == Fraction(5, 16),
-    ))
-    rows.append(CheckRow(
-        "cor2", "limit l=3 fixed k=2", "5/64",
-        str(formulas.monotone_cluster_limit(3, formulas.LimitSpec.fixed_k(2))),
-        formulas.monotone_cluster_limit(3, formulas.LimitSpec.fixed_k(2)) == Fraction(5, 64),
-    ))
-    rows.append(CheckRow(
-        "cor2", "limit l=2 interior", "1/4",
-        str(formulas.monotone_cluster_limit(2, formulas.LimitSpec.interior())),
-        formulas.monotone_cluster_limit(2, formulas.LimitSpec.interior()) == Fraction(1, 4),
-    ))
+    for instance, l, spec, want in (
+        ("limit l=2 fixed k=1", 2, formulas.LimitSpec.fixed_k(1), Fraction(5, 16)),
+        ("limit l=3 fixed k=2", 3, formulas.LimitSpec.fixed_k(2), Fraction(5, 64)),
+        ("limit l=2 interior", 2, formulas.LimitSpec.interior(), Fraction(1, 4)),
+    ):
+        got = formulas.monotone_cluster_limit(l, spec)
+        rows.append(CheckRow("cor2", instance, str(want), str(got), got == want))
     for l in range(2, 6):
         for k in range(1, 6):
             lim = formulas.monotone_cluster_limit(l, formulas.LimitSpec.fixed_k(k))
@@ -199,7 +200,9 @@ def cor2_suite(max_n: int | None = None) -> SuiteReport:
             rows.append(CheckRow(
                 "cor2", f"l={l} k={k} mirrored regime", str(lim), str(mirrored), lim == mirrored
             ))
-            gap500 = abs(formulas.monotone_cluster_probability(500, l, k) - lim)
+            gaps = [abs(formulas.monotone_cluster_probability(n, l, k) - lim)
+                    for n in range(20, 501, 20)]
+            gap500 = gaps[-1]
             gap50 = abs(formulas.monotone_cluster_probability(50, l, k) - lim)
             rows.append(CheckRow(
                 "cor2", f"gap at n=500 l={l} k={k}", "< 1/200",
@@ -209,8 +212,6 @@ def cor2_suite(max_n: int | None = None) -> SuiteReport:
                 "cor2", f"gap shrinks l={l} k={k} (n=500 vs 50)",
                 f"< {float(gap50):.3e}", f"{float(gap500):.3e}", gap500 < gap50,
             ))
-            gaps = [abs(formulas.monotone_cluster_probability(n, l, k) - lim)
-                    for n in range(20, 501, 20)]
             dec = all(a > b for a, b in zip(gaps, gaps[1:]))
             rows.append(CheckRow(
                 "cor2", f"gap decreasing on n=20..500 l={l} k={k}",
@@ -237,11 +238,10 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
                 str(got321), str(got123), got321 == got123,
             ))
             kk = n + 2 - k - l
-            a_mapped = t123.by_lk.get((l, kk), 0)
+            a321, a_mapped = t321.by_lk.get((l, k), 0), t123.by_lk.get((l, kk), 0)
             rows.append(CheckRow(
                 "symmetry", f"complement map n={n} (l={l},k={k})->(l={l},k={kk})",
-                str(t321.by_lk.get((l, k), 0)), str(a_mapped),
-                t321.by_lk.get((l, k), 0) == a_mapped,
+                str(a321), str(a_mapped), a321 == a_mapped,
             ))
     # pointwise window behavior under reverse and complement, exhaustive n=6
     n = 6
@@ -270,16 +270,14 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
     samples += [PatternSet((Permutation(v),)) for v in ((1, 3, 4, 2), (1, 2, 3, 4), (2, 4, 1, 3))]
     samples.append(SEP)
     for ps in samples:
-        rev = PatternSet(tuple(reverse(t) for t in ps))
-        comp = PatternSet(tuple(complement(t) for t in ps))
+        images = [(label, PatternSet(tuple(f(t) for t in ps)))
+                  for label, f in (("reversed", reverse), ("complemented", complement))]
         for n in range(2, min(max_n, 8) + 1):
             base = enumeration.count_avoiders(n, ps)
-            rows.append(CheckRow("symmetry", f"avoid={ps} reversed n={n}",
-                                 str(base), str(enumeration.count_avoiders(n, rev)),
-                                 base == enumeration.count_avoiders(n, rev)))
-            rows.append(CheckRow("symmetry", f"avoid={ps} complemented n={n}",
-                                 str(base), str(enumeration.count_avoiders(n, comp)),
-                                 base == enumeration.count_avoiders(n, comp)))
+            for label, image in images:
+                got = enumeration.count_avoiders(n, image)
+                rows.append(CheckRow("symmetry", f"avoid={ps} {label} n={n}",
+                                     str(base), str(got), base == got))
     return SuiteReport("symmetry", rows)
 
 
@@ -300,26 +298,30 @@ def _etas_with_value_at(n_eta: int, k: int, a: int):
         yield rest[: a - 1] + (k,) + rest[a - 1 :]
 
 
+def _cluster_walk(n: int, ps: PatternSet):
+    """(sigma, l, k, a) for every cluster window of every sigma in S_n(ps),
+    l-major, from the sliding-window scan."""
+    sigmas = list(enumeration.enumerate_avoiders(n, ps))
+    arr = np.array([p.values for p in sigmas], dtype=np.int8).reshape(-1, n)
+    for l, cluster, cmin in enumeration.cluster_windows(arr):
+        ridx, aidx = np.nonzero(cluster)
+        for r, a0 in zip(ridx.tolist(), aidx.tolist()):
+            yield sigmas[r], l, int(cmin[r, a0]), a0 + 1
+
+
 def _round_trip_rows(max_n: int) -> list[CheckRow]:
     rows = []
     for n in range(3, max_n + 1):
         checked = 0
         failures = 0
         detail = ""
-        for vals in itertools.permutations(range(1, n + 1)):
-            p = Permutation(vals)
-            for l in range(2, n):
-                for a0 in range(n - l + 1):
-                    w = vals[a0 : a0 + l]
-                    lo = min(w)
-                    if max(w) - lo != l - 1:
-                        continue
-                    eta = transform.contract(p, l, lo, a0 + 1)
-                    back = transform.expand(eta, transform.flatten(w), l, lo, a0 + 1)
-                    checked += 1
-                    if back != p:
-                        failures += 1
-                        detail = detail or f" first: {p} (l={l},k={lo},a={a0 + 1})"
+        for p, l, k, a in _cluster_walk(n, EMPTY_PATTERNS):
+            eta = transform.contract(p, l, k, a)
+            back = transform.expand(eta, transform.flatten(p.values[a - 1 : a - 1 + l]), l, k, a)
+            checked += 1
+            if back != p:
+                failures += 1
+                detail = detail or f" first: {p} (l={l},k={k},a={a})"
         rows.append(CheckRow("transform", f"round trips n={n}",
                              f"{checked} windows restore sigma",
                              f"{failures} failures{detail}", failures == 0))
@@ -327,8 +329,6 @@ def _round_trip_rows(max_n: int) -> list[CheckRow]:
 
 
 def _injectivity_rows(max_n: int) -> list[CheckRow]:
-    import math as _math
-
     rows = []
     for n in range(3, max_n + 1):
         total = 0
@@ -337,7 +337,7 @@ def _injectivity_rows(max_n: int) -> list[CheckRow]:
         for l in range(2, n):
             n_eta = n - l + 1
             rhos = [Permutation(r) for r in itertools.permutations(range(1, l + 1))]
-            expected = _math.factorial(n - l) * _math.factorial(l)
+            expected = math.factorial(n - l) * math.factorial(l)
             for k in range(1, n_eta + 1):
                 for a in range(1, n_eta + 1):
                     outs = set()
@@ -361,6 +361,13 @@ def _injectivity_rows(max_n: int) -> list[CheckRow]:
     return rows
 
 
+def _expansions(etas: list[Permutation], l: int, rhos: list[Permutation]) -> list[tuple[int, ...]]:
+    """The expansion of every host eta at every anchor a (k = eta_a) by
+    every window pattern rho, as value tuples."""
+    return [transform.expand(eta, rho, l, eta.values[a - 1], a).values
+            for eta in etas for a in range(1, len(eta) + 1) for rho in rhos]
+
+
 def _monotone_preservation_rows(max_n: int) -> list[CheckRow]:
     rows = []
     for tau in S3_PATTERNS + S4_PATTERNS:
@@ -376,12 +383,7 @@ def _monotone_preservation_rows(max_n: int) -> list[CheckRow]:
                     rhos.append(identity(l))
                 if not conds.tight21:
                     rhos.append(reverse(identity(l)))
-                etas = list(enumeration.enumerate_avoiders(n - l + 1, ps))
-                for eta in etas:
-                    for a in range(1, n - l + 2):
-                        k = eta.values[a - 1]
-                        for rho in rhos:
-                            outputs.append(transform.expand(eta, rho, l, k, a).values)
+                outputs += _expansions(list(enumeration.enumerate_avoiders(n - l + 1, ps)), l, rhos)
             hits = _count_containing(outputs, tau)
             rows.append(CheckRow(
                 "transform", f"monotone window keeps avoidance: tau={tau} n={n}",
@@ -390,28 +392,21 @@ def _monotone_preservation_rows(max_n: int) -> list[CheckRow]:
     return rows
 
 
-def _cluster_free_expansion_rows(max_n: int, l_cap: int | None = None) -> list[CheckRow]:
+def _cluster_free_expansion_rows(max_n: int) -> list[CheckRow]:
     rows = []
-    for tau in (Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2))):
+    for tau in CLUSTER_FREE_4:
         ps = PatternSet((tau,))
         for n in range(3, max_n + 1):
             keep: list[tuple[int, ...]] = []
             kill: list[tuple[int, ...]] = []
             for l in range(2, n):
-                if l_cap is not None and l > l_cap:
-                    continue
                 good = list(enumeration.enumerate_avoiders(l, ps))
                 good_set = {r.values for r in good}
                 bad = [Permutation(r) for r in itertools.permutations(range(1, l + 1))
                        if r not in good_set]
                 etas = list(enumeration.enumerate_avoiders(n - l + 1, ps))
-                for eta in etas:
-                    for a in range(1, n - l + 2):
-                        k = eta.values[a - 1]
-                        for rho in good:
-                            keep.append(transform.expand(eta, rho, l, k, a).values)
-                        for rho in bad:
-                            kill.append(transform.expand(eta, rho, l, k, a).values)
+                keep += _expansions(etas, l, good)
+                kill += _expansions(etas, l, bad)
             kept_bad = _count_containing(keep, tau)
             killed_ok = len(kill) - _count_containing(kill, tau)
             rows.append(CheckRow(
@@ -425,23 +420,15 @@ def _cluster_free_expansion_rows(max_n: int, l_cap: int | None = None) -> list[C
     return rows
 
 
-def _contract_monotone_rows(max_n: int, patterns=None) -> list[CheckRow]:
+def _contract_monotone_rows(max_n: int, patterns: tuple[Permutation, ...]) -> list[CheckRow]:
     rows = []
-    for tau in patterns or (S3_PATTERNS + S4_PATTERNS):
-        ps = PatternSet((tau,))
+    for tau in patterns:
         for n in range(3, max_n + 1):
-            avoiders = list(enumeration.enumerate_avoiders(n, ps))
-            arr = np.array([p.values for p in avoiders], dtype=np.int8).reshape(-1, n)
-            contracted: list[tuple[int, ...]] = []
-            for l, cluster, cmin in enumeration.cluster_windows(arr):
-                ridx, aidx = np.nonzero(cluster)
-                for r, a0 in zip(ridx.tolist(), aidx.tolist()):
-                    k = int(cmin[r, a0])
-                    contracted.append(transform.contract(avoiders[r], l, k, a0 + 1).values)
-            hits = sum(
-                _count_containing(group, tau)
-                for width, group in _group_by_len(contracted).items()
-            )
+            contracted = [transform.contract(p, l, k, a).values
+                          for p, l, k, a in _cluster_walk(n, PatternSet((tau,)))]
+            # the walk is l-major, so each width n - l + 1 is one run
+            hits = sum(_count_containing(list(group), tau)
+                       for _, group in itertools.groupby(contracted, len))
             rows.append(CheckRow(
                 "transform", f"contraction keeps avoidance: tau={tau} n={n}",
                 f"0 of {len(contracted)} contain the pattern", f"{hits} contain it", hits == 0,
@@ -449,20 +436,12 @@ def _contract_monotone_rows(max_n: int, patterns=None) -> list[CheckRow]:
     return rows
 
 
-def _group_by_len(tuples: list[tuple[int, ...]]) -> dict[int, list[tuple[int, ...]]]:
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for t in tuples:
-        out.setdefault(len(t), []).append(t)
-    return out
-
-
 def transform_suite(max_n: int = 8) -> SuiteReport:
     rows = _round_trip_rows(max_n)
     rows += _injectivity_rows(max_n)
     rows += _monotone_preservation_rows(max_n)
     rows += _cluster_free_expansion_rows(max_n)
-    rows += _contract_monotone_rows(max_n, patterns=S3_PATTERNS
-                                    + (Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2))))
+    rows += _contract_monotone_rows(max_n, S3_PATTERNS + CLUSTER_FREE_4)
     return SuiteReport("transform", rows)
 
 

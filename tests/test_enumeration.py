@@ -47,7 +47,8 @@ def naive_avoider_list(n, ps):
 
 @pytest.mark.parametrize(
     "ps",
-    [EMPTY_PATTERNS, ps_of("321"), ps_of("132"), ps_of("2413"), SEP, ps_of("1234"), ps_of("321", "1234")],
+    [EMPTY_PATTERNS, ps_of("321"), ps_of("132"), ps_of("2413"), SEP, ps_of("1234"), ps_of("321", "1234"),
+     ps_of("25314"), ps_of("2413", "13254")],
 )
 def test_stream_matches_naive_filter_and_is_lex(ps):
     for n in range(1, 7):
@@ -106,6 +107,13 @@ def test_count_empty_class():
 def test_catalan_fast_path_validated():
     assert count_avoiders(12, ps_of("321")) == 208012
     assert count_avoiders(12, ps_of("213")) == 208012
+
+
+def test_wrong_closed_form_falls_back_to_enumeration(monkeypatch):
+    monkeypatch.setattr(enumeration, "_closed_count", lambda ps: lambda n: catalan(n) + 1)
+    monkeypatch.setattr(enumeration, "_VALIDATED_FAST_PATHS", set())
+    assert count_avoiders(11, ps_of("321")) == 58786
+    assert enumeration._VALIDATED_FAST_PATHS == set()
 
 
 def test_separable_fast_path_agrees_with_enumeration_at_11():
@@ -212,6 +220,11 @@ def test_probability_requires_exactly_one_event_form():
         exact_probability(5, EMPTY_PATTERNS)
     with pytest.raises(DomainError):
         exact_probability(5, EMPTY_PATTERNS, ClusterEvent(2, 1), union_l=2)
+    with pytest.raises(DomainError, match="count_event needs k"):
+        exact_probability(5, EMPTY_PATTERNS, ClusterEvent(2))
+    # the event is checked before the class is found empty
+    with pytest.raises(DomainError, match="outside"):
+        exact_probability(3, ps_of("12", "21"), union_l=3)
 
 
 def position_value_counts(n, ps):
@@ -336,7 +349,7 @@ def test_parallel_fresh_count_matches_serial():
 
 def test_contains_pattern_rows_matches_scalar():
     rng = np.random.default_rng(7)
-    for tau_text in ("321", "2413", "1234"):
+    for tau_text in ("321", "2413", "1234", "25314", "315264"):
         tau = parse_permutation(tau_text)
         rows = np.array([rng.permutation(8) + 1 for _ in range(300)], dtype=np.int8)
         got = enumeration.contains_pattern_rows(rows, tau)
