@@ -8,9 +8,15 @@ appending a new last entry of rank r in 1..j+1 (existing values >= r are
 bumped up by one).  Since the parent already avoids everything, the child
 survives iff the appended entry does not complete a forbidden occurrence
 ending at the last position, and that test reduces per candidate
-occurrence to an interval of bad ranks, which we accumulate as a bitmask
-per row.  The final level, exactly S_n(patterns), is produced one parent
-chunk at a time and never held whole.
+occurrence to an interval of bad ranks.  Every row carries the union of
+those intervals as a bitmask.  A child inherits its parent's mask with the
+ranks at and above r moved up by one, so the kernel only scans the head
+occurrences that end at the new column: C(j-1, h-1) column subsets for a
+head of length h at width j, instead of C(j, h).  The root S_1 gets its
+mask from the same kernel.  Counting stops at width n - 1 and adds up each
+row's free ranks in 1..n, so it never builds a width-n row.  Event tables
+and listings build the final level, exactly S_n(patterns), from the width
+n - 1 masks one parent chunk at a time and never hold it whole.
 
 Event counts (which blocks of l consecutive values sit in l consecutive
 positions) are tabulated from the leaf rows with sliding window min/max
@@ -29,16 +35,18 @@ written by an earlier run can satisfy the check.  A wrong cached count
 only fails the check, and the fast path then falls back to enumeration.
 
 All counting is exact integer arithmetic; probabilities are Fractions.
-Work splitting partitions an intermediate level's rows into disjoint
-chunks whose subtree results are merged by addition, so parallel runs are
-pure and deterministic.
+Work splitting partitions an intermediate level's rows, masks included,
+into disjoint chunks whose subtree results are merged by addition, so
+parallel runs are pure and deterministic.
 """
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,16 +80,21 @@ ExactRatio = Fraction
 # vectorized "does the appended rank complete a forbidden occurrence" test
 
 
-def _order_matches(rows: np.ndarray, t: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's entries at every len(t)-subset of its columns, and
-    whether they are order-isomorphic to t.
+def _order_matches(rows: np.ndarray, t: tuple[int, ...], *, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's entries at every len(t)-subset of its columns (only the
+    subsets that include the last column, if `last`), and whether they are
+    order-isomorphic to t.
 
     Returns cols (N, T, m) and ok (N, T).  Entries are distinct, so order
     isomorphism is m - 1 comparisons: the entries at t's positions, taken
     by increasing value of t, must increase.
     """
-    combos = np.array(list(itertools.combinations(range(rows.shape[1]), len(t))), dtype=np.intp)
-    cols = rows[:, combos]
+    w = rows.shape[1]
+    if last:
+        combos = [c + (w - 1,) for c in itertools.combinations(range(w - 1), len(t) - 1)]
+    else:
+        combos = list(itertools.combinations(range(w), len(t)))
+    cols = rows[:, np.array(combos, dtype=np.intp)]
     ok = np.ones(cols.shape[:2], dtype=bool)
     by_value = sorted(range(len(t)), key=t.__getitem__)
     for s, u in zip(by_value, by_value[1:]):
@@ -96,114 +109,144 @@ class _PatternMeta:
     over: tuple[int, ...]  # head slots valued above the last entry
 
 
-def _pattern_meta(tau: Permutation) -> _PatternMeta:
-    t = tau.values
-    m = len(t)
-    head = t[:-1]
-    under = tuple(i for i in range(m - 1) if head[i] < t[-1])
-    over = tuple(i for i in range(m - 1) if head[i] > t[-1])
-    return _PatternMeta(head, under, over)
+def _pattern_metas(ps: PatternSet) -> list[_PatternMeta]:
+    metas = []
+    for tau in ps:
+        t = tau.values
+        head = t[:-1]
+        under = tuple(i for i, v in enumerate(head) if v < t[-1])
+        over = tuple(i for i, v in enumerate(head) if v > t[-1])
+        metas.append(_PatternMeta(head, under, over))
+    return metas
 
 
-def _rank_interval_lut(n: int) -> np.ndarray:
-    # lut[lo, hi] has bits lo+1 .. hi set: the ranks r with lo < r <= hi.
-    size = n + 2
-    lut = np.zeros((size, size), dtype=np.uint64)
-    for lo in range(size):
-        for hi in range(lo + 1, size):
-            lut[lo, hi] = ((1 << (hi + 1)) - 2) & ~((1 << (lo + 1)) - 2)
-    return lut
+_ONE = np.uint64(1)
+
+# A level of the growth: rows (N, j) of avoiders of length j, and per row
+# the bitmask of the ranks r in 1..j+1 whose append would complete an
+# occurrence of a forbidden pattern.
+Level = tuple[np.ndarray, np.ndarray]
 
 
-def _bad_rank_masks(rows: np.ndarray, metas: list[_PatternMeta], lut: np.ndarray) -> np.ndarray:
-    """Bitmask per row of the ranks whose append would contain a pattern.
+def _new_bad(rows: np.ndarray, metas: list[_PatternMeta]) -> np.ndarray:
+    """Bad ranks contributed by head occurrences ending at the last column.
 
     A new last entry of rank r completes an occurrence of tau iff some
     (m-1)-subset of columns matches the head of tau in relative order and
     r falls strictly above every matched under-value and at or below every
-    matched over-value (after bumping, `value >= r` means `above r`).
+    matched over-value (after bumping, `value >= r` means `above r`): the
+    ranks lo < r <= hi.  Occurrences that avoid the last column were
+    already in the parent's mask and are carried, not rescanned.
     """
-    n_rows, j = rows.shape
+    n_rows, w = rows.shape
     bad = np.zeros(n_rows, dtype=np.uint64)
     for meta in metas:
-        if len(meta.head) > j:
+        if len(meta.head) > w:
             continue
-        cols, ok = _order_matches(rows, meta.head)
-        if meta.under:
-            lo = cols[:, :, meta.under].max(axis=2).astype(np.intp)
-        else:
-            lo = np.zeros(cols.shape[:2], dtype=np.intp)
-        if meta.over:
-            hi = cols[:, :, meta.over].min(axis=2).astype(np.intp)
-        else:
-            hi = np.full(cols.shape[:2], j + 1, dtype=np.intp)
-        bits = np.where(ok, lut[lo, hi], np.uint64(0))
-        bad |= np.bitwise_or.reduce(bits, axis=1)
+        cols, ok = _order_matches(rows, meta.head, last=True)
+        ridx, cidx = np.nonzero(ok)  # the occurrences, row-major
+        hits = cols[ridx, cidx]
+        lo = hits[:, meta.under].max(axis=1).astype(np.uint64) if meta.under else np.uint64(0)
+        hi = hits[:, meta.over].min(axis=1).astype(np.uint64) if meta.over else np.uint64(w + 1)
+        bits = (_ONE << (hi + _ONE)) - (_ONE << (lo + _ONE))
+        starts = np.flatnonzero(np.diff(ridx, prepend=-1))  # each row's first occurrence
+        bad[ridx[starts]] |= np.bitwise_or.reduceat(bits, starts)
     return bad
 
 
-def _children(rows: np.ndarray, metas: list[_PatternMeta], lut: np.ndarray) -> np.ndarray:
-    """All avoiding children obtained by appending a new last entry."""
-    j = rows.shape[1]
-    bad = _bad_rank_masks(rows, metas, lut)
-    out = []
-    for r in range(1, j + 2):
-        keep = (np.right_shift(bad, np.uint64(r)) & np.uint64(1)) == 0
-        base = rows[keep]
-        child = (base + (base >= r)).astype(rows.dtype)
-        col = np.full((len(child), 1), r, dtype=rows.dtype)
-        out.append(np.hstack([child, col]))
-    return np.vstack(out)
+def _free(bad: np.ndarray, r: int) -> np.ndarray:
+    """The rows whose mask leaves rank r free to append."""
+    return ((bad >> np.uint64(r)) & _ONE) == 0
 
 
-def _row_chunks(rows: np.ndarray) -> list[np.ndarray]:
-    # an empty level still gives one (empty) chunk, so its children are an
-    # empty array of the next width
-    return [rows[s : s + _CHUNK_ROWS] for s in range(0, max(len(rows), 1), _CHUNK_ROWS)]
+def _append(rows: np.ndarray, r: int) -> np.ndarray:
+    """rows with a new last entry of rank r; entries >= r are bumped up."""
+    col = np.full((len(rows), 1), r, dtype=rows.dtype)
+    return np.hstack([(rows + (rows >= r)).astype(rows.dtype), col])
 
 
-def _root(n: int) -> np.ndarray:
-    """S_1, the root every growth starts from, once n is in range."""
+def _children(level: Level, metas: list[_PatternMeta]) -> Level:
+    """The next level below `level`, masks included.
+
+    A child made by appending the free rank r inherits its parent's mask B
+    with the ranks >= r moved up by one, (B & (2^r - 1)) | (B >> r) << (r + 1):
+    r is not in B, so every carried interval lies wholly below or wholly at
+    and above r.  The kernel then adds the occurrences ending at the new
+    column, one _CHUNK_ROWS slice of the children at a time.
+    """
+    rows, bad = level
+    kids, masks = [], []
+    for r in range(1, rows.shape[1] + 2):
+        keep = _free(bad, r)
+        kids.append(_append(rows[keep], r))
+        b, rr = bad[keep], np.uint64(r)
+        masks.append((b & ((_ONE << rr) - _ONE)) | ((b >> rr) << (rr + _ONE)))
+    rows, bad = np.vstack(kids), np.concatenate(masks)
+    for s in range(0, len(rows), _CHUNK_ROWS):
+        bad[s : s + _CHUNK_ROWS] |= _new_bad(rows[s : s + _CHUNK_ROWS], metas)
+    return rows, bad
+
+
+def _root(n: int, ps: PatternSet) -> Level:
+    """S_1 and its mask, the root every growth starts from, once n is in range."""
     if n < 1:
         raise DomainError("enumeration needs n >= 1")
     if n > _MAX_ENUM_N:
         raise DomainError(f"enumeration supports n <= {_MAX_ENUM_N}")
-    return np.ones((1, 1), dtype=np.int8)
+    rows = np.ones((1, 1), dtype=np.int8)
+    return rows, _new_bad(rows, _pattern_metas(ps))
 
 
-def _leaf_chunks(rows: np.ndarray, n: int, ps: PatternSet) -> Iterator[np.ndarray]:
-    """The width-n descendants of `rows` that avoid ps, in chunks.
+def _grow(level: Level, width: int, metas: list[_PatternMeta]) -> Level:
+    """Grow a level, held whole, until its rows have the given width."""
+    while level[0].shape[1] < width:
+        level = _children(level, metas)
+    return level
 
-    Levels below n are held whole; the leaves are yielded one parent chunk
-    at a time, so the largest level is never materialized.
+
+def _leaf_chunks(level: Level, n: int, ps: PatternSet) -> Iterator[np.ndarray]:
+    """The width-n descendants of `level` that avoid ps, in chunks.
+
+    Levels below n are held whole; the leaves are built straight from the
+    width n-1 masks, one parent chunk at a time, so the largest level is
+    never materialized.
     """
+    rows, bad = _grow(level, n - 1, _pattern_metas(ps))
     if rows.shape[1] == n:
         yield rows
         return
-    metas = [_pattern_meta(t) for t in ps]
-    lut = _rank_interval_lut(n)
-    while rows.shape[1] < n - 1:
-        rows = np.vstack([_children(c, metas, lut) for c in _row_chunks(rows)])
-    for chunk in _row_chunks(rows):
-        yield _children(chunk, metas, lut)
+    for s in range(0, max(len(rows), 1), _CHUNK_ROWS):
+        chunk, b = rows[s : s + _CHUNK_ROWS], bad[s : s + _CHUNK_ROWS]
+        yield np.vstack([_append(chunk[_free(b, r)], r) for r in range(1, n + 1)])
+
+
+def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
+    """|S_n(ps)| below `level`, read off the width n-1 masks: each row has
+    one child per free rank in 1..n.  No width-n row is built."""
+    rows, bad = _grow(level, n - 1, _pattern_metas(ps))
+    if rows.shape[1] == n:
+        return len(rows)
+    return sum(int(_free(bad, r).sum()) for r in range(1, n + 1))
 
 
 def _split_grow(n: int, ps: PatternSet, jobs: int,
-                consume: Callable[[int, PatternSet, np.ndarray], T]) -> list[T]:
-    """consume(n, ps, roots) over disjoint sets of roots covering S_n(ps).
+                consume: Callable[[int, PatternSet, Level], T]) -> list[T]:
+    """consume(n, ps, level) over disjoint levels covering S_n(ps).
 
-    With one job the root is S_1, run in-process.  Otherwise the roots are
-    grown until there are at least 4 * jobs of them, split into `jobs`
-    chunks and consumed in a process pool; the parts merge by addition.
+    With one job the level is the root S_1, run in-process.  Otherwise the
+    level is grown until it has at least 4 * jobs rows, split with its
+    masks into `jobs` chunks and consumed in a process pool; the parts
+    merge by addition.  A level that reaches width n - 1 first, still
+    short of 4 * jobs rows, is consumed in-process.
     """
-    rows = _root(n)
-    while jobs > 1 and rows.shape[1] < n and len(rows) < 4 * jobs:
-        rows = np.vstack(list(_leaf_chunks(rows, rows.shape[1] + 1, ps)))
-    if jobs <= 1 or rows.shape[1] == n:
-        return [consume(n, ps, rows)]
-    chunks = [c for c in np.array_split(rows, jobs) if len(c)]
+    level, metas = _root(n, ps), _pattern_metas(ps)
+    while jobs > 1 and level[0].shape[1] < n - 1 and len(level[0]) < 4 * jobs:
+        level = _children(level, metas)
+    if jobs <= 1 or len(level[0]) < 4 * jobs:
+        return [consume(n, ps, level)]
+    parts = list(zip(np.array_split(level[0], jobs), np.array_split(level[1], jobs)))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(consume, [n] * len(chunks), [ps] * len(chunks), chunks))
+        return list(pool.map(consume, [n] * jobs, [ps] * jobs, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +329,8 @@ def _tabulate(n: int, key: str, row_chunks: Iterator[np.ndarray]) -> EventTable:
     return EventTable(n, key, total, by_lk, by_lka, union_by_l)
 
 
-def _table_leaves(n: int, ps: PatternSet, roots: np.ndarray) -> EventTable:
-    return _tabulate(n, ps.key(), _leaf_chunks(roots, n, ps))
+def _table_leaves(n: int, ps: PatternSet, level: Level) -> EventTable:
+    return _tabulate(n, ps.key(), _leaf_chunks(level, n, ps))
 
 
 def _merge_tables(parts: list[EventTable]) -> EventTable:
@@ -351,9 +394,12 @@ class CountCache:
     """A persistent text map from cache keys to decimal count strings.
 
     One entry per line, key and value separated by a tab.  Corrupt lines
-    are ignored (and their keys recomputed on demand).  Writes re-read the
-    file, merge, and replace it atomically: concurrent readers are safe and
-    concurrent writers of identical values are last-writer-wins.
+    are ignored (and their keys recomputed on demand).  A write holds an
+    exclusive lock on the sidecar file `<name>.lock` while it re-reads the
+    file, merges, writes a uniquely named temporary file beside it and
+    replaces the file with it: concurrent readers always see a whole file,
+    and concurrent writers lose no entry (for a key written by both with
+    different values, the later writer wins).
     """
 
     def __init__(self, path: str | Path):
@@ -388,16 +434,23 @@ class CountCache:
         return self._load().get(key)
 
     def put(self, key: str, value: int) -> None:
-        merged = self._parse_file()
-        merged.update(self._load())
-        merged[key] = value
-        self._data = merged
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "w") as fh:
-            for k in sorted(merged):
-                fh.write(f"{k}\t{merged[k]}\n")
-        os.replace(tmp, self.path)
+        lock_path = self.path.with_name(self.path.name + ".lock")
+        with open(lock_path, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+            merged = self._parse_file()
+            merged.update(self._load())
+            merged[key] = value
+            self._data = merged
+            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    for k in sorted(merged):
+                        fh.write(f"{k}\t{merged[k]}\n")
+                os.replace(tmp, self.path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
 
     def items(self) -> list[tuple[str, int]]:
         return sorted(self._load().items())
@@ -414,10 +467,6 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
     if ps.is_empty():
         return math.factorial(n)
     return sum(_split_grow(n, ps, jobs, _count_leaves))
-
-
-def _count_leaves(n: int, ps: PatternSet, roots: np.ndarray) -> int:
-    return sum(len(c) for c in _leaf_chunks(roots, n, ps))
 
 
 def _enumerated_count(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:
@@ -488,7 +537,7 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
 
 def enumerate_avoiders(n: int, ps: PatternSet) -> Iterator[Permutation]:
     """Yield S_n(ps) exactly once each, in lexicographic one-line order."""
-    rows = np.vstack(list(_leaf_chunks(_root(n), n, ps)))
+    rows = np.vstack(list(_leaf_chunks(_root(n, ps), n, ps)))
     order = np.lexsort(rows.T[::-1])
     for row in rows[order]:
         yield Permutation(tuple(int(v) for v in row))

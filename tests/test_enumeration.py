@@ -1,5 +1,7 @@
 import itertools
 import math
+import multiprocessing
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +58,35 @@ def test_stream_matches_naive_filter_and_is_lex(ps):
         assert got == naive_avoider_list(n, ps)
         assert got == sorted(got)
         assert len(set(got)) == len(got)
+
+
+def random_pattern_sets(seed, count):
+    """Seeded pattern sets of 1-3 distinct patterns of lengths 2-6."""
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(count):
+        pats, size = set(), rng.randint(1, 3)
+        while len(pats) < size:
+            vals = list(range(1, rng.randint(2, 6) + 1))
+            rng.shuffle(vals)
+            pats.add(Permutation(tuple(vals)))
+        sets.append(PatternSet(tuple(pats)))
+    return sets
+
+
+@pytest.mark.parametrize(
+    "ps", [ps_of("25314"), ps_of("315264"), ps_of("2413", "13254")] + random_pattern_sets(2024, 8),
+    ids=lambda ps: ps.key(),
+)
+def test_carried_masks_match_naive_filter(ps):
+    # the carried bad-rank masks, the leafless count and the --jobs hand-off
+    # of (rows, masks) against the scalar containment filter
+    for n in range(1, 8):
+        naive = naive_avoider_list(n, ps)
+        assert enumeration.fresh_count(n, ps) == len(naive)
+        assert [p.values for p in enumerate_avoiders(n, ps)] == naive
+    # one two-worker pool per pattern set keeps the test short
+    assert enumeration.fresh_count(7, ps, jobs=2) == len(naive)
 
 
 def test_stream_examples():
@@ -324,6 +355,26 @@ def test_cached_value_is_used(tmp_path):
     assert enumeration.fresh_count(5, ps_of("53421")) == 119
 
 
+def _put_many(path, pattern):
+    cache = CountCache(path)
+    for n in range(1, 101):
+        cache.put(f"avoid={pattern};n={n}", n)
+
+
+def test_cache_two_writers_lose_nothing(tmp_path):
+    path = tmp_path / "counts.txt"
+    ctx = multiprocessing.get_context("spawn")
+    writers = [ctx.Process(target=_put_many, args=(path, p)) for p in ("321", "123")]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=60)
+    assert [w.exitcode for w in writers] == [0, 0]  # None if still running
+    items = CountCache(path).items()
+    assert len(items) == 200
+    assert all(k.endswith(f";n={v}") for k, v in items)
+
+
 # ---------------------------------------------------------------------------
 # work splitting
 
@@ -341,6 +392,20 @@ def test_parallel_event_table_matches_serial():
 
 def test_parallel_fresh_count_matches_serial():
     assert enumeration.fresh_count(8, ps_of("231"), jobs=2) == catalan(8)
+    for ps in (ps_of("1342"), SEP, ps_of("25314"), ps_of("2413", "13254")):
+        assert enumeration.fresh_count(8, ps, jobs=2) == enumeration.fresh_count(8, ps)
+
+
+def test_parallel_fresh_count_tiny_n_runs_in_process(monkeypatch):
+    # at n = 3 the split reaches width n - 1 with fewer than 4 * jobs rows,
+    # so the level is consumed in-process and no pool is made
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no process pool expected")
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    for n in (1, 2, 3):
+        assert enumeration.fresh_count(n, ps_of("231"), jobs=2) == catalan(n)
+        assert enumeration.event_count_table(n, ps_of("2413", "13254"), jobs=2).total == math.factorial(n)
 
 
 # ---------------------------------------------------------------------------
