@@ -12,8 +12,11 @@ occurrence to an interval of bad ranks.  Every row carries the union of
 those intervals as a bitmask.  A child inherits its parent's mask with the
 ranks at and above r moved up by one, so the kernel only scans the head
 occurrences that end at the new column: C(j-1, h-1) column subsets for a
-head of length h at width j, instead of C(j, h).  The root S_1 gets its
-mask from the same kernel.  Counting stops at width n - 1 and adds up each
+head of length h at width j, instead of C(j, h).  Every such subset is
+mapped to its interval of bad ranks, a miss to the empty interval, so the
+kernel's work depends on the level's size and the head lengths only: the
+symmetric images of a pattern cost the same.  The root S_1 gets its mask
+from the same kernel.  Counting stops at width n - 1 and adds up each
 row's free ranks in 1..n, so it never builds a width-n row.  Event tables
 and listings build the final level, exactly S_n(patterns), from the width
 n - 1 masks one parent chunk at a time and never hold it whole.
@@ -35,9 +38,10 @@ written by an earlier run can satisfy the check.  A wrong cached count
 only fails the check, and the fast path then falls back to enumeration.
 
 All counting is exact integer arithmetic; probabilities are Fractions.
-Work splitting partitions an intermediate level's rows, masks included,
-into disjoint chunks whose subtree results are merged by addition, so
-parallel runs are pure and deterministic.
+Work splitting deals an intermediate level's rows, masks included,
+round-robin into 4 * jobs disjoint parts, which the worker processes take
+one at a time; the subtree results are merged by addition, so parallel
+runs are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -85,7 +89,8 @@ def _order_matches(rows: np.ndarray, t: tuple[int, ...], *, last: bool = False) 
     subsets that include the last column, if `last`), and whether they are
     order-isomorphic to t.
 
-    Returns cols (N, T, m) and ok (N, T).  Entries are distinct, so order
+    Returns cols (m, T, N) and ok (T, N), subset-major so that every
+    comparison runs over contiguous rows.  Entries are distinct, so order
     isomorphism is m - 1 comparisons: the entries at t's positions, taken
     by increasing value of t, must increase.
     """
@@ -94,19 +99,19 @@ def _order_matches(rows: np.ndarray, t: tuple[int, ...], *, last: bool = False) 
         combos = [c + (w - 1,) for c in itertools.combinations(range(w - 1), len(t) - 1)]
     else:
         combos = list(itertools.combinations(range(w), len(t)))
-    cols = rows[:, np.array(combos, dtype=np.intp)]
-    ok = np.ones(cols.shape[:2], dtype=bool)
+    cols = np.ascontiguousarray(rows.T)[np.array(combos, dtype=np.intp).T]
+    ok = np.ones(cols.shape[1:], dtype=bool)
     by_value = sorted(range(len(t)), key=t.__getitem__)
     for s, u in zip(by_value, by_value[1:]):
-        ok &= cols[:, :, s] < cols[:, :, u]
+        ok &= cols[s] < cols[u]
     return cols, ok
 
 
 @dataclass(frozen=True)
 class _PatternMeta:
     head: tuple[int, ...]  # the pattern minus its last entry
-    under: tuple[int, ...]  # head slots valued below the last entry
-    over: tuple[int, ...]  # head slots valued above the last entry
+    below: int | None  # the head slot valued one below the last entry
+    above: int | None  # the head slot valued one above the last entry
 
 
 def _pattern_metas(ps: PatternSet) -> list[_PatternMeta]:
@@ -114,9 +119,9 @@ def _pattern_metas(ps: PatternSet) -> list[_PatternMeta]:
     for tau in ps:
         t = tau.values
         head = t[:-1]
-        under = tuple(i for i, v in enumerate(head) if v < t[-1])
-        over = tuple(i for i, v in enumerate(head) if v > t[-1])
-        metas.append(_PatternMeta(head, under, over))
+        below = head.index(t[-1] - 1) if t[-1] > 1 else None
+        above = head.index(t[-1] + 1) if t[-1] < len(t) else None
+        metas.append(_PatternMeta(head, below, above))
     return metas
 
 
@@ -133,24 +138,32 @@ def _new_bad(rows: np.ndarray, metas: list[_PatternMeta]) -> np.ndarray:
 
     A new last entry of rank r completes an occurrence of tau iff some
     (m-1)-subset of columns matches the head of tau in relative order and
-    r falls strictly above every matched under-value and at or below every
-    matched over-value (after bumping, `value >= r` means `above r`): the
-    ranks lo < r <= hi.  Occurrences that avoid the last column were
-    already in the parent's mask and are carried, not rescanned.
+    r falls strictly above the entry matched to the value one below tau's
+    last entry, lo, and at or below the entry matched to the value one
+    above it, hi (after bumping, `value >= r` means `above r`): the ranks
+    lo < r <= hi, with lo = 0 or hi = j + 1 when there is no such value.
+    Occurrences that avoid the last column were already in the parent's
+    mask and are carried, not rescanned.  Every subset is turned into its
+    interval, matching or not (a miss is masked to the empty one), so the
+    work depends on the shape of `rows` and the head lengths only, not on
+    how many occurrences there are.
     """
     n_rows, w = rows.shape
     bad = np.zeros(n_rows, dtype=np.uint64)
+    # Entries v become 2^(v+1), which keeps their relative order, so the
+    # bits lo+1..hi are the difference 2^(hi+1) - 2^(lo+1).  The narrowest
+    # unsigned type that holds bit w + 1 is used; 2^(w+2) may wrap to 0 and
+    # the difference is still exact modulo 2^bits.
+    dt = np.min_scalar_type(2 ** (w + 2) - 1)
+    two = dt.type(2)
+    pow2 = two << rows.astype(dt)
     for meta in metas:
         if len(meta.head) > w:
             continue
-        cols, ok = _order_matches(rows, meta.head, last=True)
-        ridx, cidx = np.nonzero(ok)  # the occurrences, row-major
-        hits = cols[ridx, cidx]
-        lo = hits[:, meta.under].max(axis=1).astype(np.uint64) if meta.under else np.uint64(0)
-        hi = hits[:, meta.over].min(axis=1).astype(np.uint64) if meta.over else np.uint64(w + 1)
-        bits = (_ONE << (hi + _ONE)) - (_ONE << (lo + _ONE))
-        starts = np.flatnonzero(np.diff(ridx, prepend=-1))  # each row's first occurrence
-        bad[ridx[starts]] |= np.bitwise_or.reduceat(bits, starts)
+        cols, ok = _order_matches(pow2, meta.head, last=True)
+        lo = two if meta.below is None else cols[meta.below]
+        hi = two << dt.type(w + 1) if meta.above is None else cols[meta.above]
+        bad |= np.bitwise_or.reduce((hi - lo) * ok, axis=0)
     return bad
 
 
@@ -234,19 +247,23 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
     """consume(n, ps, level) over disjoint levels covering S_n(ps).
 
     With one job the level is the root S_1, run in-process.  Otherwise the
-    level is grown until it has at least 4 * jobs rows, split with its
-    masks into `jobs` chunks and consumed in a process pool; the parts
-    merge by addition.  A level that reaches width n - 1 first, still
-    short of 4 * jobs rows, is consumed in-process.
+    level is grown until it has at least 16 * jobs rows and dealt out with
+    its masks, row i to part i mod (4 * jobs), so that neighbouring
+    subtrees, which tend to be alike in size, land in different parts.  A
+    pool of `jobs` workers takes the parts one at a time, so a worker that
+    finishes early, or runs on a less busy core, takes more of them; the
+    parts merge by addition.  A level that reaches width n - 1 first, still
+    short of 16 * jobs rows, is consumed in-process.
     """
     level, metas = _root(n, ps), _pattern_metas(ps)
-    while jobs > 1 and level[0].shape[1] < n - 1 and len(level[0]) < 4 * jobs:
+    while jobs > 1 and level[0].shape[1] < n - 1 and len(level[0]) < 16 * jobs:
         level = _children(level, metas)
-    if jobs <= 1 or len(level[0]) < 4 * jobs:
+    if jobs <= 1 or len(level[0]) < 16 * jobs:
         return [consume(n, ps, level)]
-    parts = list(zip(np.array_split(level[0], jobs), np.array_split(level[1], jobs)))
+    k = 4 * jobs
+    parts = [(level[0][i::k], level[1][i::k]) for i in range(k)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(consume, [n] * jobs, [ps] * jobs, parts))
+        return list(pool.map(consume, [n] * k, [ps] * k, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +277,7 @@ def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
         return hit
     for start in range(0, len(rows), _CHUNK_ROWS):
         sl = slice(start, start + _CHUNK_ROWS)
-        hit[sl] = _order_matches(rows[sl], tau.values)[1].any(axis=1)
+        hit[sl] = _order_matches(rows[sl], tau.values)[1].any(axis=0)
     return hit
 
 

@@ -396,8 +396,38 @@ def test_parallel_fresh_count_matches_serial():
         assert enumeration.fresh_count(8, ps, jobs=2) == enumeration.fresh_count(8, ps)
 
 
+def test_split_deals_rows_round_robin(monkeypatch):
+    # the split level is dealt into 4 * jobs parts of near-equal size that
+    # hold every row once; an in-process stand-in for the pool records them
+    parts = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            parts.extend(args[2])
+            return map(fn, *args)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    ps = ps_of("1342")
+    assert enumeration.fresh_count(9, ps, jobs=2) == enumeration.fresh_count(9, ps)
+    assert len(parts) == 8
+    sizes = [len(rows) for rows, _ in parts]
+    assert max(sizes) - min(sizes) <= 1
+    dealt = sorted(tuple(int(v) for v in row) for rows, _ in parts for row in rows)
+    # |S_4(1342)| = 23 < 16 * 2 <= |S_5(1342)| = 103: the split is at width 5
+    assert dealt == naive_avoider_list(5, ps)
+
+
 def test_parallel_fresh_count_tiny_n_runs_in_process(monkeypatch):
-    # at n = 3 the split reaches width n - 1 with fewer than 4 * jobs rows,
+    # at n = 3 the split reaches width n - 1 with fewer than 16 * jobs rows,
     # so the level is consumed in-process and no pool is made
     def no_pool(*args, **kwargs):
         raise AssertionError("no process pool expected")
