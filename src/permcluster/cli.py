@@ -4,8 +4,9 @@ Subcommands: count, enumerate, prob, verify, limits, table, cache-audit.
 Every run renders a row set either as RFC-style CSV (with a header row)
 or as a JSON object {"meta": ..., "rows": ...}; numeric cells carry the
 exact rational next to a decimal approximation, and decimals are never
-used in any comparison.  Exit codes: 0 success, 1 verification
-counterexample, 2 usage/parse error, 3 domain error.
+used in any comparison.  Exit codes: 0 success; 1 verification
+counterexample, formula disagreement or cache-audit mismatch; 2 usage or
+parse error, or a --cache path that cannot be used; 3 domain error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .perms import (
     DomainError,
     ParseError,
     PatternSet,
-    UndefinedProbabilityError,
     is_cluster_free,
     parse_permutation,
 )
@@ -129,10 +129,7 @@ def _prob_record(n: int, ps: PatternSet, event: ClusterEvent, with_formula: bool
     """One probability row; an event without k stands for the union over k."""
     event.validate(n)
     table = enumeration.event_count_table(n, ps, cache=cache, jobs=jobs)
-    if table.total == 0:
-        raise UndefinedProbabilityError(f"S_{n}({ps}) is empty")
-    count = table.count(event)
-    prob = Fraction(count, table.total)
+    prob = table.probability(event)
     rec = {
         "n": str(n),
         "avoid": ps.key(),
@@ -140,7 +137,7 @@ def _prob_record(n: int, ps: PatternSet, event: ClusterEvent, with_formula: bool
         "k": "" if event.k is None else str(event.k),
         "a": "" if event.a is None else str(event.a),
         "union": "yes" if event.k is None else "",
-        "event_count": str(count),
+        "event_count": str(table.count(event)),
         "class_count": str(table.total),
     }
     rec.update(_ratio_cells("probability", prob))
@@ -250,14 +247,12 @@ def _cmd_table(args) -> tuple[list[dict], bool]:
             if not 2 <= l <= n - 1:
                 continue
             if args.union:
-                rec = _prob_record(n, ps, ClusterEvent(l), args.formula, cache, args.jobs)
-                records.append(rec)
-                continue
-            ks = parse_int_range(args.k) if args.k else list(range(1, n - l + 2))
-            for k in ks:
-                if not 1 <= k <= n - l + 1:
-                    continue
-                rec = _prob_record(n, ps, ClusterEvent(l, k), args.formula, cache, args.jobs)
+                events = [ClusterEvent(l)]
+            else:
+                ks = parse_int_range(args.k) if args.k else range(1, n - l + 2)
+                events = [ClusterEvent(l, k) for k in ks if 1 <= k <= n - l + 1]
+            for event in events:
+                rec = _prob_record(n, ps, event, args.formula, cache, args.jobs)
                 records.append(rec)
                 disagree = disagree or rec.get("agree") == "DISAGREE"
     return records, disagree
@@ -266,28 +261,20 @@ def _cmd_table(args) -> tuple[list[dict], bool]:
 def _cmd_cache_audit(args) -> tuple[list[dict], bool]:
     cache = _cache(args)
     records = []
-    mismatch = False
     for key, cached in cache.items():
-        try:
-            n, ps = enumeration.parse_cache_key(key)
-        except (ParseError, ValueError):
-            records.append({"key": key, "cached": str(cached), "recomputed": "",
-                            "status": "corrupt-key"})
-            continue
+        n, ps = enumeration.parse_cache_key(key)
         if n > args.max_n:
             records.append({"key": key, "cached": str(cached), "recomputed": "",
                             "status": f"skipped (n > {args.max_n})"})
             continue
         fresh = enumeration.fresh_count(n, ps, jobs=args.jobs)
-        ok = fresh == cached
-        mismatch = mismatch or not ok
         records.append({"key": key, "cached": str(cached), "recomputed": str(fresh),
-                        "status": "ok" if ok else "MISMATCH"})
-    if mismatch:
-        bad = next(r for r in records if r["status"] == "MISMATCH")
+                        "status": "ok" if fresh == cached else "MISMATCH"})
+    bad = next((r for r in records if r["status"] == "MISMATCH"), None)
+    if bad is not None:
         print(f"cache mismatch at {bad['key']}: cached {bad['cached']}, "
               f"recomputed {bad['recomputed']}", file=sys.stderr)
-    return records, mismatch
+    return records, bad is not None
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +373,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if not 1 <= args.jobs <= cpus:
             raise ParseError(f"--jobs {args.jobs} outside 1..{cpus}")
         records, failed = _COMMANDS[args.command](args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

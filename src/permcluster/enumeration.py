@@ -15,11 +15,12 @@ occurrences that end at the new column: C(j-1, h-1) column subsets for a
 head of length h at width j, instead of C(j, h).  Every such subset is
 mapped to its interval of bad ranks, a miss to the empty interval, so the
 kernel's work depends on the level's size and the head lengths only: the
-symmetric images of a pattern cost the same.  The root S_1 gets its mask
-from the same kernel.  Counting stops at width n - 1 and adds up each
-row's free ranks in 1..n, so it never builds a width-n row.  Event tables
-and listings build the final level, exactly S_n(patterns), from the width
-n - 1 masks one parent chunk at a time and never hold it whole.
+symmetric images of a pattern cost the same.  Growth starts at S_0, the
+empty permutation, so S_1 gets its mask from the same kernel too.
+Counting stops at width n - 1 and adds up each row's free ranks in 1..n,
+so it never builds a width-n row.  Event tables and listings build the
+final level, exactly S_n(patterns), from the width n - 1 masks one parent
+chunk at a time and never hold it whole.
 
 Event counts (which blocks of l consecutive values sit in l consecutive
 positions) are tabulated from the leaf rows with sliding window min/max
@@ -32,10 +33,12 @@ most once and bin counting rows counts permutations.
 other counting fast paths (Catalan for a single length-3 pattern, a
 Schroeder-type linear recurrence for the separable class) are only used
 for n > 10, once per process the closed form has reproduced the counts
-for every n <= 10.  Those counts are read like any other: from the
-in-process memo, then the count cache, then by enumeration, so a cache
-written by an earlier run can satisfy the check.  A wrong cached count
-only fails the check, and the fast path then falls back to enumeration.
+for every n <= 10.  Those counts come from the one count lookup: the
+in-process memo, then the count cache, then enumeration, so a cache
+written by an earlier run can satisfy the check; a wrong cached count
+only fails it, and the fast path falls back to enumeration.  The lookup
+and every event table record the count they find in one step: in the
+memo, and in the cache where it lacks or contradicts the count.
 
 All counting is exact integer arithmetic; probabilities are Fractions.
 Work splitting deals an intermediate level's rows, masks included,
@@ -52,7 +55,8 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
@@ -200,14 +204,13 @@ def _children(level: Level, metas: list[_PatternMeta]) -> Level:
     return rows, bad
 
 
-def _root(n: int, ps: PatternSet) -> Level:
-    """S_1 and its mask, the root every growth starts from, once n is in range."""
+def _root(n: int) -> Level:
+    """S_0 and its empty mask, the root every growth starts from, once n is in range."""
     if n < 1:
         raise DomainError("enumeration needs n >= 1")
     if n > _MAX_ENUM_N:
         raise DomainError(f"enumeration supports n <= {_MAX_ENUM_N}")
-    rows = np.ones((1, 1), dtype=np.int8)
-    return rows, _new_bad(rows, _pattern_metas(ps))
+    return np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.uint64)
 
 
 def _grow(level: Level, width: int, metas: list[_PatternMeta]) -> Level:
@@ -225,9 +228,6 @@ def _leaf_chunks(level: Level, n: int, ps: PatternSet) -> Iterator[np.ndarray]:
     never materialized.
     """
     rows, bad = _grow(level, n - 1, _pattern_metas(ps))
-    if rows.shape[1] == n:
-        yield rows
-        return
     for s in range(0, max(len(rows), 1), _CHUNK_ROWS):
         chunk, b = rows[s : s + _CHUNK_ROWS], bad[s : s + _CHUNK_ROWS]
         yield np.vstack([_append(chunk[_free(b, r)], r) for r in range(1, n + 1)])
@@ -236,9 +236,7 @@ def _leaf_chunks(level: Level, n: int, ps: PatternSet) -> Iterator[np.ndarray]:
 def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
     """|S_n(ps)| below `level`, read off the width n-1 masks: each row has
     one child per free rank in 1..n.  No width-n row is built."""
-    rows, bad = _grow(level, n - 1, _pattern_metas(ps))
-    if rows.shape[1] == n:
-        return len(rows)
+    bad = _grow(level, n - 1, _pattern_metas(ps))[1]
     return sum(int(_free(bad, r).sum()) for r in range(1, n + 1))
 
 
@@ -246,7 +244,7 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
                 consume: Callable[[int, PatternSet, Level], T]) -> list[T]:
     """consume(n, ps, level) over disjoint levels covering S_n(ps).
 
-    With one job the level is the root S_1, run in-process.  Otherwise the
+    With one job the level is the root S_0, run in-process.  Otherwise the
     level is grown until it has at least 16 * jobs rows and dealt out with
     its masks, row i to part i mod (4 * jobs), so that neighbouring
     subtrees, which tend to be alike in size, land in different parts.  A
@@ -255,7 +253,7 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
     parts merge by addition.  A level that reaches width n - 1 first, still
     short of 16 * jobs rows, is consumed in-process.
     """
-    level, metas = _root(n, ps), _pattern_metas(ps)
+    level, metas = _root(n), _pattern_metas(ps)
     while jobs > 1 and level[0].shape[1] < n - 1 and len(level[0]) < 16 * jobs:
         level = _children(level, metas)
     if jobs <= 1 or len(level[0]) < 16 * jobs:
@@ -305,10 +303,10 @@ class EventTable:
 
     n: int
     patterns_key: str
-    total: int
-    by_lk: dict[tuple[int, int], int]
-    by_lka: dict[tuple[int, int, int], int]
-    union_by_l: dict[int, int]
+    total: int = 0
+    by_lk: Counter[tuple[int, int]] = field(default_factory=Counter)
+    by_lka: Counter[tuple[int, int, int]] = field(default_factory=Counter)
+    union_by_l: Counter[int] = field(default_factory=Counter)
 
     def count(self, event: ClusterEvent) -> int:
         """Members in the event; an event without k is the union over k."""
@@ -318,74 +316,73 @@ class EventTable:
             return self.by_lk.get((event.l, event.k), 0)
         return self.by_lka.get((event.l, event.k, event.a), 0)
 
+    def probability(self, event: ClusterEvent) -> Fraction:
+        """The event's share of the class; undefined for an empty class."""
+        if self.total == 0:
+            raise UndefinedProbabilityError(f"S_{self.n}({self.patterns_key or '(none)'}) is empty")
+        return Fraction(self.count(event), self.total)
 
-def _accumulate_events(rows: np.ndarray, by_lk, by_lka, union_by_l) -> None:
+    def add(self, other: "EventTable") -> None:
+        """Add the counts of a disjoint part of the same class."""
+        self.total += other.total
+        self.by_lk.update(other.by_lk)
+        self.by_lka.update(other.by_lka)
+        self.union_by_l.update(other.union_by_l)
+
+
+def _accumulate_events(rows: np.ndarray, table: EventTable) -> None:
+    """Add one chunk of leaf rows, all of width table.n, into the table."""
     n = rows.shape[1]
+    table.total += len(rows)
     for l, cluster, cmin in cluster_windows(rows):
         if not cluster.any():
             continue
-        union_by_l[l] = union_by_l.get(l, 0) + int(cluster.any(axis=1).sum())
+        table.union_by_l[l] += int(cluster.any(axis=1).sum())
         ridx, aidx = np.nonzero(cluster)
         ks = cmin[ridx, aidx].astype(np.int64)
         code = ks * (n + 2) + (aidx + 1)
         uniq, counts = np.unique(code, return_counts=True)
         for c, cnt in zip(uniq.tolist(), counts.tolist()):
             k, a = divmod(c, n + 2)
-            by_lka[(l, k, a)] = by_lka.get((l, k, a), 0) + cnt
-            by_lk[(l, k)] = by_lk.get((l, k), 0) + cnt
-
-
-def _tabulate(n: int, key: str, row_chunks: Iterator[np.ndarray]) -> EventTable:
-    by_lk: dict[tuple[int, int], int] = {}
-    by_lka: dict[tuple[int, int, int], int] = {}
-    union_by_l: dict[int, int] = {}
-    total = 0
-    for rows in row_chunks:
-        total += len(rows)
-        _accumulate_events(rows, by_lk, by_lka, union_by_l)
-    return EventTable(n, key, total, by_lk, by_lka, union_by_l)
+            table.by_lka[(l, k, a)] += cnt
+            table.by_lk[(l, k)] += cnt
 
 
 def _table_leaves(n: int, ps: PatternSet, level: Level) -> EventTable:
-    return _tabulate(n, ps.key(), _leaf_chunks(level, n, ps))
-
-
-def _merge_tables(parts: list[EventTable]) -> EventTable:
-    first = parts[0]
-    out = EventTable(first.n, first.patterns_key, 0, {}, {}, {})
-    for p in parts:
-        out.total += p.total
-        for d_out, d_in in (
-            (out.by_lk, p.by_lk),
-            (out.by_lka, p.by_lka),
-            (out.union_by_l, p.union_by_l),
-        ):
-            for kk, v in d_in.items():
-                d_out[kk] = d_out.get(kk, 0) + v
-    return out
+    table = EventTable(n, ps.key())
+    for rows in _leaf_chunks(level, n, ps):
+        _accumulate_events(rows, table)
+    return table
 
 
 _EVENT_MEMO: dict[tuple[int, str], EventTable] = {}
 _COUNT_MEMO: dict[str, int] = {}
 
 
+def _record_count(n: int, ps: PatternSet, value: int, cache: "CountCache | None") -> int:
+    """Keep |S_n(ps)| = value in the memo, and in the cache where the cache
+    lacks it or holds another value (never |S_n|: n! is an identity)."""
+    key = cache_key(n, ps)
+    _COUNT_MEMO[key] = value
+    if cache is not None and not ps.is_empty() and cache.get(key) != value:
+        cache.put(key, value)
+    return value
+
+
 def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCache | None" = None) -> EventTable:
     """Counts of S_n(ps) members in every cluster event, from one full pass."""
     memo_key = (n, ps.key())
-    hit = _EVENT_MEMO.get(memo_key)
-    if hit is not None:
-        if cache is not None and not ps.is_empty() and cache.get(cache_key(n, ps)) is None:
-            cache.put(cache_key(n, ps), hit.total)
-        return hit
-    if ps.is_empty() and n > 11:
-        raise DomainError(
-            f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= 11"
-        )
-    table = _merge_tables(_split_grow(n, ps, jobs, _table_leaves))
-    _EVENT_MEMO[memo_key] = table
-    _COUNT_MEMO[cache_key(n, ps)] = table.total
-    if cache is not None and not ps.is_empty():
-        cache.put(cache_key(n, ps), table.total)
+    table = _EVENT_MEMO.get(memo_key)
+    if table is None:
+        if ps.is_empty() and n > 11:
+            raise DomainError(
+                f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= 11"
+            )
+        table = EventTable(n, ps.key())
+        for part in _split_grow(n, ps, jobs, _table_leaves):
+            table.add(part)
+        _EVENT_MEMO[memo_key] = table
+    _record_count(n, ps, table.total, cache)
     return table
 
 
@@ -487,22 +484,14 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
 
 
 def _enumerated_count(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:
+    """|S_n(ps)| from the memo, else the cache, else by enumeration."""
     key = cache_key(n, ps)
-    hit = _COUNT_MEMO.get(key)
-    if hit is not None:
-        if cache is not None and cache.get(key) is None:
-            cache.put(key, hit)
-        return hit
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            _COUNT_MEMO[key] = cached
-            return cached
-    value = fresh_count(n, ps, jobs=jobs)
-    _COUNT_MEMO[key] = value
-    if cache is not None:
-        cache.put(key, value)
-    return value
+    value = _COUNT_MEMO.get(key)
+    if value is None and cache is not None:
+        value = cache.get(key)
+    if value is None:
+        value = fresh_count(n, ps, jobs=jobs)
+    return _record_count(n, ps, value, cache)
 
 
 _VALIDATED_FAST_PATHS: set[str] = set()
@@ -554,7 +543,7 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
 
 def enumerate_avoiders(n: int, ps: PatternSet) -> Iterator[Permutation]:
     """Yield S_n(ps) exactly once each, in lexicographic one-line order."""
-    rows = np.vstack(list(_leaf_chunks(_root(n, ps), n, ps)))
+    rows = np.vstack(list(_leaf_chunks(_root(n), n, ps)))
     order = np.lexsort(rows.T[::-1])
     for row in rows[order]:
         yield Permutation(tuple(int(v) for v in row))
@@ -596,10 +585,7 @@ def exact_probability(
     event.validate(n)
     if union_l is None and event.k is None:
         raise DomainError("count_event needs k; use count_union_event for the union")
-    table = event_count_table(n, ps, jobs=jobs, cache=cache)
-    if table.total == 0:
-        raise UndefinedProbabilityError(f"S_{n}({ps}) is empty")
-    return Fraction(table.count(event), table.total)
+    return event_count_table(n, ps, jobs=jobs, cache=cache).probability(event)
 
 
 def ratio_sequence(ps: PatternSet, n_max: int, *, cache: CountCache | None = None) -> list[Fraction]:

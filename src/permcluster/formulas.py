@@ -131,16 +131,19 @@ def monotone_cluster_probability(n: int, l: int, k: int) -> Fraction:
     return Fraction(num, catalan(n))
 
 
+def _product_form(n: int, l: int, ps: PatternSet, cache) -> Fraction:
+    """|S_{n-l+1}(ps)| * |S_l(ps)| / |S_n(ps)|, once l is a valid block length."""
+    ClusterEvent(l).validate(n)
+    c = enumeration.count_avoiders
+    return Fraction(c(n - l + 1, ps, cache=cache) * c(l, ps, cache=cache), c(n, ps, cache=cache))
+
+
 def separable_cluster_probability(n: int, l: int, *, cache=None) -> Fraction:
     """Exact cluster probability for uniform separable permutations.
 
     Equals sep(n-l+1) * sep(l) / sep(n), independent of k.
     """
-    ClusterEvent(l).validate(n)
-    return Fraction(
-        sep_count(n - l + 1, cache=cache) * sep_count(l, cache=cache),
-        sep_count(n, cache=cache),
-    )
+    return _product_form(n, l, SEP, cache)
 
 
 def cluster_free_probability(n: int, l: int, ps: PatternSet, *, cache=None) -> Fraction:
@@ -152,11 +155,7 @@ def cluster_free_probability(n: int, l: int, ps: PatternSet, *, cache=None) -> F
     for tau in ps:
         if not is_cluster_free(tau):
             raise ApplicabilityError(f"pattern {tau} has a cluster; the product form does not apply")
-    ClusterEvent(l).validate(n)
-    c = enumeration.count_avoiders
-    return Fraction(
-        c(n - l + 1, ps, cache=cache) * c(l, ps, cache=cache), c(n, ps, cache=cache)
-    )
+    return _product_form(n, l, ps, cache)
 
 
 @dataclass(frozen=True)
@@ -179,19 +178,25 @@ class BoundReport:
     note: str
 
 
+def _lower_factor(conds: ConditionReport) -> int | None:
+    """The lower bound's factor: 2 with no tight pair, 1 with one, none with both."""
+    if conds.tight12 and conds.tight21:
+        return None
+    return 1 if (conds.tight12 or conds.tight21) else 2
+
+
 def cluster_probability_bounds(n: int, l: int, tau: Permutation, *, cache=None) -> BoundReport:
     """Sandwich bounds on the cluster probability for the class avoiding tau."""
-    ClusterEvent(l).validate(n)
     ps = PatternSet((tau,))
-    c = enumeration.count_avoiders
-    upper = Fraction(c(n - l + 1, ps, cache=cache) * c(l, ps, cache=cache), c(n, ps, cache=cache))
+    upper = _product_form(n, l, ps, cache)
     conds = check_conditions(tau)
-    if conds.tight12 and conds.tight21:
+    factor = _lower_factor(conds)
+    if factor is None:
         return BoundReport(
             tau, n, l, upper, None, None, True, True,
             "lower bound unavailable: pattern has both a tight ascent and a tight descent pair",
         )
-    factor = 1 if (conds.tight12 or conds.tight21) else 2
+    c = enumeration.count_avoiders
     lower = Fraction(factor * c(n - l + 1, ps, cache=cache), c(n, ps, cache=cache))
     which = "one tight pair present" if factor == 1 else "no tight pair present"
     return BoundReport(tau, n, l, upper, lower, factor, conds.tight12, conds.tight21,
@@ -364,11 +369,8 @@ def cluster_limit_report(
         low_unit = 1.0 / denom
     upper = up if (conds.c1 or conds.c2 or conds.c3) else None
     exact = up if conds.cluster_free else None
-    if conds.tight12 and conds.tight21:
-        lower, factor = None, None
-    else:
-        factor = 1 if (conds.tight12 or conds.tight21) else 2
-        lower = factor * low_unit
+    factor = _lower_factor(conds)
+    lower = None if factor is None else factor * low_unit
     fired = [name for name, flag in
              (("c1", conds.c1), ("c2", conds.c2), ("c3", conds.c3)) if flag]
     return ClusterLimitReport(

@@ -9,7 +9,6 @@ sweeps) aggregate one row per slice with the number of cases covered.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,10 +65,6 @@ def _events(n: int):
             yield l, k
 
 
-def _brute(table: enumeration.EventTable, l: int, k: int) -> Fraction:
-    return Fraction(table.by_lk.get((l, k), 0), table.total)
-
-
 def _table_rows(suite: str, ps: PatternSet, max_n: int, instance: str, check) -> list[CheckRow]:
     """One row per (n, l, k) for n = 3..max_n: the brute-force probability
     read from the event table of S_n(ps) against a closed form.
@@ -84,7 +79,7 @@ def _table_rows(suite: str, ps: PatternSet, max_n: int, instance: str, check) ->
         for l in range(2, n):
             judge = check(n, l)
             for k in range(1, n - l + 2):
-                got = _brute(table, l, k)
+                got = table.probability(ClusterEvent(l, k))
                 expected, ok = judge(k, got)
                 rows.append(CheckRow(suite, instance.format(ps=ps, n=n, l=l, k=k),
                                      expected, str(got), ok))
@@ -232,13 +227,14 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
         t321 = enumeration.event_count_table(n, ps321)
         t123 = enumeration.event_count_table(n, ps123)
         for l, k in _events(n):
-            got321, got123 = _brute(t321, l, k), _brute(t123, l, k)
+            event = ClusterEvent(l, k)
+            got321, got123 = t321.probability(event), t123.probability(event)
             rows.append(CheckRow(
                 "symmetry", f"avoid 321 vs 123: n={n} l={l} k={k}",
                 str(got321), str(got123), got321 == got123,
             ))
             kk = n + 2 - k - l
-            a321, a_mapped = t321.by_lk.get((l, k), 0), t123.by_lk.get((l, kk), 0)
+            a321, a_mapped = t321.count(event), t123.count(ClusterEvent(l, kk))
             rows.append(CheckRow(
                 "symmetry", f"complement map n={n} (l={l},k={k})->(l={l},k={kk})",
                 str(a321), str(a_mapped), a321 == a_mapped,
@@ -292,12 +288,6 @@ def _count_containing(values: list[tuple[int, ...]], tau: Permutation) -> int:
     return int(enumeration.contains_pattern_rows(arr, tau).sum())
 
 
-def _etas_with_value_at(n_eta: int, k: int, a: int):
-    others = [v for v in range(1, n_eta + 1) if v != k]
-    for rest in itertools.permutations(others):
-        yield rest[: a - 1] + (k,) + rest[a - 1 :]
-
-
 def _cluster_walk(n: int, ps: PatternSet):
     """(sigma, l, k, a) for every cluster window of every sigma in S_n(ps),
     l-major, from the sliding-window scan."""
@@ -329,35 +319,30 @@ def _round_trip_rows(max_n: int) -> list[CheckRow]:
 
 
 def _injectivity_rows(max_n: int) -> list[CheckRow]:
+    """Every host eta of S_{n-l+1}, expanded at every anchor a (k = eta_a)
+    by every rho of S_l, gives an anchored sigma, and no (l, k, a, sigma)
+    twice."""
     rows = []
     for n in range(3, max_n + 1):
+        seen: set[tuple] = set()
         total = 0
-        ok = True
         detail = ""
         for l in range(2, n):
-            n_eta = n - l + 1
             rhos = [Permutation(r) for r in itertools.permutations(range(1, l + 1))]
-            expected = math.factorial(n - l) * math.factorial(l)
-            for k in range(1, n_eta + 1):
-                for a in range(1, n_eta + 1):
-                    outs = set()
-                    built = 0
-                    for eta_vals in _etas_with_value_at(n_eta, k, a):
-                        eta = Permutation(eta_vals)
-                        for rho in rhos:
-                            out = transform.expand(eta, rho, l, k, a)
-                            wnd = out.values[a - 1 : a - 1 + l]
-                            if min(wnd) != k or max(wnd) != k + l - 1:
-                                ok = False
-                                detail = detail or f" not anchored: eta={eta} rho={rho} (l={l},k={k},a={a})"
-                            outs.add(out.values)
-                            built += 1
-                    total += built
-                    if len(outs) != expected or built != expected:
-                        ok = False
-                        detail = detail or f" collision at (l={l},k={k},a={a})"
+            for eta in map(Permutation, itertools.permutations(range(1, n - l + 2))):
+                for a, k in enumerate(eta.values, 1):
+                    for rho in rhos:
+                        out = transform.expand(eta, rho, l, k, a).values
+                        wnd = out[a - 1 : a - 1 + l]
+                        if min(wnd) != k or max(wnd) != k + l - 1:
+                            detail = detail or f" not anchored: eta={eta} rho={rho} (l={l},k={k},a={a})"
+                        elif (l, k, a, out) in seen:
+                            detail = detail or f" collision at (l={l},k={k},a={a})"
+                        seen.add((l, k, a, out))
+                        total += 1
         rows.append(CheckRow("transform", f"expansion injective and anchored n={n}",
-                             f"{total} expansions, all distinct", f"ok={ok}{detail}", ok))
+                             f"{total} expansions, all distinct", f"ok={not detail}{detail}",
+                             not detail))
     return rows
 
 

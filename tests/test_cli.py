@@ -210,6 +210,16 @@ def test_parse_error_exit(tmp_path):
     assert code == 2
 
 
+def test_unusable_cache_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = io.StringIO()
+    code = cli.main(["count", "--n", "5", "--avoid", "1342", "--cache", str(blocker / "counts.txt")],
+                    out=out)
+    assert code == 2 and out.getvalue() == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_error_exit(tmp_path):
     assert cli.main(["count"]) == 2  # missing --n
     assert cli.main(["no-such-command"]) == 2

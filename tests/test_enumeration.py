@@ -346,13 +346,42 @@ def test_cache_key_round_trip():
         assert n == 7 and back == ps
 
 
-def test_cached_value_is_used(tmp_path):
-    # a planted (wrong) value is trusted by count_avoiders and exposed by audit
+def test_cached_value_is_used(tmp_path, monkeypatch):
+    # a planted (wrong) value is trusted by count_avoiders and exposed by audit;
+    # a fresh memo keeps it out of the rest of the test run
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
     path = tmp_path / "counts.txt"
     path.write_text("avoid=53421;n=5\t999\n")
     cache = CountCache(path)
     assert count_avoiders(5, ps_of("53421"), cache=cache) == 999
     assert enumeration.fresh_count(5, ps_of("53421")) == 119
+
+
+def test_table_pass_mends_a_wrong_cached_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    path = tmp_path / "counts.txt"
+    path.write_text("avoid=321;n=5\t41\n")
+    enumeration.event_count_table(5, ps_of("321"))  # memoized, no cache yet
+    enumeration.event_count_table(5, ps_of("321"), cache=CountCache(path))
+    assert path.read_text() == "avoid=321;n=5\t42\n"
+
+
+def test_a_known_count_is_written_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    puts = []
+    put = CountCache.put
+
+    def counted_put(self, key, value):
+        puts.append(key)
+        put(self, key, value)
+
+    monkeypatch.setattr(CountCache, "put", counted_put)
+    cache = CountCache(tmp_path / "counts.txt")
+    assert count_avoiders(5, ps_of("321"), cache=cache) == 42
+    assert enumeration.event_count_table(5, ps_of("321"), cache=cache).total == 42
+    assert puts.count("avoid=321;n=5") == 1
 
 
 def _put_many(path, pattern):
