@@ -6,7 +6,9 @@ or as a JSON object {"meta": ..., "rows": ...}; numeric cells carry the
 exact rational next to a decimal approximation, and decimals are never
 used in any comparison.  Exit codes: 0 success; 1 verification
 counterexample, formula disagreement or cache-audit mismatch; 2 usage or
-parse error, or a --cache path that cannot be used; 3 domain error.
+parse error, or a --cache path that cannot be used; 3 domain error; 4
+internal error (an unexpected exception, reported with its traceback on
+stderr).  The verification suites are imported by `verify` only.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import datetime
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from . import enumeration, formulas, verify
+from . import enumeration, formulas
 from .perms import (
     EMPTY_PATTERNS,
     SEP,
@@ -32,7 +35,10 @@ from .perms import (
     parse_permutation,
 )
 
-EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_USAGE, EXIT_DOMAIN = 0, 1, 2, 3
+EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_USAGE, EXIT_DOMAIN, EXIT_INTERNAL = 0, 1, 2, 3, 4
+
+# The names of verify.SUITES, kept here so that only `verify` imports it.
+_SUITE_NAMES = ("cor2", "symmetry", "thm1", "thm2", "thm3", "transform", "uniform")
 
 _DEFAULT_CACHE = Path.home() / ".permcluster" / "counts.txt"
 
@@ -163,6 +169,8 @@ def _cmd_prob(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_verify(args) -> tuple[list[dict], bool]:
+    from . import verify
+
     if args.suite == "all":
         reports = verify.run_all(args.max_n)
     else:
@@ -314,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also print the matching closed form and AGREE/DISAGREE")
 
     p = sub.add_parser("verify", parents=[common], help="run identity suites")
-    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
+    p.add_argument("suite", choices=list(_SUITE_NAMES) + ["all"])
     p.add_argument("--max-n", type=int, dest="max_n")
 
     p = sub.add_parser("limits", parents=[common], help="n -> infinity limit tables")
@@ -379,6 +387,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     _emit(records, meta, args, out)
     return EXIT_COUNTEREXAMPLE if failed else EXIT_OK
 

@@ -17,17 +17,23 @@ mapped to its interval of bad ranks, a miss to the empty interval, so the
 kernel's work depends on the level's size and the head lengths only: the
 symmetric images of a pattern cost the same.  Growth starts at S_0, the
 empty permutation, so S_1 gets its mask from the same kernel too.
-Counting stops at width n - 1 and adds up each row's free ranks in 1..n,
-so it never builds a width-n row.  Event tables and listings build the
-final level, exactly S_n(patterns), from the width n - 1 masks one parent
-chunk at a time and never hold it whole.
+Counting and event tables stop at width n - 1 and never build a width-n
+row: a count adds up each row's free ranks in 1..n, and a table reads
+every event off the width n - 1 rows and their free ranks, one chunk of
+rows at a time.  Only a listing builds the final level, exactly
+S_n(patterns).
 
 Event counts (which blocks of l consecutive values sit in l consecutive
-positions) are tabulated from the leaf rows with sliding window min/max
-scans; a window is a cluster iff max - min = l - 1, and the block start k
-is then the window minimum.  For a fixed l, the block determines its
+positions) start from the parents' cluster windows, found with sliding
+window min/max scans: a window is a cluster iff max - min = l - 1, and the
+block start k is then the window minimum.  A child appends a free rank r.
+A parent cluster (l, k, a) stays a cluster iff r <= k, shifted to k + 1,
+or r >= k + l; the child's last window is a cluster iff the parent's last
+l - 1 entries are a block m..m+l-2 and m <= r <= m+l-1.  So every event
+count, the union over k included, is a count of free ranks in intervals,
+a popcount of the mask.  For a fixed l, the block determines its
 positions, so per permutation each (l, k) and each (l, k, a) occurs at
-most once and bin counting rows counts permutations.
+most once and counting children counts permutations.
 
 |S_n| = n! is an identity, returned for every n without enumeration.  The
 other counting fast paths (Catalan for a single length-3 pattern, a
@@ -176,6 +182,12 @@ def _free(bad: np.ndarray, r: int) -> np.ndarray:
     return ((bad >> np.uint64(r)) & _ONE) == 0
 
 
+def _free_ranks(bad: np.ndarray, n: int) -> np.ndarray:
+    """Each row's free ranks in 1..n, as bit r for rank r; a width n-1 row
+    has one child per free rank."""
+    return ~bad & np.uint64((2 << n) - 2)
+
+
 def _append(rows: np.ndarray, r: int) -> np.ndarray:
     """rows with a new last entry of rank r; entries >= r are bumped up."""
     col = np.full((len(rows), 1), r, dtype=rows.dtype)
@@ -220,24 +232,11 @@ def _grow(level: Level, width: int, metas: list[_PatternMeta]) -> Level:
     return level
 
 
-def _leaf_chunks(level: Level, n: int, ps: PatternSet) -> Iterator[np.ndarray]:
-    """The width-n descendants of `level` that avoid ps, in chunks.
-
-    Levels below n are held whole; the leaves are built straight from the
-    width n-1 masks, one parent chunk at a time, so the largest level is
-    never materialized.
-    """
-    rows, bad = _grow(level, n - 1, _pattern_metas(ps))
-    for s in range(0, max(len(rows), 1), _CHUNK_ROWS):
-        chunk, b = rows[s : s + _CHUNK_ROWS], bad[s : s + _CHUNK_ROWS]
-        yield np.vstack([_append(chunk[_free(b, r)], r) for r in range(1, n + 1)])
-
-
 def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
     """|S_n(ps)| below `level`, read off the width n-1 masks: each row has
     one child per free rank in 1..n.  No width-n row is built."""
     bad = _grow(level, n - 1, _pattern_metas(ps))[1]
-    return sum(int(_free(bad, r).sum()) for r in range(1, n + 1))
+    return int(np.bitwise_count(_free_ranks(bad, n)).sum())
 
 
 def _split_grow(n: int, ps: PatternSet, jobs: int,
@@ -330,28 +329,71 @@ class EventTable:
         self.union_by_l.update(other.union_by_l)
 
 
-def _accumulate_events(rows: np.ndarray, table: EventTable) -> None:
-    """Add one chunk of leaf rows, all of width table.n, into the table."""
-    n = rows.shape[1]
-    table.total += len(rows)
-    for l, cluster, cmin in cluster_windows(rows):
-        if not cluster.any():
-            continue
-        table.union_by_l[l] += int(cluster.any(axis=1).sum())
-        ridx, aidx = np.nonzero(cluster)
-        ks = cmin[ridx, aidx].astype(np.int64)
-        code = ks * (n + 2) + (aidx + 1)
-        uniq, counts = np.unique(code, return_counts=True)
-        for c, cnt in zip(uniq.tolist(), counts.tolist()):
-            k, a = divmod(c, n + 2)
-            table.by_lka[(l, k, a)] += cnt
-            table.by_lk[(l, k)] += cnt
+def _tabulate_chunk(rows: np.ndarray, bad: np.ndarray, n: int,
+                    lka: np.ndarray, union: np.ndarray) -> int:
+    """Add the events of the width-n children of one chunk of width n-1
+    parents into lka[l, k, a] and union[l]; returns the number of children.
+
+    A child appends a free rank r of its parent, so every event count is a
+    count of free ranks in an interval, read off the mask as a popcount:
+    - a parent cluster window (l, k, a) stays a cluster iff r <= k, as
+      (l, k+1, a), or r >= k+l, as (l, k, a); the whole parent is the
+      window (n-1, 1, 1), which `cluster_windows` does not yield;
+    - the child's suffix window of length l is a cluster iff the parent's
+      last l-1 entries are a block m..m+l-2 and m <= r <= m+l-1, as
+      (l, m, n-l+1);
+    - so the child has no cluster of length l iff r lies in every
+      (k, k+l-1] of the parent's windows and outside the suffix range.
+    The sums over the rows of each (k, a) come from one integer bincount
+    over (k, a, count) codes, weighted by the count afterwards.
+    """
+    n_rows, w = rows.shape
+    upto = (np.uint64(2) << np.arange(n + 1, dtype=np.uint64)) - np.uint64(2)  # ranks 1..x
+    free = _free_ranks(bad, n)
+    total = int(np.bitwise_count(free).sum())
+    if w < 2:
+        return total
+    whole = (w, np.ones((n_rows, 1), dtype=bool), np.ones((n_rows, 1), dtype=rows.dtype))
+    weights = np.arange(n + 1)
+    smin = smax = rows[:, -1]  # of the parent's last l-1 entries
+    for l, cluster, cmin in itertools.chain(cluster_windows(rows), [whole]):
+        smin, smax = np.minimum(smin, rows[:, w - l + 1]), np.maximum(smax, rows[:, w - l + 1])
+        idx = np.flatnonzero(cluster)
+        i, a = np.divmod(idx, cluster.shape[1])
+        k = cmin.ravel()[idx].astype(np.intp)
+        j = np.flatnonzero(smax - smin == l - 2)
+        m = smin[j].astype(np.intp)
+        suffix = upto[m + l - 1] ^ upto[m - 1]
+        ks = np.concatenate([k + 1, k, m])
+        aa = np.concatenate([a + 1, a + 1, np.full(len(j), n - l + 1)])
+        got = np.bitwise_count(np.concatenate([free[i] & upto[k], free[i] & ~upto[k + l - 1],
+                                               free[j] & suffix]))
+        code = (ks * (n + 2) + aa) * (n + 1) + got
+        lka[l] += np.bincount(code, minlength=(n + 2) ** 2 * (n + 1)).reshape(n + 2, n + 2, n + 1) @ weights
+        no_cluster = np.full(n_rows, upto[n])  # the ranks that leave no cluster of length l
+        np.bitwise_and.at(no_cluster, i, upto[k + l - 1] ^ upto[k])
+        no_cluster[j] &= ~suffix
+        union[l] += int(np.bitwise_count(free & ~no_cluster).sum())
+    return total
 
 
-def _table_leaves(n: int, ps: PatternSet, level: Level) -> EventTable:
+def _table_parents(n: int, ps: PatternSet, level: Level) -> EventTable:
+    """The event table of the width-n descendants of `level` that avoid ps,
+    read off the width n-1 rows and masks one chunk at a time: no width-n
+    row is built."""
+    rows, bad = _grow(level, n - 1, _pattern_metas(ps))
+    lka = np.zeros((n, n + 2, n + 2), dtype=np.int64)
+    union = np.zeros(n, dtype=np.int64)
     table = EventTable(n, ps.key())
-    for rows in _leaf_chunks(level, n, ps):
-        _accumulate_events(rows, table)
+    for s in range(0, len(rows), _CHUNK_ROWS):
+        table.total += _tabulate_chunk(rows[s : s + _CHUNK_ROWS], bad[s : s + _CHUNK_ROWS], n, lka, union)
+    for l, k, a in zip(*np.nonzero(lka)):
+        table.by_lka[(int(l), int(k), int(a))] = int(lka[l, k, a])
+    lk = lka.sum(axis=2)
+    for l, k in zip(*np.nonzero(lk)):
+        table.by_lk[(int(l), int(k))] = int(lk[l, k])
+    for l in np.nonzero(union)[0]:
+        table.union_by_l[int(l)] = int(union[l])
     return table
 
 
@@ -379,7 +421,7 @@ def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCac
                 f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= 11"
             )
         table = EventTable(n, ps.key())
-        for part in _split_grow(n, ps, jobs, _table_leaves):
+        for part in _split_grow(n, ps, jobs, _table_parents):
             table.add(part)
         _EVENT_MEMO[memo_key] = table
     _record_count(n, ps, table.total, cache)
@@ -543,9 +585,9 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
 
 def enumerate_avoiders(n: int, ps: PatternSet) -> Iterator[Permutation]:
     """Yield S_n(ps) exactly once each, in lexicographic one-line order."""
-    rows = np.vstack(list(_leaf_chunks(_root(n), n, ps)))
-    order = np.lexsort(rows.T[::-1])
-    for row in rows[order]:
+    parents, bad = _grow(_root(n), n - 1, _pattern_metas(ps))
+    rows = np.vstack([_append(parents[_free(bad, r)], r) for r in range(1, n + 1)])
+    for row in rows[np.lexsort(rows.T[::-1])]:
         yield Permutation(tuple(int(v) for v in row))
 
 

@@ -234,3 +234,32 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "4,321,14" in proc.stdout
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # exit 1 stays reserved for counterexamples; anything unforeseen exits 4
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "count", broken)
+    code, out = run_cli(["count", "--n", "5", "--avoid", "321"], tmp_path)
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: boom\nTraceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: boom\n")
+
+
+def test_cli_import_leaves_out_the_verification_suites():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, permcluster.cli; print('permcluster.verify' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_verify_choices_are_the_suite_names():
+    from permcluster import verify
+
+    assert list(cli._SUITE_NAMES) == sorted(verify.SUITES)

@@ -193,6 +193,49 @@ def test_count_event_against_direct_filter():
             assert table.union_by_l.get(l, 0) == direct_union
 
 
+def leaf_table(n, ps):
+    """The event table tabulated from the leaves: every member of S_n(ps)
+    scanned with `cluster_windows`, each cluster window binned by (l, k, a)."""
+    rows = np.array([p.values for p in enumerate_avoiders(n, ps)], dtype=np.int8).reshape(-1, n)
+    table = enumeration.EventTable(n, ps.key(), total=len(rows))
+    for l, cluster, cmin in enumeration.cluster_windows(rows):
+        if not cluster.any():
+            continue
+        table.union_by_l[l] = int(cluster.any(axis=1).sum())
+        ridx, aidx = np.nonzero(cluster)
+        keys, counts = np.unique(np.stack([cmin[ridx, aidx], aidx + 1]), axis=1, return_counts=True)
+        for (k, a), cnt in zip(keys.T.tolist(), counts.tolist()):
+            table.by_lka[(l, k, a)] = cnt
+            table.by_lk[(l, k)] += cnt
+    return table
+
+
+def assert_same_table(got, want):
+    assert got.total == want.total
+    for name in ("by_lk", "by_lka", "union_by_l"):
+        counts = dict(getattr(got, name))
+        assert counts == dict(getattr(want, name)), name  # a plain dict: zero-valued keys count
+        assert all(v > 0 for v in counts.values()), name
+
+
+DIFFERENTIAL_SETS = [EMPTY_PATTERNS, SEP, ps_of("12"), ps_of("12", "21"), ps_of("321"), ps_of("1342"),
+                     ps_of("25314"), ps_of("315264"), ps_of("2413", "13254")] + random_pattern_sets(6, 10)
+
+
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
+def test_event_table_matches_leaf_tabulation(ps, monkeypatch):
+    # the tables read off the width n-1 parents against a scan of the leaves
+    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+    for n in range(1, 9):
+        assert_same_table(event_count_table(n, ps), leaf_table(n, ps))
+
+
+@pytest.mark.parametrize("ps", [SEP, ps_of("2413", "13254")], ids=lambda ps: ps.key())
+def test_parallel_event_table_matches_leaf_tabulation(ps, monkeypatch):
+    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+    assert_same_table(event_count_table(8, ps, jobs=2), leaf_table(8, ps))
+
+
 def test_worked_example_is_counted():
     sigma = parse_permutation("798645312")
     ps = ps_of("123")

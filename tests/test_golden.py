@@ -43,6 +43,12 @@ CASES = [
     ("prob_out_of_range", ["prob", "--n", "5", "--avoid", "321", "--l", "9", "--k", "1"], 3),
     ("table_cluster_free", ["table", "--avoid", "2413", "--n", "5..6", "--l", "2..3", "--formula"], 0),
     ("table_sep_union", ["table", "--avoid", "sep", "--n", "5", "--union", "--formula"], 0),
+    # n = 2..4: most cluster windows of a leaf are its last window or its whole parent
+    ("table_boundary_sn", ["table", "--avoid=", "--n", "2..4", "--formula"], 0),
+    ("table_boundary_union", ["table", "--avoid", "231", "--n", "2..4", "--union"], 0),
+    ("table_boundary_sep", ["table", "--avoid", "sep", "--n", "3..4", "--formula"], 0),
+    ("prob_boundary_anchored", ["prob", "--n", "4", "--avoid", "132+4321", "--l", "3", "--k", "2",
+                                "--a", "2"], 0),
     ("limits_sep", ["limits", "sep", "--l", "2..4", "--at-n", "12"], 0),
     ("limits_cor2", ["limits", "cor2", "--fixed-k", "2", "--l", "2..3", "--at-n", "40"], 0),
     ("limits_cor1_321", ["limits", "cor1:321", "--l", "2..3"], 0),
