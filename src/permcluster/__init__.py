@@ -10,6 +10,7 @@ as n grows.
 from .enumeration import (
     CountCache,
     EventTable,
+    avoider_rows,
     count_avoiders,
     count_event,
     count_union_event,
@@ -65,8 +66,10 @@ from .perms import (
 from .transform import (
     cluster_anchors,
     contract,
+    contract_rows,
     contraction_word,
     expand,
+    expand_rows,
     flatten,
     inflate,
 )

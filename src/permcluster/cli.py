@@ -169,6 +169,8 @@ def _cmd_prob(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_verify(args) -> tuple[list[dict], bool]:
+    if args.max_n is not None and args.max_n < 3:
+        raise ParseError(f"--max-n {args.max_n} is below 3, the smallest n the suites check")
     from . import verify
 
     if args.suite == "all":

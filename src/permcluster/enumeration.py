@@ -583,12 +583,17 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
     return _enumerated_count(n, ps, cache, jobs)
 
 
-def enumerate_avoiders(n: int, ps: PatternSet) -> Iterator[Permutation]:
-    """Yield S_n(ps) exactly once each, in lexicographic one-line order."""
+def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:
+    """S_n(ps) as an int8 array, one row per member, in lexicographic order."""
     parents, bad = _grow(_root(n), n - 1, _pattern_metas(ps))
     rows = np.vstack([_append(parents[_free(bad, r)], r) for r in range(1, n + 1)])
-    for row in rows[np.lexsort(rows.T[::-1])]:
-        yield Permutation(tuple(int(v) for v in row))
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def enumerate_avoiders(n: int, ps: PatternSet) -> Iterator[Permutation]:
+    """Yield S_n(ps) exactly once each, in lexicographic one-line order."""
+    for row in avoider_rows(n, ps).tolist():
+        yield Permutation(tuple(row))
 
 
 # ---------------------------------------------------------------------------

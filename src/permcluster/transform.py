@@ -10,11 +10,21 @@ expansion map is injective in (eta, rho) jointly.
 
 All functions are pure; the intermediate relabeled words are exposed
 (`contraction_word`, `inflate`) so each step can be inspected directly.
+
+`contract` and `expand` act on one permutation at a time and are the
+specification.  `contract_rows` and `expand_rows` are their batch kernels:
+they apply the same maps to every row of an integer array at one (l, a),
+reading k per row, and make the same checks, vectorised.  Each relabeling
+shifts the values past the window by l - 1, so a kernel is a comparison,
+a shift and a splice per row.  The verification suites run on the
+kernels, and the tests hold them equal to the scalar maps.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from .perms import ClusterEvent, DomainError, Permutation, in_cluster_event
 
@@ -105,3 +115,61 @@ def cluster_anchors(sigma: Permutation, l: int, k: int) -> list[int]:
     """
     ClusterEvent(l, k).validate(len(sigma))
     return [a for a in range(1, len(sigma) - l + 2) if in_cluster_event(sigma, ClusterEvent(l, k, a))]
+
+
+# ---------------------------------------------------------------------------
+# batch kernels: the same maps on int8 row arrays
+
+
+def _checked_rows(rows: np.ndarray, name: str) -> np.ndarray:
+    """rows as a 2-D integer array, each row a permutation of 1..width."""
+    arr = np.asarray(rows)
+    if arr.ndim != 2 or arr.dtype.kind not in "iu":
+        raise DomainError(f"{name} rows must be a 2-D integer array, not {arr.dtype} of shape {arr.shape}")
+    width = arr.shape[1]
+    bad = np.flatnonzero((np.sort(arr, axis=1) != np.arange(1, width + 1)).any(axis=1))
+    if bad.size:
+        raise DomainError(f"{name} row {bad[0]} {tuple(arr[bad[0]].tolist())} is not a bijection of 1..{width}")
+    return arr
+
+
+def contract_rows(rows: np.ndarray, l: int, a: int) -> np.ndarray:
+    """`contract` on every row of rows (N, n) at once, each row holding a
+    cluster of length l at anchor a; k is read per row from the window
+    minimum.  Returns the contractions, (N, n - l + 1).
+
+    Column a - 1 keeps the value k, the rest of the window is dropped, and
+    the values >= k + l move down by l - 1.
+    """
+    rows = _checked_rows(rows, "sigma")
+    ClusterEvent(l, 1, a).validate(rows.shape[1])  # k = 1 is in range whenever l is
+    window = rows[:, a - 1 : a - 1 + l]
+    k = window.min(axis=1, keepdims=True)
+    split = np.flatnonzero(window.max(axis=1, keepdims=True) - k != l - 1)
+    if split.size:
+        i = split[0]
+        lo = int(k[i, 0])
+        raise DomainError(
+            f"positions {a}..{a + l - 1} of {Permutation(tuple(rows[i].tolist()))} hold "
+            f"{tuple(window[i].tolist())}, not the block {lo}..{lo + l - 1}"
+        )
+    kept = np.hstack([rows[:, : a - 1], k, rows[:, a - 1 + l :]])
+    return np.where(kept >= k + l, kept - (l - 1), kept)
+
+
+def expand_rows(etas: np.ndarray, rhos: np.ndarray, l: int, a: int) -> np.ndarray:
+    """`expand` on row pairs at once: row i of etas (N, m) takes the window
+    pattern row i of rhos (N, l) at anchor a, with k = etas[i, a - 1].
+    Returns the expansions, (N, m + l - 1).
+
+    The values > k move up by l - 1 and k - 1 + rho replaces the value k.
+    """
+    etas, rhos = _checked_rows(etas, "eta"), _checked_rows(rhos, "rho")
+    if rhos.shape[1] != l:
+        raise DomainError(f"window pattern has length {rhos.shape[1]}, expected l={l}")
+    if len(rhos) != len(etas):
+        raise DomainError(f"{len(etas)} host rows but {len(rhos)} window patterns")
+    ClusterEvent(l, 1, a).validate(etas.shape[1] + l - 1)
+    k = etas[:, a - 1 : a]
+    raised = np.where(etas > k, etas + (l - 1), etas)
+    return np.hstack([raised[:, : a - 1], k - 1 + rhos, raised[:, a:]])

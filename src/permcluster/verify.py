@@ -23,7 +23,6 @@ from .perms import (
     Permutation,
     check_conditions,
     complement,
-    identity,
     in_cluster_event,
     reverse,
 )
@@ -257,8 +256,8 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
                          f"0 of {cases} mismatches", f"{bad} mismatches", bad == 0))
     # reversing maps the 123-avoiders onto the 321-avoiders
     for n in range(2, 7):
-        a123 = {p.values for p in enumeration.enumerate_avoiders(n, ps123)}
-        a321 = {reverse(p).values for p in enumeration.enumerate_avoiders(n, ps321)}
+        a123 = set(map(tuple, enumeration.avoider_rows(n, ps123).tolist()))
+        a321 = set(map(tuple, enumeration.avoider_rows(n, ps321)[:, ::-1].tolist()))
         rows.append(CheckRow("symmetry", f"reverse bijection n={n}",
                              f"{len(a123)} avoiders", f"{len(a321)} mapped", a123 == a321))
     # count invariance under reversing / complementing the forbidden patterns
@@ -281,22 +280,21 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
 # the contraction / expansion toolkit
 
 
-def _count_containing(values: list[tuple[int, ...]], tau: Permutation) -> int:
-    if not values:
+def _count_containing(rows: np.ndarray, tau: Permutation) -> int:
+    if not len(rows):
         return 0
-    arr = np.array(values, dtype=np.int8)
-    return int(enumeration.contains_pattern_rows(arr, tau).sum())
+    return int(enumeration.contains_pattern_rows(rows, tau).sum())
 
 
 def _cluster_walk(n: int, ps: PatternSet):
-    """(sigma, l, k, a) for every cluster window of every sigma in S_n(ps),
-    l-major, from the sliding-window scan."""
-    sigmas = list(enumeration.enumerate_avoiders(n, ps))
-    arr = np.array([p.values for p in sigmas], dtype=np.int8).reshape(-1, n)
-    for l, cluster, cmin in enumeration.cluster_windows(arr):
-        ridx, aidx = np.nonzero(cluster)
-        for r, a0 in zip(ridx.tolist(), aidx.tolist()):
-            yield sigmas[r], l, int(cmin[r, a0]), a0 + 1
+    """(l, a, idx, sigmas) for every (l, a) at which some member of S_n(ps)
+    holds a cluster window: the members `sigmas` that do, at the indices
+    `idx` of the lexicographic listing.  l-major, then a."""
+    members = enumeration.avoider_rows(n, ps)
+    for l, cluster, _ in enumeration.cluster_windows(members):
+        for a0 in np.flatnonzero(cluster.any(axis=0)).tolist():
+            idx = np.flatnonzero(cluster[:, a0])
+            yield l, a0 + 1, idx, members[idx]
 
 
 def _round_trip_rows(max_n: int) -> list[CheckRow]:
@@ -304,14 +302,21 @@ def _round_trip_rows(max_n: int) -> list[CheckRow]:
     for n in range(3, max_n + 1):
         checked = 0
         failures = 0
+        firsts = []  # (l, member index, a, sigma) of each (l, a)'s first failure
+        for l, a, idx, sigmas in _cluster_walk(n, EMPTY_PATTERNS):
+            window = sigmas[:, a - 1 : a - 1 + l]
+            rho = np.argsort(np.argsort(window, axis=1), axis=1).astype(sigmas.dtype) + 1  # flatten
+            back = transform.expand_rows(transform.contract_rows(sigmas, l, a), rho, l, a)
+            bad = np.flatnonzero((back != sigmas).any(axis=1))
+            checked += len(sigmas)
+            failures += len(bad)
+            if bad.size:
+                firsts.append((l, int(idx[bad[0]]), a, sigmas[bad[0]]))
         detail = ""
-        for p, l, k, a in _cluster_walk(n, EMPTY_PATTERNS):
-            eta = transform.contract(p, l, k, a)
-            back = transform.expand(eta, transform.flatten(p.values[a - 1 : a - 1 + l]), l, k, a)
-            checked += 1
-            if back != p:
-                failures += 1
-                detail = detail or f" first: {p} (l={l},k={k},a={a})"
+        if firsts:  # the first in (l, sigma, a) order
+            l, _, a, sigma = min(firsts, key=lambda f: f[:3])
+            k = sigma[a - 1 : a - 1 + l].min()
+            detail = f" first: {Permutation(tuple(sigma.tolist()))} (l={l},k={k},a={a})"
         rows.append(CheckRow("transform", f"round trips n={n}",
                              f"{checked} windows restore sigma",
                              f"{failures} failures{detail}", failures == 0))
@@ -321,36 +326,50 @@ def _round_trip_rows(max_n: int) -> list[CheckRow]:
 def _injectivity_rows(max_n: int) -> list[CheckRow]:
     """Every host eta of S_{n-l+1}, expanded at every anchor a (k = eta_a)
     by every rho of S_l, gives an anchored sigma, and no (l, k, a, sigma)
-    twice."""
+    twice.  A failure names the first bad expansion in (l, eta, a, rho)
+    order."""
     rows = []
     for n in range(3, max_n + 1):
-        seen: set[tuple] = set()
         total = 0
         detail = ""
         for l in range(2, n):
-            rhos = [Permutation(r) for r in itertools.permutations(range(1, l + 1))]
-            for eta in map(Permutation, itertools.permutations(range(1, n - l + 2))):
-                for a, k in enumerate(eta.values, 1):
-                    for rho in rhos:
-                        out = transform.expand(eta, rho, l, k, a).values
-                        wnd = out[a - 1 : a - 1 + l]
-                        if min(wnd) != k or max(wnd) != k + l - 1:
-                            detail = detail or f" not anchored: eta={eta} rho={rho} (l={l},k={k},a={a})"
-                        elif (l, k, a, out) in seen:
-                            detail = detail or f" collision at (l={l},k={k},a={a})"
-                        seen.add((l, k, a, out))
-                        total += 1
+            m = n - l + 1
+            etas = enumeration.avoider_rows(m, EMPTY_PATTERNS)
+            rhos = enumeration.avoider_rows(l, EMPTY_PATTERNS)
+            outs = _expansions(etas, l, rhos).reshape(m, -1, n)
+            total += m * outs.shape[1]
+            first = None  # (position in (eta, a, rho) order, message)
+            for a, out in enumerate(outs, 1):
+                k = np.repeat(etas[:, a - 1], len(rhos))
+                window = out[:, a - 1 : a - 1 + l]
+                anchored = (window.min(axis=1) == k) & (window.max(axis=1) == k + l - 1)
+                # a key (l, k, a, sigma) can only repeat within one (l, a)
+                repeat = np.ones(len(out), dtype=bool)
+                repeat[np.unique(np.column_stack([k, out]), axis=0, return_index=True)[1]] = False
+                bad = np.flatnonzero(~anchored | repeat)
+                if not bad.size:
+                    continue
+                e, r = divmod(int(bad[0]), len(rhos))
+                pos = (e * m + a - 1) * len(rhos) + r
+                if first is None or pos < first[0]:
+                    eta, rho = (Permutation(tuple(v.tolist())) for v in (etas[e], rhos[r]))
+                    where = f"(l={l},k={k[bad[0]]},a={a})"
+                    first = (pos, f" not anchored: eta={eta} rho={rho} {where}"
+                             if not anchored[bad[0]] else f" collision at {where}")
+            detail = detail or (first[1] if first else "")
         rows.append(CheckRow("transform", f"expansion injective and anchored n={n}",
                              f"{total} expansions, all distinct", f"ok={not detail}{detail}",
                              not detail))
     return rows
 
 
-def _expansions(etas: list[Permutation], l: int, rhos: list[Permutation]) -> list[tuple[int, ...]]:
-    """The expansion of every host eta at every anchor a (k = eta_a) by
-    every window pattern rho, as value tuples."""
-    return [transform.expand(eta, rho, l, eta.values[a - 1], a).values
-            for eta in etas for a in range(1, len(eta) + 1) for rho in rhos]
+def _expansions(etas: np.ndarray, l: int, rhos: np.ndarray) -> np.ndarray:
+    """The expansion of every host row eta at every anchor a (k = eta_a) by
+    every window pattern row rho: anchor-major, then eta, then rho."""
+    hosts = np.repeat(etas, len(rhos), axis=0)
+    windows = np.tile(rhos, (len(etas), 1))
+    return np.vstack([transform.expand_rows(hosts, windows, l, a)
+                      for a in range(1, etas.shape[1] + 1)])
 
 
 def _monotone_preservation_rows(max_n: int) -> list[CheckRow]:
@@ -359,16 +378,14 @@ def _monotone_preservation_rows(max_n: int) -> list[CheckRow]:
         conds = check_conditions(tau)
         if conds.tight12 and conds.tight21:
             continue
-        ps = PatternSet((tau,))
+        hosts = {m: enumeration.avoider_rows(m, PatternSet((tau,))) for m in range(2, max_n)}
         for n in range(3, max_n + 1):
-            outputs: list[tuple[int, ...]] = []
+            outputs = []
             for l in range(2, n):
-                rhos = []
-                if not conds.tight12:
-                    rhos.append(identity(l))
-                if not conds.tight21:
-                    rhos.append(reverse(identity(l)))
-                outputs += _expansions(list(enumeration.enumerate_avoiders(n - l + 1, ps)), l, rhos)
+                up = np.arange(1, l + 1, dtype=np.int8)
+                rhos = [w for w, tight in ((up, conds.tight12), (up[::-1], conds.tight21)) if not tight]
+                outputs.append(_expansions(hosts[n - l + 1], l, np.array(rhos)))
+            outputs = np.vstack(outputs)
             hits = _count_containing(outputs, tau)
             rows.append(CheckRow(
                 "transform", f"monotone window keeps avoidance: tau={tau} n={n}",
@@ -380,18 +397,19 @@ def _monotone_preservation_rows(max_n: int) -> list[CheckRow]:
 def _cluster_free_expansion_rows(max_n: int) -> list[CheckRow]:
     rows = []
     for tau in CLUSTER_FREE_4:
-        ps = PatternSet((tau,))
+        # S_m(tau) serves both as the hosts and as the avoiding window patterns
+        good = {m: enumeration.avoider_rows(m, PatternSet((tau,))) for m in range(2, max_n)}
+        bad = {}
+        for l, rows_l in good.items():
+            good_set = set(map(tuple, rows_l.tolist()))
+            bad[l] = np.array([r for r in itertools.permutations(range(1, l + 1)) if r not in good_set],
+                              dtype=np.int8).reshape(-1, l)
         for n in range(3, max_n + 1):
-            keep: list[tuple[int, ...]] = []
-            kill: list[tuple[int, ...]] = []
+            keep, kill = [], []
             for l in range(2, n):
-                good = list(enumeration.enumerate_avoiders(l, ps))
-                good_set = {r.values for r in good}
-                bad = [Permutation(r) for r in itertools.permutations(range(1, l + 1))
-                       if r not in good_set]
-                etas = list(enumeration.enumerate_avoiders(n - l + 1, ps))
-                keep += _expansions(etas, l, good)
-                kill += _expansions(etas, l, bad)
+                keep.append(_expansions(good[n - l + 1], l, good[l]))
+                kill.append(_expansions(good[n - l + 1], l, bad[l]))
+            keep, kill = np.vstack(keep), np.vstack(kill)
             kept_bad = _count_containing(keep, tau)
             killed_ok = len(kill) - _count_containing(kill, tau)
             rows.append(CheckRow(
@@ -409,14 +427,15 @@ def _contract_monotone_rows(max_n: int, patterns: tuple[Permutation, ...]) -> li
     rows = []
     for tau in patterns:
         for n in range(3, max_n + 1):
-            contracted = [transform.contract(p, l, k, a).values
-                          for p, l, k, a in _cluster_walk(n, PatternSet((tau,)))]
-            # the walk is l-major, so each width n - l + 1 is one run
-            hits = sum(_count_containing(list(group), tau)
-                       for _, group in itertools.groupby(contracted, len))
+            contracted = hits = 0
+            # one containment pass per width n - l + 1
+            for l, walk in itertools.groupby(_cluster_walk(n, PatternSet((tau,))), key=lambda w: w[0]):
+                etas = np.vstack([transform.contract_rows(sigmas, l, a) for _, a, _, sigmas in walk])
+                contracted += len(etas)
+                hits += _count_containing(etas, tau)
             rows.append(CheckRow(
                 "transform", f"contraction keeps avoidance: tau={tau} n={n}",
-                f"0 of {len(contracted)} contain the pattern", f"{hits} contain it", hits == 0,
+                f"0 of {contracted} contain the pattern", f"{hits} contain it", hits == 0,
             ))
     return rows
 

@@ -113,6 +113,18 @@ def test_verify_runs_each_suite_small(tmp_path):
         assert csv_rows(out), suite
 
 
+def test_verify_rejects_max_n_below_3(tmp_path, capsys):
+    # every suite starts at n = 3, so a smaller cap would check nothing
+    for suite, value in (("transform", "2"), ("transform", "-3"), ("all", "0"), ("cor2", "2")):
+        code, out = run_cli(["verify", suite, "--max-n", value, "--no-meta"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2, (suite, value)
+        assert out == ""
+        assert err.startswith("error: --max-n") and err.count("\n") == 1
+    code, out = run_cli(["verify", "transform", "--max-n", "3", "--no-meta"], tmp_path)
+    assert code == 0 and csv_rows(out)
+
+
 def test_limits_tables(tmp_path):
     code, out = run_cli(["limits", "sep", "--l", "3..4", "--no-meta"], tmp_path)
     rows = csv_rows(out)

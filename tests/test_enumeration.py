@@ -2,6 +2,7 @@ import itertools
 import math
 import multiprocessing
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from permcluster import (
     enumerate_avoiders,
     event_count_table,
     exact_probability,
+    expand_rows,
     in_cluster_event,
     parse_permutation,
     ratio_sequence,
@@ -228,6 +230,39 @@ def test_event_table_matches_leaf_tabulation(ps, monkeypatch):
     monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
     for n in range(1, 9):
         assert_same_table(event_count_table(n, ps), leaf_table(n, ps))
+
+
+def expansion_table(n, ps):
+    """by_lka and by_lk of S_n(ps) from the expansion map, which shares no
+    code with the growth engine: |A(l,k,a) & S_n(ps)| is the number of
+    (eta, rho) in S_{n-l+1} x S_l with eta_a = k whose expansion at a
+    avoids ps."""
+    def every(m):
+        return np.array(list(itertools.permutations(range(1, m + 1))), dtype=np.int8)
+
+    by_lka, by_lk = Counter(), Counter()
+    for l in range(2, n):
+        etas, rhos = every(n - l + 1), every(l)
+        hosts, windows = np.repeat(etas, len(rhos), axis=0), np.tile(rhos, (len(etas), 1))
+        for a in range(1, n - l + 2):
+            sigmas = expand_rows(hosts, windows, l, a)
+            keep = np.ones(len(sigmas), dtype=bool)
+            for tau in ps:
+                keep &= ~enumeration.contains_pattern_rows(sigmas, tau)
+            ks, counts = np.unique(hosts[keep, a - 1], return_counts=True)
+            for k, count in zip(ks.tolist(), counts.tolist()):
+                by_lka[(l, k, a)] = count
+                by_lk[(l, k)] += count
+    return by_lka, by_lk
+
+
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
+def test_event_table_matches_expansion_map(ps):
+    for n in range(3, 9):
+        table = event_count_table(n, ps)
+        by_lka, by_lk = expansion_table(n, ps)
+        assert dict(table.by_lka) == dict(by_lka)
+        assert dict(table.by_lk) == dict(by_lk)
 
 
 @pytest.mark.parametrize("ps", [SEP, ps_of("2413", "13254")], ids=lambda ps: ps.key())

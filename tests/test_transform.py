@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -7,12 +8,15 @@ import hypothesis.strategies as st
 from conftest import permutations_up_to
 from permcluster import (
     DomainError,
+    ParseError,
     Permutation,
     cluster_anchors,
     contains_pattern,
     contract,
+    contract_rows,
     contraction_word,
     expand,
+    expand_rows,
     flatten,
     identity,
     inflate,
@@ -217,3 +221,131 @@ def test_cluster_free_expansion_preservation_n9_l_up_to_4():
                         outputs.append(expand(eta, rho, l, k, a).values)
         arr = np.array(outputs, dtype=np.int8)
         assert int(enumeration.contains_pattern_rows(arr, tau).sum()) == 0
+
+
+# ---------------------------------------------------------------------------
+# batch kernels against the scalar maps
+
+
+def rows_of(perms, width):
+    return np.array(list(perms), dtype=np.int8).reshape(-1, width)
+
+
+def cluster_windows_of(vals):
+    """(l, k, a) of every cluster window of vals, from the definition."""
+    n = len(vals)
+    for l in range(2, n):
+        for a0 in range(n - l + 1):
+            w = vals[a0 : a0 + l]
+            if max(w) - min(w) == l - 1:
+                yield l, min(w), a0 + 1
+
+
+def assert_contract_rows_match(sigmas):
+    """contract_rows on every (l, a) group of the sigmas' cluster windows
+    equals contract on each member."""
+    groups = {}
+    for vals in sigmas:
+        for l, k, a in cluster_windows_of(vals):
+            groups.setdefault((l, a), []).append((vals, k))
+    for (l, a), members in groups.items():
+        got = contract_rows(rows_of((v for v, _ in members), len(members[0][0])), l, a)
+        want = [contract(Permutation(v), l, k, a).values for v, k in members]
+        assert [tuple(r) for r in got.tolist()] == want
+
+
+def assert_expand_rows_match(etas, rhos, l, a):
+    got = expand_rows(rows_of(etas, len(etas[0])), rows_of(rhos, l), l, a)
+    want = [expand(Permutation(e), Permutation(r), l, e[a - 1], a).values for e, r in zip(etas, rhos)]
+    assert [tuple(r) for r in got.tolist()] == want
+
+
+def test_contract_rows_matches_contract_exhaustively():
+    for n in range(3, 7):
+        assert_contract_rows_match(list(itertools.permutations(range(1, n + 1))))
+
+
+def test_expand_rows_matches_expand_exhaustively():
+    for m, l in [(2, 2), (3, 3), (4, 2), (4, 3), (2, 5)]:
+        etas = list(itertools.permutations(range(1, m + 1)))
+        rhos = list(itertools.permutations(range(1, l + 1)))
+        pairs = list(itertools.product(etas, rhos))
+        for a in range(1, m + 1):
+            assert_expand_rows_match([e for e, _ in pairs], [r for _, r in pairs], l, a)
+
+
+@given(st.integers(3, 9).flatmap(
+    lambda n: st.lists(st.permutations(tuple(range(1, n + 1))), min_size=1, max_size=12)))
+def test_contract_rows_matches_contract_random(sigmas):
+    assert_contract_rows_match([tuple(s) for s in sigmas])
+
+
+@given(st.integers(2, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(2, 10 - m))), st.data())
+def test_expand_rows_matches_expand_random(sizes, data):
+    m, l = sizes  # n = m + l - 1 <= 9
+    a = data.draw(st.integers(1, m))
+    count = data.draw(st.integers(1, 8))
+    etas = [tuple(data.draw(st.permutations(tuple(range(1, m + 1))))) for _ in range(count)]
+    rhos = [tuple(data.draw(st.permutations(tuple(range(1, l + 1))))) for _ in range(count)]
+    assert_expand_rows_match(etas, rhos, l, a)
+
+
+def test_batch_kernels_take_empty_batches():
+    assert contract_rows(np.zeros((0, 5), dtype=np.int8), 2, 1).shape == (0, 4)
+    assert expand_rows(np.zeros((0, 4), dtype=np.int8), np.zeros((0, 3), dtype=np.int8), 3, 2).shape == (0, 6)
+
+
+P = parse_permutation
+BAD_ARGUMENTS = {
+    # name: (batch call, scalar call); both must raise
+    "contract: window not a block": (
+        lambda: contract_rows(rows_of([(1, 2, 3, 4), (2, 4, 1, 3)], 4), 2, 1),
+        lambda: contract(P("2413"), 2, 2, 1)),
+    "contract: anchor 0": (
+        lambda: contract_rows(rows_of([(1, 2, 3, 4)], 4), 2, 0), lambda: contract(P("1234"), 2, 1, 0)),
+    "contract: anchor past n-l+1": (
+        lambda: contract_rows(rows_of([(1, 2, 3, 4)], 4), 2, 4), lambda: contract(P("1234"), 2, 4, 4)),
+    "contract: l = 1": (
+        lambda: contract_rows(rows_of([(1, 2, 3, 4)], 4), 1, 1), lambda: contract(P("1234"), 1, 1, 1)),
+    "contract: l = n": (
+        lambda: contract_rows(rows_of([(1, 2, 3, 4)], 4), 4, 1), lambda: contract(P("1234"), 4, 1, 1)),
+    "contract: row not a permutation": (
+        lambda: contract_rows(rows_of([(1, 2, 3, 4), (1, 2, 2, 4)], 4), 2, 1),
+        lambda: contract(Permutation((1, 2, 2, 4)), 2, 1, 1)),
+    "expand: rho of the wrong width": (
+        lambda: expand_rows(rows_of([(2, 1, 3)], 3), rows_of([(2, 1)], 2), 3, 1),
+        lambda: expand(P("213"), P("21"), 3, 2, 1)),
+    "expand: anchor 0": (
+        lambda: expand_rows(rows_of([(2, 1, 3)], 3), rows_of([(2, 1)], 2), 2, 0),
+        lambda: expand(P("213"), P("21"), 2, 3, 0)),
+    "expand: anchor past |eta|": (
+        lambda: expand_rows(rows_of([(2, 1, 3)], 3), rows_of([(2, 1)], 2), 2, 4),
+        lambda: expand(P("213"), P("21"), 2, 3, 4)),
+    "expand: l = 1": (
+        lambda: expand_rows(rows_of([(2, 1, 3)], 3), rows_of([(1,)], 1), 1, 1),
+        lambda: expand(P("213"), P("1"), 1, 2, 1)),
+    "expand: eta of length 1": (
+        lambda: expand_rows(rows_of([(1,)], 1), rows_of([(2, 1)], 2), 2, 1),
+        lambda: expand(P("1"), P("21"), 2, 1, 1)),
+    "expand: eta not a permutation": (
+        lambda: expand_rows(rows_of([(2, 1, 3), (1, 3, 3)], 3), rows_of([(2, 1), (1, 2)], 2), 2, 1),
+        lambda: expand(Permutation((1, 3, 3)), P("12"), 2, 1, 1)),
+    "expand: rho not a permutation": (
+        lambda: expand_rows(rows_of([(2, 1, 3)], 3), rows_of([(1, 1)], 2), 2, 1),
+        lambda: expand(P("213"), Permutation((1, 1)), 2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_batch_and_scalar_reject_the_same_arguments(case):
+    batch, scalar = BAD_ARGUMENTS[case]
+    with pytest.raises(DomainError):
+        batch()
+    # the scalar maps check a permutation when it is built, with ParseError
+    with pytest.raises((DomainError, ParseError)):
+        scalar()
+
+
+def test_expand_rows_needs_one_rho_per_eta():
+    with pytest.raises(DomainError):
+        expand_rows(rows_of([(2, 1, 3), (1, 2, 3)], 3), rows_of([(2, 1)], 2), 2, 1)
