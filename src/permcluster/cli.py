@@ -268,18 +268,31 @@ def _cmd_table(args) -> tuple[list[dict], bool]:
     return records, disagree
 
 
+def _audit_record(key: str, cached: str, fresh: str | None, same: bool, max_n: int) -> dict:
+    """One cache-audit row; an entry with no recomputed value (n > max_n)
+    is skipped."""
+    if fresh is None:
+        return {"key": key, "cached": cached, "recomputed": "", "status": f"skipped (n > {max_n})"}
+    return {"key": key, "cached": cached, "recomputed": fresh, "status": "ok" if same else "MISMATCH"}
+
+
 def _cmd_cache_audit(args) -> tuple[list[dict], bool]:
+    """Recompute every cached count, then every stored event table, by fresh
+    growth.  A table's row shows the CRC-32 of its stored line ("bad
+    checksum" if the line fails its own) and of the recomputed line."""
     cache = _cache(args)
     records = []
     for key, cached in cache.items():
         n, ps = enumeration.parse_cache_key(key)
-        if n > args.max_n:
-            records.append({"key": key, "cached": str(cached), "recomputed": "",
-                            "status": f"skipped (n > {args.max_n})"})
-            continue
-        fresh = enumeration.fresh_count(n, ps, jobs=args.jobs)
-        records.append({"key": key, "cached": str(cached), "recomputed": str(fresh),
-                        "status": "ok" if fresh == cached else "MISMATCH"})
+        fresh = None if n > args.max_n else enumeration.fresh_count(n, ps, jobs=args.jobs)
+        records.append(_audit_record(key, str(cached), None if fresh is None else str(fresh),
+                                     fresh == cached, args.max_n))
+    store = cache.tables
+    for key, line in store.items():
+        n, ps = enumeration.parse_cache_key(key)
+        fresh = None if n > args.max_n else store.encode(key, enumeration.fresh_table(n, ps, jobs=args.jobs))
+        cached = line[1] if line[1] == store.checksum(key, line[0]) else "bad checksum"
+        records.append(_audit_record(f"table:{key}", cached, fresh and fresh[1], fresh == line, args.max_n))
     bad = next((r for r in records if r["status"] == "MISMATCH"), None)
     if bad is not None:
         print(f"cache mismatch at {bad['key']}: cached {bad['cached']}, "
@@ -379,7 +392,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     try:
-        cpus = os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))  # the cores this process may run on
         if not 1 <= args.jobs <= cpus:
             raise ParseError(f"--jobs {args.jobs} outside 1..{cpus}")
         records, failed = _COMMANDS[args.command](args)

@@ -1,39 +1,13 @@
-"""Exhaustive generation and exact counting over S_n and S_n(patterns).
+"""Exact counting over S_n and S_n(patterns), and the two persistent stores.
 
-One growth engine serves every class, S_n included (no forbidden
-patterns).  It grows avoiders length by length.  Because avoidance only
-depends on relative order, each level below n holds the full numpy array
-of avoiding patterns of that length; a length-j avoider is extended by
-appending a new last entry of rank r in 1..j+1 (existing values >= r are
-bumped up by one).  Since the parent already avoids everything, the child
-survives iff the appended entry does not complete a forbidden occurrence
-ending at the last position, and that test reduces per candidate
-occurrence to an interval of bad ranks.  Every row carries the union of
-those intervals as a bitmask.  A child inherits its parent's mask with the
-ranks at and above r moved up by one, so the kernel only scans the head
-occurrences that end at the new column: C(j-1, h-1) column subsets for a
-head of length h at width j, instead of C(j, h).  Every such subset is
-mapped to its interval of bad ranks, a miss to the empty interval, so the
-kernel's work depends on the level's size and the head lengths only: the
-symmetric images of a pattern cost the same.  Growth starts at S_0, the
-empty permutation, so S_1 gets its mask from the same kernel too.
-Counting and event tables stop at width n - 1 and never build a width-n
-row: a count adds up each row's free ranks in 1..n, and a table reads
-every event off the width n - 1 rows and their free ranks, one chunk of
-rows at a time.  Only a listing builds the final level, exactly
-S_n(patterns).
-
-Event counts (which blocks of l consecutive values sit in l consecutive
-positions) start from the parents' cluster windows, found with sliding
-window min/max scans: a window is a cluster iff max - min = l - 1, and the
-block start k is then the window minimum.  A child appends a free rank r.
-A parent cluster (l, k, a) stays a cluster iff r <= k, shifted to k + 1,
-or r >= k + l; the child's last window is a cluster iff the parent's last
-l - 1 entries are a block m..m+l-2 and m <= r <= m+l-1.  So every event
-count, the union over k included, is a count of free ranks in intervals,
-a popcount of the mask.  For a fixed l, the block determines its
-positions, so per permutation each (l, k) and each (l, k, a) occurs at
-most once and counting children counts permutations.
+This module is the package's one entry to counting: every count, event
+table and listing is asked for here.  The numpy growth engine that
+enumerates lives in `growth` (see there for how it grows avoiders and
+reads event counts off the width n - 1 parents); this module imports it on
+the first call that has to enumerate, so that a process answered from the
+memos, the stores or a closed form never imports numpy.  The names of the
+engine that callers use (`avoider_rows`, `contains_pattern_rows`,
+`cluster_windows`) stay here.
 
 |S_n| = n! is an identity, returned for every n without enumeration.  The
 other counting fast paths (Catalan for a single length-3 pattern, a
@@ -46,28 +20,30 @@ only fails it, and the fast path falls back to enumeration.  The lookup
 and every event table record the count they find in one step: in the
 memo, and in the cache where it lacks or contradicts the count.
 
+An event table is looked up the same way: the in-process memo, then the
+table store beside the count cache, then growth, whose table is written
+to the store.  A stored table is used only if its line passes its CRC-32
+and every range and bound check, and its total is n! for S_n or the
+count that the memo or the count cache holds; any other line is ignored
+and the table grown and written again.
+
 All counting is exact integer arithmetic; probabilities are Fractions.
-Work splitting deals an intermediate level's rows, masks included,
-round-robin into 4 * jobs disjoint parts, which the worker processes take
-one at a time; the subtree results are merged by addition, so parallel
-runs are pure and deterministic.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import itertools
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Generic, Iterator, TypeVar
 
 from .perms import (
     SEP,
@@ -80,220 +56,31 @@ from .perms import (
     parse_permutation,
 )
 
-_CHUNK_ROWS = 1 << 16
-_MAX_ENUM_N = 60  # rank bitmasks are uint64
-_VALIDATE_UPTO = 10
+if TYPE_CHECKING:
+    import numpy as np
 
-T = TypeVar("T")
+_VALIDATE_UPTO = 10
+_MAX_TABLE_N_SN = 11  # S_n event tables grow n! / n parents
+
+V = TypeVar("V")
 
 BigCount = int
 ExactRatio = Fraction
 
 
-# ---------------------------------------------------------------------------
-# vectorized "does the appended rank complete a forbidden occurrence" test
+def _engine():
+    """The numpy growth engine, imported on the first enumeration."""
+    from . import growth
+
+    return growth
 
 
-def _order_matches(rows: np.ndarray, t: tuple[int, ...], *, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's entries at every len(t)-subset of its columns (only the
-    subsets that include the last column, if `last`), and whether they are
-    order-isomorphic to t.
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported on the first parallel
+    enumeration; it keeps the class's name so that it can be replaced as one."""
+    from concurrent.futures import ProcessPoolExecutor
 
-    Returns cols (m, T, N) and ok (T, N), subset-major so that every
-    comparison runs over contiguous rows.  Entries are distinct, so order
-    isomorphism is m - 1 comparisons: the entries at t's positions, taken
-    by increasing value of t, must increase.
-    """
-    w = rows.shape[1]
-    if last:
-        combos = [c + (w - 1,) for c in itertools.combinations(range(w - 1), len(t) - 1)]
-    else:
-        combos = list(itertools.combinations(range(w), len(t)))
-    cols = np.ascontiguousarray(rows.T)[np.array(combos, dtype=np.intp).T]
-    ok = np.ones(cols.shape[1:], dtype=bool)
-    by_value = sorted(range(len(t)), key=t.__getitem__)
-    for s, u in zip(by_value, by_value[1:]):
-        ok &= cols[s] < cols[u]
-    return cols, ok
-
-
-@dataclass(frozen=True)
-class _PatternMeta:
-    head: tuple[int, ...]  # the pattern minus its last entry
-    below: int | None  # the head slot valued one below the last entry
-    above: int | None  # the head slot valued one above the last entry
-
-
-def _pattern_metas(ps: PatternSet) -> list[_PatternMeta]:
-    metas = []
-    for tau in ps:
-        t = tau.values
-        head = t[:-1]
-        below = head.index(t[-1] - 1) if t[-1] > 1 else None
-        above = head.index(t[-1] + 1) if t[-1] < len(t) else None
-        metas.append(_PatternMeta(head, below, above))
-    return metas
-
-
-_ONE = np.uint64(1)
-
-# A level of the growth: rows (N, j) of avoiders of length j, and per row
-# the bitmask of the ranks r in 1..j+1 whose append would complete an
-# occurrence of a forbidden pattern.
-Level = tuple[np.ndarray, np.ndarray]
-
-
-def _new_bad(rows: np.ndarray, metas: list[_PatternMeta]) -> np.ndarray:
-    """Bad ranks contributed by head occurrences ending at the last column.
-
-    A new last entry of rank r completes an occurrence of tau iff some
-    (m-1)-subset of columns matches the head of tau in relative order and
-    r falls strictly above the entry matched to the value one below tau's
-    last entry, lo, and at or below the entry matched to the value one
-    above it, hi (after bumping, `value >= r` means `above r`): the ranks
-    lo < r <= hi, with lo = 0 or hi = j + 1 when there is no such value.
-    Occurrences that avoid the last column were already in the parent's
-    mask and are carried, not rescanned.  Every subset is turned into its
-    interval, matching or not (a miss is masked to the empty one), so the
-    work depends on the shape of `rows` and the head lengths only, not on
-    how many occurrences there are.
-    """
-    n_rows, w = rows.shape
-    bad = np.zeros(n_rows, dtype=np.uint64)
-    # Entries v become 2^(v+1), which keeps their relative order, so the
-    # bits lo+1..hi are the difference 2^(hi+1) - 2^(lo+1).  The narrowest
-    # unsigned type that holds bit w + 1 is used; 2^(w+2) may wrap to 0 and
-    # the difference is still exact modulo 2^bits.
-    dt = np.min_scalar_type(2 ** (w + 2) - 1)
-    two = dt.type(2)
-    pow2 = two << rows.astype(dt)
-    for meta in metas:
-        if len(meta.head) > w:
-            continue
-        cols, ok = _order_matches(pow2, meta.head, last=True)
-        lo = two if meta.below is None else cols[meta.below]
-        hi = two << dt.type(w + 1) if meta.above is None else cols[meta.above]
-        bad |= np.bitwise_or.reduce((hi - lo) * ok, axis=0)
-    return bad
-
-
-def _free(bad: np.ndarray, r: int) -> np.ndarray:
-    """The rows whose mask leaves rank r free to append."""
-    return ((bad >> np.uint64(r)) & _ONE) == 0
-
-
-def _free_ranks(bad: np.ndarray, n: int) -> np.ndarray:
-    """Each row's free ranks in 1..n, as bit r for rank r; a width n-1 row
-    has one child per free rank."""
-    return ~bad & np.uint64((2 << n) - 2)
-
-
-def _append(rows: np.ndarray, r: int) -> np.ndarray:
-    """rows with a new last entry of rank r; entries >= r are bumped up."""
-    col = np.full((len(rows), 1), r, dtype=rows.dtype)
-    return np.hstack([(rows + (rows >= r)).astype(rows.dtype), col])
-
-
-def _children(level: Level, metas: list[_PatternMeta]) -> Level:
-    """The next level below `level`, masks included.
-
-    A child made by appending the free rank r inherits its parent's mask B
-    with the ranks >= r moved up by one, (B & (2^r - 1)) | (B >> r) << (r + 1):
-    r is not in B, so every carried interval lies wholly below or wholly at
-    and above r.  The kernel then adds the occurrences ending at the new
-    column, one _CHUNK_ROWS slice of the children at a time.
-    """
-    rows, bad = level
-    kids, masks = [], []
-    for r in range(1, rows.shape[1] + 2):
-        keep = _free(bad, r)
-        kids.append(_append(rows[keep], r))
-        b, rr = bad[keep], np.uint64(r)
-        masks.append((b & ((_ONE << rr) - _ONE)) | ((b >> rr) << (rr + _ONE)))
-    rows, bad = np.vstack(kids), np.concatenate(masks)
-    for s in range(0, len(rows), _CHUNK_ROWS):
-        bad[s : s + _CHUNK_ROWS] |= _new_bad(rows[s : s + _CHUNK_ROWS], metas)
-    return rows, bad
-
-
-def _root(n: int) -> Level:
-    """S_0 and its empty mask, the root every growth starts from, once n is in range."""
-    if n < 1:
-        raise DomainError("enumeration needs n >= 1")
-    if n > _MAX_ENUM_N:
-        raise DomainError(f"enumeration supports n <= {_MAX_ENUM_N}")
-    return np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.uint64)
-
-
-def _grow(level: Level, width: int, metas: list[_PatternMeta]) -> Level:
-    """Grow a level, held whole, until its rows have the given width."""
-    while level[0].shape[1] < width:
-        level = _children(level, metas)
-    return level
-
-
-def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
-    """|S_n(ps)| below `level`, read off the width n-1 masks: each row has
-    one child per free rank in 1..n.  No width-n row is built."""
-    bad = _grow(level, n - 1, _pattern_metas(ps))[1]
-    return int(np.bitwise_count(_free_ranks(bad, n)).sum())
-
-
-def _split_grow(n: int, ps: PatternSet, jobs: int,
-                consume: Callable[[int, PatternSet, Level], T]) -> list[T]:
-    """consume(n, ps, level) over disjoint levels covering S_n(ps).
-
-    With one job the level is the root S_0, run in-process.  Otherwise the
-    level is grown until it has at least 16 * jobs rows and dealt out with
-    its masks, row i to part i mod (4 * jobs), so that neighbouring
-    subtrees, which tend to be alike in size, land in different parts.  A
-    pool of `jobs` workers takes the parts one at a time, so a worker that
-    finishes early, or runs on a less busy core, takes more of them; the
-    parts merge by addition.  A level that reaches width n - 1 first, still
-    short of 16 * jobs rows, is consumed in-process.
-    """
-    level, metas = _root(n), _pattern_metas(ps)
-    while jobs > 1 and level[0].shape[1] < n - 1 and len(level[0]) < 16 * jobs:
-        level = _children(level, metas)
-    if jobs <= 1 or len(level[0]) < 16 * jobs:
-        return [consume(n, ps, level)]
-    k = 4 * jobs
-    parts = [(level[0][i::k], level[1][i::k]) for i in range(k)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(consume, [n] * k, [ps] * k, parts))
-
-
-# ---------------------------------------------------------------------------
-# bulk containment and the cluster window scan (shared with the verification suites)
-
-
-def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
-    """Vectorized containment: for each row, does it contain tau anywhere."""
-    hit = np.zeros(len(rows), dtype=bool)
-    if len(tau) > rows.shape[1]:
-        return hit
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        sl = slice(start, start + _CHUNK_ROWS)
-        hit[sl] = _order_matches(rows[sl], tau.values)[1].any(axis=0)
-    return hit
-
-
-def cluster_windows(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Sliding window min/max scan over the rows, for l = 2 .. width - 1.
-
-    Yields (l, cluster, cmin): cluster[i, a] says whether the l entries of
-    row i starting at position a + 1 are l consecutive values, and then
-    cmin[i, a] is the smallest of them, the block start k.
-    """
-    cmin = cmax = rows
-    for l in range(2, rows.shape[1]):
-        cmin = np.minimum(cmin[:, :-1], rows[:, l - 1 :])
-        cmax = np.maximum(cmax[:, :-1], rows[:, l - 1 :])
-        yield l, (cmax - cmin) == (l - 1), cmin
-
-
-# ---------------------------------------------------------------------------
-# event tabulation
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 @dataclass
@@ -306,6 +93,16 @@ class EventTable:
     by_lk: Counter[tuple[int, int]] = field(default_factory=Counter)
     by_lka: Counter[tuple[int, int, int]] = field(default_factory=Counter)
     union_by_l: Counter[int] = field(default_factory=Counter)
+
+    @classmethod
+    def of(cls, n: int, patterns_key: str, total: int, by_lka: dict[tuple[int, int, int], int],
+           union_by_l: dict[int, int]) -> "EventTable":
+        """The table with these anchored counts and unions; by_lk is the sum
+        of by_lka over a."""
+        by_lk: Counter[tuple[int, int]] = Counter()
+        for (l, k, _), count in by_lka.items():
+            by_lk[(l, k)] += count
+        return cls(n, patterns_key, total, by_lk, Counter(by_lka), Counter(union_by_l))
 
     def count(self, event: ClusterEvent) -> int:
         """Members in the event; an event without k is the union over k."""
@@ -329,76 +126,17 @@ class EventTable:
         self.union_by_l.update(other.union_by_l)
 
 
-def _tabulate_chunk(rows: np.ndarray, bad: np.ndarray, n: int,
-                    lka: np.ndarray, union: np.ndarray) -> int:
-    """Add the events of the width-n children of one chunk of width n-1
-    parents into lka[l, k, a] and union[l]; returns the number of children.
-
-    A child appends a free rank r of its parent, so every event count is a
-    count of free ranks in an interval, read off the mask as a popcount:
-    - a parent cluster window (l, k, a) stays a cluster iff r <= k, as
-      (l, k+1, a), or r >= k+l, as (l, k, a); the whole parent is the
-      window (n-1, 1, 1), which `cluster_windows` does not yield;
-    - the child's suffix window of length l is a cluster iff the parent's
-      last l-1 entries are a block m..m+l-2 and m <= r <= m+l-1, as
-      (l, m, n-l+1);
-    - so the child has no cluster of length l iff r lies in every
-      (k, k+l-1] of the parent's windows and outside the suffix range.
-    The sums over the rows of each (k, a) come from one integer bincount
-    over (k, a, count) codes, weighted by the count afterwards.
-    """
-    n_rows, w = rows.shape
-    upto = (np.uint64(2) << np.arange(n + 1, dtype=np.uint64)) - np.uint64(2)  # ranks 1..x
-    free = _free_ranks(bad, n)
-    total = int(np.bitwise_count(free).sum())
-    if w < 2:
-        return total
-    whole = (w, np.ones((n_rows, 1), dtype=bool), np.ones((n_rows, 1), dtype=rows.dtype))
-    weights = np.arange(n + 1)
-    smin = smax = rows[:, -1]  # of the parent's last l-1 entries
-    for l, cluster, cmin in itertools.chain(cluster_windows(rows), [whole]):
-        smin, smax = np.minimum(smin, rows[:, w - l + 1]), np.maximum(smax, rows[:, w - l + 1])
-        idx = np.flatnonzero(cluster)
-        i, a = np.divmod(idx, cluster.shape[1])
-        k = cmin.ravel()[idx].astype(np.intp)
-        j = np.flatnonzero(smax - smin == l - 2)
-        m = smin[j].astype(np.intp)
-        suffix = upto[m + l - 1] ^ upto[m - 1]
-        ks = np.concatenate([k + 1, k, m])
-        aa = np.concatenate([a + 1, a + 1, np.full(len(j), n - l + 1)])
-        got = np.bitwise_count(np.concatenate([free[i] & upto[k], free[i] & ~upto[k + l - 1],
-                                               free[j] & suffix]))
-        code = (ks * (n + 2) + aa) * (n + 1) + got
-        lka[l] += np.bincount(code, minlength=(n + 2) ** 2 * (n + 1)).reshape(n + 2, n + 2, n + 1) @ weights
-        no_cluster = np.full(n_rows, upto[n])  # the ranks that leave no cluster of length l
-        np.bitwise_and.at(no_cluster, i, upto[k + l - 1] ^ upto[k])
-        no_cluster[j] &= ~suffix
-        union[l] += int(np.bitwise_count(free & ~no_cluster).sum())
-    return total
-
-
-def _table_parents(n: int, ps: PatternSet, level: Level) -> EventTable:
-    """The event table of the width-n descendants of `level` that avoid ps,
-    read off the width n-1 rows and masks one chunk at a time: no width-n
-    row is built."""
-    rows, bad = _grow(level, n - 1, _pattern_metas(ps))
-    lka = np.zeros((n, n + 2, n + 2), dtype=np.int64)
-    union = np.zeros(n, dtype=np.int64)
-    table = EventTable(n, ps.key())
-    for s in range(0, len(rows), _CHUNK_ROWS):
-        table.total += _tabulate_chunk(rows[s : s + _CHUNK_ROWS], bad[s : s + _CHUNK_ROWS], n, lka, union)
-    for l, k, a in zip(*np.nonzero(lka)):
-        table.by_lka[(int(l), int(k), int(a))] = int(lka[l, k, a])
-    lk = lka.sum(axis=2)
-    for l, k in zip(*np.nonzero(lk)):
-        table.by_lk[(int(l), int(k))] = int(lk[l, k])
-    for l in np.nonzero(union)[0]:
-        table.union_by_l[int(l)] = int(union[l])
-    return table
-
-
 _EVENT_MEMO: dict[tuple[int, str], EventTable] = {}
 _COUNT_MEMO: dict[str, int] = {}
+
+
+def _known_count(n: int, ps: PatternSet, cache: "CountCache | None") -> int | None:
+    """|S_n(ps)| from the memo, else the cache, if either holds it."""
+    key = cache_key(n, ps)
+    value = _COUNT_MEMO.get(key)
+    if value is None and cache is not None:
+        value = cache.get(key)
+    return value
 
 
 def _record_count(n: int, ps: PatternSet, value: int, cache: "CountCache | None") -> int:
@@ -411,25 +149,40 @@ def _record_count(n: int, ps: PatternSet, value: int, cache: "CountCache | None"
     return value
 
 
+def fresh_table(n: int, ps: PatternSet, *, jobs: int = 1) -> EventTable:
+    """The event table by growth only, bypassing the memo and both stores."""
+    if ps.is_empty() and n > _MAX_TABLE_N_SN:
+        raise DomainError(
+            f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= {_MAX_TABLE_N_SN}"
+        )
+    engine, table = _engine(), EventTable(n, ps.key())
+    for part in engine._split_grow(n, ps, jobs, engine._table_parents, ProcessPoolExecutor):
+        table.add(part)
+    return table
+
+
 def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCache | None" = None) -> EventTable:
-    """Counts of S_n(ps) members in every cluster event, from one full pass."""
+    """Counts of S_n(ps) members in every cluster event, from one full pass
+    (or from the memo or the table store, which keep the tables of earlier
+    passes)."""
     memo_key = (n, ps.key())
     table = _EVENT_MEMO.get(memo_key)
-    if table is None:
-        if ps.is_empty() and n > 11:
-            raise DomainError(
-                f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= 11"
-            )
-        table = EventTable(n, ps.key())
-        for part in _split_grow(n, ps, jobs, _table_parents):
-            table.add(part)
-        _EVENT_MEMO[memo_key] = table
+    if table is None and cache is not None and n >= 1:  # growth rejects n < 1
+        total = math.factorial(n) if ps.is_empty() else _known_count(n, ps, cache)
+        table = cache.tables.table(n, ps, total)
+    grown = table is None
+    if grown:
+        table = fresh_table(n, ps, jobs=jobs)
+    _EVENT_MEMO[memo_key] = table
     _record_count(n, ps, table.total, cache)
+    if grown and cache is not None:
+        with contextlib.suppress(OSError):  # the store only saves time: a table it cannot keep is grown again
+            cache.tables.put_table(n, ps, table)
     return table
 
 
 # ---------------------------------------------------------------------------
-# the persistent count cache
+# the persistent stores
 
 
 def cache_key(n: int, ps: PatternSet) -> str:
@@ -446,50 +199,57 @@ def parse_cache_key(key: str) -> tuple[int, PatternSet]:
     return int(n_part), PatternSet(patterns)
 
 
-class CountCache:
-    """A persistent text map from cache keys to decimal count strings.
+class _LineStore(Generic[V]):
+    """A persistent text map from cache keys to values, one line per key:
+    the key, a tab, and the value's tab-separated fields.
 
-    One entry per line, key and value separated by a tab.  Corrupt lines
-    are ignored (and their keys recomputed on demand).  A write holds an
-    exclusive lock on the sidecar file `<name>.lock` while it re-reads the
-    file, merges, writes a uniquely named temporary file beside it and
-    replaces the file with it: concurrent readers always see a whole file,
-    and concurrent writers lose no entry (for a key written by both with
-    different values, the later writer wins).
+    Lines whose key or fields do not parse are ignored (and their keys
+    recomputed on demand).  A write holds an exclusive lock on the sidecar
+    file `<name>.lock` while it re-reads the file, merges, writes a
+    uniquely named temporary file beside it and replaces the file with it:
+    concurrent readers always see a whole file, and concurrent writers lose
+    no entry (for a key written by both with different values, the later
+    writer wins).
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._data: dict[str, int] | None = None
+        self._data: dict[str, V] | None = None
 
-    def _parse_file(self) -> dict[str, int]:
-        data: dict[str, int] = {}
+    def _parse(self, fields: list[str]) -> V | None:
+        """The value of a line's fields after its key, or None if corrupt."""
+        raise NotImplementedError
+
+    def _format(self, value: V) -> str:
+        raise NotImplementedError
+
+    def _parse_file(self) -> dict[str, V]:
+        data: dict[str, V] = {}
         try:
             text = self.path.read_text()
         except OSError:
             return data
         for line in text.splitlines():
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1].strip().isdigit():
+            key, *fields = line.split("\t")
+            value = self._parse(fields)
+            if value is None:
                 continue  # corrupt entry: ignore, recompute later
             try:
-                parse_cache_key(parts[0])
+                parse_cache_key(key)
             except (ParseError, ValueError):
                 continue
-            data[parts[0]] = int(parts[1])
+            data[key] = value
         return data
 
-    def _load(self) -> dict[str, int]:
+    def _load(self) -> dict[str, V]:
         if self._data is None:
             self._data = self._parse_file()
         return self._data
 
-    def get(self, key: str) -> int | None:
+    def get(self, key: str) -> V | None:
         return self._load().get(key)
 
-    def put(self, key: str, value: int) -> None:
+    def put(self, key: str, value: V) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         lock_path = self.path.with_name(self.path.name + ".lock")
         with open(lock_path, "a") as lock:
@@ -502,14 +262,100 @@ class CountCache:
             try:
                 with os.fdopen(fd, "w") as fh:
                     for k in sorted(merged):
-                        fh.write(f"{k}\t{merged[k]}\n")
+                        fh.write(f"{k}\t{self._format(merged[k])}\n")
                 os.replace(tmp, self.path)
             except BaseException:
                 os.unlink(tmp)
                 raise
 
-    def items(self) -> list[tuple[str, int]]:
+    def items(self) -> list[tuple[str, V]]:
         return sorted(self._load().items())
+
+
+class TableStore(_LineStore[tuple[str, str]]):
+    """Event tables, one line per (n, patterns): `key<TAB>value<TAB>crc32`.
+
+    The value is `by_lka+union_by_l`: the anchored counts as `l.k.a=count`
+    and the unions as `l=count`, each comma-separated in increasing order.
+    The unions run on to l = n, whose event is the whole class, so that
+    entry is the table's total.  crc32 is the CRC-32 of `key<TAB>value` in
+    eight hex digits.  by_lk is derived on load, and only the requested
+    key's value is decoded.
+    """
+
+    def _parse(self, fields: list[str]) -> tuple[str, str] | None:
+        return (fields[0], fields[1]) if len(fields) == 2 else None
+
+    def _format(self, value: tuple[str, str]) -> str:
+        return "\t".join(value)
+
+    @staticmethod
+    def checksum(key: str, value: str) -> str:
+        return format(zlib.crc32(f"{key}\t{value}".encode()), "08x")
+
+    @classmethod
+    def encode(cls, key: str, table: EventTable) -> tuple[str, str]:
+        """The value and checksum fields of a table's line."""
+        lka = ",".join(f"{l}.{k}.{a}={c}" for (l, k, a), c in sorted(table.by_lka.items()))
+        union = ",".join(f"{l}={c}" for l, c in sorted({**table.union_by_l, table.n: table.total}.items()))
+        value = f"{lka}+{union}"
+        return value, cls.checksum(key, value)
+
+    def put_table(self, n: int, ps: PatternSet, table: EventTable) -> None:
+        key = cache_key(n, ps)
+        self.put(key, self.encode(key, table))
+
+    def table(self, n: int, ps: PatternSet, total: int | None) -> EventTable | None:
+        """The stored table of S_n(ps), if its line passes every check: its
+        checksum, the ranges of l, k and a, every count positive and at most
+        the union at its l, every union at most the total, and the total
+        equal to `total`, the class size known without the table.  A line
+        that is not in the form `encode` writes fails too."""
+        key = cache_key(n, ps)
+        line = self.get(key)
+        if line is None or total is None or line[1] != self.checksum(key, line[0]):
+            return None
+        lka_part, _, union_part = line[0].partition("+")
+        try:
+            by_lka = {}
+            for entry in filter(None, lka_part.split(",")):
+                lka, count = entry.split("=")
+                l, k, a = map(int, lka.split("."))
+                by_lka[(l, k, a)] = int(count)
+            union = {}
+            for entry in union_part.split(","):
+                l, count = map(int, entry.split("="))
+                union[l] = count
+        except ValueError:
+            return None
+        table = EventTable.of(n, ps.key(), union.pop(n, -1), by_lka, union)
+        in_range = all(2 <= l < n and 1 <= k <= n - l + 1 and 1 <= a <= n - l + 1 for l, k, a in by_lka) \
+            and all(2 <= l < n for l in union)
+        counts = itertools.chain(table.by_lka.items(), table.by_lk.items())
+        bounded = all(0 < c <= union.get(event[0], 0) for event, c in counts) \
+            and all(0 < c <= total for c in union.values())
+        if not (in_range and bounded and table.total == total and self.encode(key, table) == line):
+            return None
+        return table
+
+
+class CountCache(_LineStore[int]):
+    """A persistent text map from cache keys to decimal count strings, one
+    `key<TAB>count` line per entry, with its event tables in the
+    `TableStore` sidecar `<name>.tables`."""
+
+    def __init__(self, path: str | Path):
+        super().__init__(path)
+        self.tables = TableStore(self.path.with_name(self.path.name + ".tables"))
+
+    def _parse(self, fields: list[str]) -> int | None:
+        digits = fields[0].strip() if len(fields) == 1 else ""
+        if not (digits.isascii() and digits.isdigit()):  # "²".isdigit(), but int("²") fails
+            return None
+        return int(fields[0])
+
+    def _format(self, value: int) -> str:
+        return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +368,13 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
         return 1
     if ps.is_empty():
         return math.factorial(n)
-    return sum(_split_grow(n, ps, jobs, _count_leaves))
+    engine = _engine()
+    return sum(engine._split_grow(n, ps, jobs, engine._count_leaves, ProcessPoolExecutor))
 
 
 def _enumerated_count(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:
     """|S_n(ps)| from the memo, else the cache, else by enumeration."""
-    key = cache_key(n, ps)
-    value = _COUNT_MEMO.get(key)
-    if value is None and cache is not None:
-        value = cache.get(key)
+    value = _known_count(n, ps, cache)
     if value is None:
         value = fresh_count(n, ps, jobs=jobs)
     return _record_count(n, ps, value, cache)
@@ -585,9 +429,18 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
 
 def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:
     """S_n(ps) as an int8 array, one row per member, in lexicographic order."""
-    parents, bad = _grow(_root(n), n - 1, _pattern_metas(ps))
-    rows = np.vstack([_append(parents[_free(bad, r)], r) for r in range(1, n + 1)])
-    return rows[np.lexsort(rows.T[::-1])]
+    return _engine().avoider_rows(n, ps)
+
+
+def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
+    """Vectorized containment: for each row, does it contain tau anywhere."""
+    return _engine().contains_pattern_rows(rows, tau)
+
+
+def cluster_windows(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Sliding window min/max scan over the rows, for l = 2 .. width - 1;
+    see `growth.cluster_windows`."""
+    return _engine().cluster_windows(rows)
 
 
 def enumerate_avoiders(n: int, ps: PatternSet) -> Iterator[Permutation]:

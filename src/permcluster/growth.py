@@ -1,0 +1,337 @@
+"""The numpy growth engine behind `enumeration`.
+
+One engine serves every class, S_n included (no forbidden patterns).  It
+grows avoiders length by length.  Because avoidance only depends on
+relative order, each level below n holds the full numpy array of avoiding
+patterns of that length; a length-j avoider is extended by appending a new
+last entry of rank r in 1..j+1 (existing values >= r are bumped up by
+one).  Since the parent already avoids everything, the child survives iff
+the appended entry does not complete a forbidden occurrence ending at the
+last position, and that test reduces per candidate occurrence to an
+interval of bad ranks.  Every row carries the union of those intervals as
+a bitmask.  A child inherits its parent's mask with the ranks at and above
+r moved up by one, so the kernel only scans the head occurrences that end
+at the new column: C(j-1, h-1) column subsets for a head of length h at
+width j, instead of C(j, h).  Every such subset is mapped to its interval
+of bad ranks, a miss to the empty interval, so the kernel's work depends
+on the level's size and the head lengths only: the symmetric images of a
+pattern cost the same.  Growth starts at S_0, the empty permutation, so
+S_1 gets its mask from the same kernel too.  Counting and event tables
+stop at width n - 1 and never build a width-n row: a count adds up each
+row's free ranks in 1..n, and a table reads every event off the width
+n - 1 rows and their free ranks, one chunk of rows at a time.  Only a
+listing builds the final level, exactly S_n(patterns).
+
+Event counts (which blocks of l consecutive values sit in l consecutive
+positions) start from the parents' cluster windows, found with sliding
+window min/max scans: a window is a cluster iff max - min = l - 1, and the
+block start k is then the window minimum.  A child appends a free rank r.
+A parent cluster (l, k, a) stays a cluster iff r <= k, shifted to k + 1,
+or r >= k + l; the child's last window is a cluster iff the parent's last
+l - 1 entries are a block m..m+l-2 and m <= r <= m+l-1.  So every event
+count, the union over k included, is a count of free ranks in intervals,
+a popcount of the mask.  For a fixed l, the block determines its
+positions, so per permutation each (l, k) and each (l, k, a) occurs at
+most once and counting children counts permutations.
+
+Work splitting deals an intermediate level's rows, masks included,
+round-robin into 4 * jobs disjoint parts, which the worker processes take
+one at a time; the subtree results are merged by addition, so parallel
+runs are pure and deterministic.
+
+This module imports numpy.  `enumeration` imports it on the first call
+that has to enumerate, so that answers from the memo, the stores and the
+closed forms start no numpy.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Iterator, TypeVar
+
+import numpy as np
+
+from .enumeration import EventTable
+from .perms import DomainError, PatternSet, Permutation
+
+_CHUNK_ROWS = 1 << 16
+_MAX_ENUM_N = 60  # rank bitmasks are uint64
+
+T = TypeVar("T")
+
+
+# ---------------------------------------------------------------------------
+# vectorized "does the appended rank complete a forbidden occurrence" test
+
+
+def _order_matches(rows: np.ndarray, t: tuple[int, ...], *, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's entries at every len(t)-subset of its columns (only the
+    subsets that include the last column, if `last`), and whether they are
+    order-isomorphic to t.
+
+    Returns cols (m, T, N) and ok (T, N), subset-major so that every
+    comparison runs over contiguous rows.  Entries are distinct, so order
+    isomorphism is m - 1 comparisons: the entries at t's positions, taken
+    by increasing value of t, must increase.
+    """
+    w = rows.shape[1]
+    if last:
+        combos = [c + (w - 1,) for c in itertools.combinations(range(w - 1), len(t) - 1)]
+    else:
+        combos = list(itertools.combinations(range(w), len(t)))
+    cols = np.ascontiguousarray(rows.T)[np.array(combos, dtype=np.intp).T]
+    ok = np.ones(cols.shape[1:], dtype=bool)
+    by_value = sorted(range(len(t)), key=t.__getitem__)
+    for s, u in zip(by_value, by_value[1:]):
+        ok &= cols[s] < cols[u]
+    return cols, ok
+
+
+@dataclass(frozen=True)
+class _PatternMeta:
+    head: tuple[int, ...]  # the pattern minus its last entry
+    below: int | None  # the head slot valued one below the last entry
+    above: int | None  # the head slot valued one above the last entry
+
+
+def _pattern_metas(ps: PatternSet) -> list[_PatternMeta]:
+    metas = []
+    for tau in ps:
+        t = tau.values
+        head = t[:-1]
+        below = head.index(t[-1] - 1) if t[-1] > 1 else None
+        above = head.index(t[-1] + 1) if t[-1] < len(t) else None
+        metas.append(_PatternMeta(head, below, above))
+    return metas
+
+
+_ONE = np.uint64(1)
+
+# A level of the growth: rows (N, j) of avoiders of length j, and per row
+# the bitmask of the ranks r in 1..j+1 whose append would complete an
+# occurrence of a forbidden pattern.
+Level = tuple[np.ndarray, np.ndarray]
+
+
+def _new_bad(rows: np.ndarray, metas: list[_PatternMeta]) -> np.ndarray:
+    """Bad ranks contributed by head occurrences ending at the last column.
+
+    A new last entry of rank r completes an occurrence of tau iff some
+    (m-1)-subset of columns matches the head of tau in relative order and
+    r falls strictly above the entry matched to the value one below tau's
+    last entry, lo, and at or below the entry matched to the value one
+    above it, hi (after bumping, `value >= r` means `above r`): the ranks
+    lo < r <= hi, with lo = 0 or hi = j + 1 when there is no such value.
+    Occurrences that avoid the last column were already in the parent's
+    mask and are carried, not rescanned.  Every subset is turned into its
+    interval, matching or not (a miss is masked to the empty one), so the
+    work depends on the shape of `rows` and the head lengths only, not on
+    how many occurrences there are.
+    """
+    n_rows, w = rows.shape
+    bad = np.zeros(n_rows, dtype=np.uint64)
+    # Entries v become 2^(v+1), which keeps their relative order, so the
+    # bits lo+1..hi are the difference 2^(hi+1) - 2^(lo+1).  The narrowest
+    # unsigned type that holds bit w + 1 is used; 2^(w+2) may wrap to 0 and
+    # the difference is still exact modulo 2^bits.
+    dt = np.min_scalar_type(2 ** (w + 2) - 1)
+    two = dt.type(2)
+    pow2 = two << rows.astype(dt)
+    for meta in metas:
+        if len(meta.head) > w:
+            continue
+        cols, ok = _order_matches(pow2, meta.head, last=True)
+        lo = two if meta.below is None else cols[meta.below]
+        hi = two << dt.type(w + 1) if meta.above is None else cols[meta.above]
+        bad |= np.bitwise_or.reduce((hi - lo) * ok, axis=0)
+    return bad
+
+
+def _free(bad: np.ndarray, r: int) -> np.ndarray:
+    """The rows whose mask leaves rank r free to append."""
+    return ((bad >> np.uint64(r)) & _ONE) == 0
+
+
+def _free_ranks(bad: np.ndarray, n: int) -> np.ndarray:
+    """Each row's free ranks in 1..n, as bit r for rank r; a width n-1 row
+    has one child per free rank."""
+    return ~bad & np.uint64((2 << n) - 2)
+
+
+def _append(rows: np.ndarray, r: int) -> np.ndarray:
+    """rows with a new last entry of rank r; entries >= r are bumped up."""
+    col = np.full((len(rows), 1), r, dtype=rows.dtype)
+    return np.hstack([(rows + (rows >= r)).astype(rows.dtype), col])
+
+
+def _children(level: Level, metas: list[_PatternMeta]) -> Level:
+    """The next level below `level`, masks included.
+
+    A child made by appending the free rank r inherits its parent's mask B
+    with the ranks >= r moved up by one, (B & (2^r - 1)) | (B >> r) << (r + 1):
+    r is not in B, so every carried interval lies wholly below or wholly at
+    and above r.  The kernel then adds the occurrences ending at the new
+    column, one _CHUNK_ROWS slice of the children at a time.
+    """
+    rows, bad = level
+    kids, masks = [], []
+    for r in range(1, rows.shape[1] + 2):
+        keep = _free(bad, r)
+        kids.append(_append(rows[keep], r))
+        b, rr = bad[keep], np.uint64(r)
+        masks.append((b & ((_ONE << rr) - _ONE)) | ((b >> rr) << (rr + _ONE)))
+    rows, bad = np.vstack(kids), np.concatenate(masks)
+    for s in range(0, len(rows), _CHUNK_ROWS):
+        bad[s : s + _CHUNK_ROWS] |= _new_bad(rows[s : s + _CHUNK_ROWS], metas)
+    return rows, bad
+
+
+def _root(n: int) -> Level:
+    """S_0 and its empty mask, the root every growth starts from, once n is in range."""
+    if n < 1:
+        raise DomainError("enumeration needs n >= 1")
+    if n > _MAX_ENUM_N:
+        raise DomainError(f"enumeration supports n <= {_MAX_ENUM_N}")
+    return np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.uint64)
+
+
+def _grow(level: Level, width: int, metas: list[_PatternMeta]) -> Level:
+    """Grow a level, held whole, until its rows have the given width."""
+    while level[0].shape[1] < width:
+        level = _children(level, metas)
+    return level
+
+
+def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
+    """|S_n(ps)| below `level`, read off the width n-1 masks: each row has
+    one child per free rank in 1..n.  No width-n row is built."""
+    bad = _grow(level, n - 1, _pattern_metas(ps))[1]
+    return int(np.bitwise_count(_free_ranks(bad, n)).sum())
+
+
+def _split_grow(n: int, ps: PatternSet, jobs: int,
+                consume: Callable[[int, PatternSet, Level], T], pool: Callable) -> list[T]:
+    """consume(n, ps, level) over disjoint levels covering S_n(ps).
+
+    With one job the level is the root S_0, run in-process.  Otherwise the
+    level is grown until it has at least 16 * jobs rows and dealt out with
+    its masks, row i to part i mod (4 * jobs), so that neighbouring
+    subtrees, which tend to be alike in size, land in different parts.  A
+    pool(max_workers=jobs) of workers takes the parts one at a time, so a
+    worker that finishes early, or runs on a less busy core, takes more of
+    them; the parts merge by addition.  A level that reaches width n - 1
+    first, still short of 16 * jobs rows, is consumed in-process.
+    """
+    level, metas = _root(n), _pattern_metas(ps)
+    while jobs > 1 and level[0].shape[1] < n - 1 and len(level[0]) < 16 * jobs:
+        level = _children(level, metas)
+    if jobs <= 1 or len(level[0]) < 16 * jobs:
+        return [consume(n, ps, level)]
+    k = 4 * jobs
+    parts = [(level[0][i::k], level[1][i::k]) for i in range(k)]
+    with pool(max_workers=jobs) as workers:
+        return list(workers.map(consume, [n] * k, [ps] * k, parts))
+
+
+def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:
+    """S_n(ps) as an int8 array, one row per member, in lexicographic order."""
+    parents, bad = _grow(_root(n), n - 1, _pattern_metas(ps))
+    rows = np.vstack([_append(parents[_free(bad, r)], r) for r in range(1, n + 1)])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+# ---------------------------------------------------------------------------
+# bulk containment and the cluster window scan (shared with the verification suites)
+
+
+def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
+    """Vectorized containment: for each row, does it contain tau anywhere."""
+    hit = np.zeros(len(rows), dtype=bool)
+    if len(tau) > rows.shape[1]:
+        return hit
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        sl = slice(start, start + _CHUNK_ROWS)
+        hit[sl] = _order_matches(rows[sl], tau.values)[1].any(axis=0)
+    return hit
+
+
+def cluster_windows(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Sliding window min/max scan over the rows, for l = 2 .. width - 1.
+
+    Yields (l, cluster, cmin): cluster[i, a] says whether the l entries of
+    row i starting at position a + 1 are l consecutive values, and then
+    cmin[i, a] is the smallest of them, the block start k.
+    """
+    cmin = cmax = rows
+    for l in range(2, rows.shape[1]):
+        cmin = np.minimum(cmin[:, :-1], rows[:, l - 1 :])
+        cmax = np.maximum(cmax[:, :-1], rows[:, l - 1 :])
+        yield l, (cmax - cmin) == (l - 1), cmin
+
+
+# ---------------------------------------------------------------------------
+# event tabulation
+
+
+def _tabulate_chunk(rows: np.ndarray, bad: np.ndarray, n: int,
+                    lka: np.ndarray, union: np.ndarray) -> int:
+    """Add the events of the width-n children of one chunk of width n-1
+    parents into lka[l, k, a] and union[l]; returns the number of children.
+
+    A child appends a free rank r of its parent, so every event count is a
+    count of free ranks in an interval, read off the mask as a popcount:
+    - a parent cluster window (l, k, a) stays a cluster iff r <= k, as
+      (l, k+1, a), or r >= k+l, as (l, k, a); the whole parent is the
+      window (n-1, 1, 1), which `cluster_windows` does not yield;
+    - the child's suffix window of length l is a cluster iff the parent's
+      last l-1 entries are a block m..m+l-2 and m <= r <= m+l-1, as
+      (l, m, n-l+1);
+    - so the child has no cluster of length l iff r lies in every
+      (k, k+l-1] of the parent's windows and outside the suffix range.
+    The sums over the rows of each (k, a) come from one integer bincount
+    over (k, a, count) codes, weighted by the count afterwards.
+    """
+    n_rows, w = rows.shape
+    upto = (np.uint64(2) << np.arange(n + 1, dtype=np.uint64)) - np.uint64(2)  # ranks 1..x
+    free = _free_ranks(bad, n)
+    total = int(np.bitwise_count(free).sum())
+    if w < 2:
+        return total
+    whole = (w, np.ones((n_rows, 1), dtype=bool), np.ones((n_rows, 1), dtype=rows.dtype))
+    weights = np.arange(n + 1)
+    smin = smax = rows[:, -1]  # of the parent's last l-1 entries
+    for l, cluster, cmin in itertools.chain(cluster_windows(rows), [whole]):
+        smin, smax = np.minimum(smin, rows[:, w - l + 1]), np.maximum(smax, rows[:, w - l + 1])
+        idx = np.flatnonzero(cluster)
+        i, a = np.divmod(idx, cluster.shape[1])
+        k = cmin.ravel()[idx].astype(np.intp)
+        j = np.flatnonzero(smax - smin == l - 2)
+        m = smin[j].astype(np.intp)
+        suffix = upto[m + l - 1] ^ upto[m - 1]
+        ks = np.concatenate([k + 1, k, m])
+        aa = np.concatenate([a + 1, a + 1, np.full(len(j), n - l + 1)])
+        got = np.bitwise_count(np.concatenate([free[i] & upto[k], free[i] & ~upto[k + l - 1],
+                                               free[j] & suffix]))
+        code = (ks * (n + 2) + aa) * (n + 1) + got
+        lka[l] += np.bincount(code, minlength=(n + 2) ** 2 * (n + 1)).reshape(n + 2, n + 2, n + 1) @ weights
+        no_cluster = np.full(n_rows, upto[n])  # the ranks that leave no cluster of length l
+        np.bitwise_and.at(no_cluster, i, upto[k + l - 1] ^ upto[k])
+        no_cluster[j] &= ~suffix
+        union[l] += int(np.bitwise_count(free & ~no_cluster).sum())
+    return total
+
+
+def _table_parents(n: int, ps: PatternSet, level: Level) -> EventTable:
+    """The event table of the width-n descendants of `level` that avoid ps,
+    read off the width n-1 rows and masks one chunk at a time: no width-n
+    row is built."""
+    rows, bad = _grow(level, n - 1, _pattern_metas(ps))
+    lka = np.zeros((n, n + 2, n + 2), dtype=np.int64)
+    union = np.zeros(n, dtype=np.int64)
+    total = 0
+    for s in range(0, len(rows), _CHUNK_ROWS):
+        total += _tabulate_chunk(rows[s : s + _CHUNK_ROWS], bad[s : s + _CHUNK_ROWS], n, lka, union)
+    by_lka = {(int(l), int(k), int(a)): int(lka[l, k, a]) for l, k, a in zip(*np.nonzero(lka))}
+    union_by_l = {int(l): int(union[l]) for l in np.nonzero(union)[0]}
+    return EventTable.of(n, ps.key(), total, by_lka, union_by_l)

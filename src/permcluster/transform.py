@@ -17,16 +17,19 @@ they apply the same maps to every row of an integer array at one (l, a),
 reading k per row, and make the same checks, vectorised.  Each relabeling
 shifts the values past the window by l - 1, so a kernel is a comparison,
 a shift and a splice per row.  The verification suites run on the
-kernels, and the tests hold them equal to the scalar maps.
+kernels, and the tests hold them equal to the scalar maps.  The kernels
+import numpy when they are called, so importing this module (and the
+package) does not.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .perms import ClusterEvent, DomainError, Permutation, in_cluster_event
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GroundSet = tuple[int, ...]
 LabeledSequence = tuple[int, ...]
@@ -123,6 +126,8 @@ def cluster_anchors(sigma: Permutation, l: int, k: int) -> list[int]:
 
 def _checked_rows(rows: np.ndarray, name: str) -> np.ndarray:
     """rows as a 2-D integer array, each row a permutation of 1..width."""
+    import numpy as np
+
     arr = np.asarray(rows)
     if arr.ndim != 2 or arr.dtype.kind not in "iu":
         raise DomainError(f"{name} rows must be a 2-D integer array, not {arr.dtype} of shape {arr.shape}")
@@ -141,6 +146,8 @@ def contract_rows(rows: np.ndarray, l: int, a: int) -> np.ndarray:
     Column a - 1 keeps the value k, the rest of the window is dropped, and
     the values >= k + l move down by l - 1.
     """
+    import numpy as np
+
     rows = _checked_rows(rows, "sigma")
     ClusterEvent(l, 1, a).validate(rows.shape[1])  # k = 1 is in range whenever l is
     window = rows[:, a - 1 : a - 1 + l]
@@ -164,6 +171,8 @@ def expand_rows(etas: np.ndarray, rhos: np.ndarray, l: int, a: int) -> np.ndarra
 
     The values > k move up by l - 1 and k - 1 + rho replaces the value k.
     """
+    import numpy as np
+
     etas, rhos = _checked_rows(etas, "eta"), _checked_rows(rhos, "rho")
     if rhos.shape[1] != l:
         raise DomainError(f"window pattern has length {rhos.shape[1]}, expected l={l}")

@@ -275,3 +275,115 @@ def test_verify_choices_are_the_suite_names():
     from permcluster import verify
 
     assert list(cli._SUITE_NAMES) == sorted(verify.SUITES)
+
+
+def test_answers_from_the_stores_leave_out_numpy(tmp_path):
+    # a cache-hit count and a table-hit prob, each in a fresh process, never
+    # import numpy; the runs that fill the stores do
+    probe = ("import sys; from permcluster import cli; code = cli.main(sys.argv[1:]); "
+             "print(code, 'numpy' in sys.modules)")
+    cache = ["--cache", str(tmp_path / "counts.txt"), "--no-meta"]
+    count = ["count", "--n", "9", "--avoid", "1342", *cache]
+    prob = ["prob", "--n", "8", "--avoid", "321", "--l", "3", "--k", "2", "--formula", *cache]
+
+    def run(args):
+        proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        *output, last = proc.stdout.splitlines()
+        return output, last
+
+    imported = subprocess.run([sys.executable, "-c", "import sys, permcluster.cli; print('numpy' in sys.modules)"],
+                              capture_output=True, text=True)
+    assert imported.stdout == "False\n", imported.stderr
+    for args in (count, prob):
+        first, used = run(args)
+        assert used == "0 True"
+        again, used = run(args)
+        assert used == "0 False" and again == first
+    assert (tmp_path / "counts.txt.tables").read_text().startswith("avoid=321;n=8\t")
+
+
+def test_jobs_bound_is_the_cores_the_process_may_use(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    code, out = run_cli(["count", "--n", "8", "--avoid", "132", "--jobs", "2"], tmp_path)
+    assert code == 2 and out == ""
+    assert "--jobs 2 outside 1..1" in capsys.readouterr().err
+
+
+def _tables_line(path, key):
+    return next(line for line in path.read_text().splitlines() if line.startswith(key + "\t"))
+
+
+def _replace_line(path, key, line):
+    lines = [line if old.startswith(key + "\t") else old for old in path.read_text().splitlines()]
+    path.write_text("".join(f"{ln}\n" for ln in lines))
+
+
+def _resealed(key, value):
+    return f"{key}\t{value}\t{enumeration.TableStore.checksum(key, value)}"
+
+
+def test_tampered_table_lines_are_ignored(tmp_path, monkeypatch):
+    # each tampered line is ignored: the table is grown again, the printed
+    # probability is the recomputed one and the line is rewritten whole
+    args = ["prob", "--n", "7", "--avoid", "1342", "--l", "3", "--k", "2", "--a", "1", "--no-meta"]
+    grown = []
+    fresh_table = enumeration.fresh_table
+    monkeypatch.setattr(enumeration, "fresh_table", lambda *a, **kw: grown.append(a) or fresh_table(*a, **kw))
+
+    def run(argv):
+        monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        return run_cli(argv, tmp_path)
+
+    args6 = args[:2] + ["6"] + args[3:]
+    code, want = run(args)
+    assert code == 0 and csv_rows(want)[0]["event_count"] != "0"
+    code, want6 = run(args6)
+    assert code == 0 and want6 != want
+    tables = tmp_path / "counts.txt.tables"
+    k7, k6 = "avoid=1342;n=7", "avoid=1342;n=6"
+    line7, line6 = _tables_line(tables, k7), _tables_line(tables, k6)
+    assert len(grown) == 2 and run(args) == (0, want) and len(grown) == 2  # an intact line is used
+    _, value7, crc7 = line7.split("\t")
+    _, value6, crc6 = line6.split("\t")
+    entry = next(e for e in value7.split(",") if e.startswith("3.2.1="))
+    bumped = entry[:-1] + str((int(entry[-1]) + 1) % 10)
+    total = value7.rsplit("=", 1)[1]
+    cases = {
+        "digit changed under the old checksum": {k7: f"{k7}\t{value7.replace(entry, bumped)}\t{crc7}"},
+        "truncated line": {k7: line7[: len(line7) // 2]},
+        "values swapped between two keys": {k7: f"{k7}\t{value6}\t{crc6}", k6: f"{k6}\t{value7}\t{crc7}"},
+        "total disagrees with the count file": {k7: _resealed(k7, f"{value7[: -len(total)]}{int(total) + 1}")},
+    }
+    for name, tampered in cases.items():
+        for key, line in tampered.items():
+            _replace_line(tables, key, line)
+        before = len(grown)
+        for argv, key, line, out in ((args, k7, line7, want), (args6, k6, line6, want6)):
+            assert run(argv) == (0, out), name
+            assert _tables_line(tables, key) == line, name
+        assert len(grown) == before + len(tampered), name
+
+
+def test_cache_audit_recomputes_stored_tables(tmp_path, monkeypatch):
+    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})  # so that the table is grown and stored
+    code, _ = run_cli(["prob", "--n", "6", "--avoid", "2413", "--l", "2", "--k", "1", "--no-meta"], tmp_path)
+    assert code == 0
+    code, out = run_cli(["cache-audit", "--no-meta"], tmp_path)
+    rows = csv_rows(out)
+    assert code == 0 and [r["status"] for r in rows] == ["ok", "ok"]
+    assert rows[1]["key"] == "table:avoid=2413;n=6" and rows[1]["cached"] == rows[1]["recomputed"]
+    code, out = run_cli(["cache-audit", "--max-n", "5", "--no-meta"], tmp_path)
+    assert code == 0 and csv_rows(out)[1]["status"] == "skipped (n > 5)"
+    tables = tmp_path / "counts.txt.tables"
+    key = "avoid=2413;n=6"
+    _, value, _ = _tables_line(tables, key).split("\t")
+    for tampered, cached in ((_resealed(key, value.replace("=", "=1", 1)), None),
+                             (f"{key}\t{value.replace('=', '=1', 1)}\t{rows[1]['cached']}", "bad checksum")):
+        _replace_line(tables, key, tampered)
+        code, out = run_cli(["cache-audit", "--no-meta"], tmp_path)
+        row = csv_rows(out)[1]
+        assert code == 1 and row["status"] == "MISMATCH"
+        assert row["recomputed"] == rows[1]["recomputed"]
+        assert row["cached"] == (cached or tampered.split("\t")[2])

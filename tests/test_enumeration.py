@@ -435,6 +435,14 @@ def test_cached_value_is_used(tmp_path, monkeypatch):
     assert enumeration.fresh_count(5, ps_of("53421")) == 119
 
 
+def test_corrupt_count_lines_are_ignored(tmp_path, monkeypatch):
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    path = tmp_path / "counts.txt"
+    path.write_text("avoid=321;n=5\t\u00b2\navoid=321;n=6\t1 2\navoid=321;n=7\nbad key\t5\navoid=321;n=4\t14\n")
+    assert CountCache(path).items() == [("avoid=321;n=4", 14)]
+    assert count_avoiders(5, ps_of("321"), cache=CountCache(path)) == 42
+
+
 def test_table_pass_mends_a_wrong_cached_count(tmp_path, monkeypatch):
     monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
     monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
@@ -460,6 +468,56 @@ def test_a_known_count_is_written_once(tmp_path, monkeypatch):
     assert count_avoiders(5, ps_of("321"), cache=cache) == 42
     assert enumeration.event_count_table(5, ps_of("321"), cache=cache).total == 42
     assert puts.count("avoid=321;n=5") == 1
+
+
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
+def test_stored_table_reads_back_as_grown(ps, tmp_path, monkeypatch):
+    # a table written to the table store and read back with fresh memos, by a
+    # cache object that has not seen it, equals the grown table
+    path = tmp_path / "counts.txt"
+    for n in range(3, 9):
+        grown = enumeration.fresh_table(n, ps)
+        monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        event_count_table(n, ps, cache=CountCache(path))
+        monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "fresh_table", None)  # a lookup that grows fails
+            stored = event_count_table(n, ps, cache=CountCache(path))
+        assert_same_table(stored, grown)
+    lines = (tmp_path / "counts.txt.tables").read_text().splitlines()
+    assert [line.split("\t")[0] for line in lines] == sorted(f"avoid={ps.key()};n={n}" for n in range(3, 9))
+
+
+def test_table_store_rejects_resealed_lines_out_of_range_or_bound(tmp_path):
+    # lines in the written form under a valid checksum are still checked:
+    # each (l, k, a) in range, each count positive and at most the union
+    # at its l, each union at most the total, and the total as given
+    ps, n = ps_of("1342"), 7
+    good = enumeration.fresh_table(n, ps)
+    store = enumeration.TableStore(tmp_path / "t.tables")
+    key = enumeration.cache_key(n, ps)
+
+    def stored(by_lka, union_by_l, total=good.total):
+        table = enumeration.EventTable.of(n, ps.key(), total, by_lka, union_by_l)
+        store.put(key, enumeration.TableStore.encode(key, table))
+        return enumeration.TableStore(store.path).table(n, ps, good.total)
+
+    assert_same_table(stored(good.by_lka, good.union_by_l), good)
+    (l, k, a), count = next(iter(good.by_lka.items()))
+    bad_lines = {
+        "l = n": ({**good.by_lka, (n, 1, 1): 1}, good.union_by_l),
+        "k past n - l + 1": ({**good.by_lka, (l, n - l + 2, a): 1}, good.union_by_l),
+        "a = 0": ({**good.by_lka, (l, k, 0): 1}, good.union_by_l),
+        "union at l = 1": (good.by_lka, {**good.union_by_l, 1: 1}),
+        "zero count": ({**good.by_lka, (l, k, a): 0}, good.union_by_l),
+        "count above its union": ({**good.by_lka, (l, k, a): good.union_by_l[l] + 1}, good.union_by_l),
+        "union above the total": (good.by_lka, {**good.union_by_l, l: good.total + 1}),
+    }
+    for name, (by_lka, union_by_l) in bad_lines.items():
+        assert stored(by_lka, union_by_l) is None, name
+    assert stored(good.by_lka, good.union_by_l, good.total + 1) is None
 
 
 def _put_many(path, pattern):

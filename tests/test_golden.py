@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from permcluster import cli
+from permcluster import cli, enumeration
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,6 +83,24 @@ def run_case(argv: list[str], home: Path) -> tuple[int, str, str]:
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_cli_output_matches_golden(name, argv, code, tmp_path):
     got_code, out, err = run_case(argv, tmp_path)
+    assert got_code == code
+    assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert err.encode() == (GOLDEN / f"{name}.stderr").read_bytes()
+
+
+WARM_CASES = [case for case in CASES if case[1][0] in ("prob", "table")]
+
+
+@pytest.mark.parametrize("name,argv,code", WARM_CASES, ids=[c[0] for c in WARM_CASES])
+def test_warm_cache_output_matches_golden(name, argv, code, tmp_path, monkeypatch):
+    # the second run starts from empty memos, so its tables come from the
+    # store beside the cache that the first run wrote, not from growth
+    for run in range(2):
+        monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        if run:
+            monkeypatch.setattr(enumeration, "fresh_table", None)
+        got_code, out, err = run_case(argv, tmp_path)
     assert got_code == code
     assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
     assert err.encode() == (GOLDEN / f"{name}.stderr").read_bytes()
