@@ -9,7 +9,10 @@ memos, the stores or a closed form never imports numpy.  The names of the
 engine that callers use (`avoider_rows`, `contains_pattern_rows`,
 `cluster_windows`) stay here.
 
-|S_n| = n! is an identity, returned for every n without enumeration.  The
+|S_n| = n! is an identity, returned for every n without enumeration, and
+so is |S_n(ps)| = n! for n below the shortest pattern of ps.  A listing
+is the one result that holds a whole class; it is counted first and
+refused (DomainError) if its rows would pass _MAX_LISTING_BYTES.  The
 other counting fast paths (Catalan for a single length-3 pattern, a
 Schroeder-type linear recurrence for the separable class) are only used
 for n > 10, once per process the closed form has reproduced the counts
@@ -60,7 +63,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 _VALIDATE_UPTO = 10
-_MAX_TABLE_N_SN = 11  # S_n event tables grow n! / n parents
+_MAX_TABLE_N_SN = 12  # S_n event tables grow n! / n parents
+# A listing holds its whole class as int8 rows, n bytes a member, and a
+# larger one is refused before it is grown.  The largest listing of all of
+# S_n that completes on an 8 GB machine is S_10, 36 MB of rows: through the
+# CLI, which keeps about 420 bytes of Python objects a member, it peaks at
+# 1.5 GiB (S_11 would need 17 GiB).
+_MAX_LISTING_BYTES = 40_000_000
 
 V = TypeVar("V")
 
@@ -363,10 +372,11 @@ class CountCache(_LineStore[int]):
 
 
 def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
-    """Count by enumeration only, bypassing memos, caches and fast paths."""
+    """Count by enumeration only, bypassing memos, caches and fast paths.
+    Below its shortest pattern a class is all of S_n, and n! an identity."""
     if n == 0:
         return 1
-    if ps.is_empty():
+    if ps.is_empty() or 0 < n < min(len(tau) for tau in ps):
         return math.factorial(n)
     engine = _engine()
     return sum(engine._split_grow(n, ps, jobs, engine._count_leaves, ProcessPoolExecutor))
@@ -428,7 +438,13 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
 
 
 def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:
-    """S_n(ps) as an int8 array, one row per member, in lexicographic order."""
+    """S_n(ps) as an int8 array, one row per member, in lexicographic order.
+
+    The class is counted first (n! for S_n, without growth), and a listing
+    of more than _MAX_LISTING_BYTES of rows is refused."""
+    size = count_avoiders(n, ps) * n if n >= 1 else 0
+    if size > _MAX_LISTING_BYTES:
+        raise DomainError(f"listing S_{n}({ps}) takes {size} bytes of rows, over the budget of {_MAX_LISTING_BYTES}")
     return _engine().avoider_rows(n, ps)
 
 

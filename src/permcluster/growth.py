@@ -2,12 +2,12 @@
 
 One engine serves every class, S_n included (no forbidden patterns).  It
 grows avoiders length by length.  Because avoidance only depends on
-relative order, each level below n holds the full numpy array of avoiding
-patterns of that length; a length-j avoider is extended by appending a new
-last entry of rank r in 1..j+1 (existing values >= r are bumped up by
-one).  Since the parent already avoids everything, the child survives iff
-the appended entry does not complete a forbidden occurrence ending at the
-last position, and that test reduces per candidate occurrence to an
+relative order, each level below n is a numpy array of avoiding patterns
+of that length; a length-j avoider is extended by appending a new last
+entry of rank r in 1..j+1 (existing values >= r are bumped up by one).
+Since the parent already avoids everything, the child survives iff the
+appended entry does not complete a forbidden occurrence ending at the last
+position, and that test reduces per candidate occurrence to an
 interval of bad ranks.  Every row carries the union of those intervals as
 a bitmask.  A child inherits its parent's mask with the ranks at and above
 r moved up by one, so the kernel only scans the head occurrences that end
@@ -19,8 +19,19 @@ pattern cost the same.  Growth starts at S_0, the empty permutation, so
 S_1 gets its mask from the same kernel too.  Counting and event tables
 stop at width n - 1 and never build a width-n row: a count adds up each
 row's free ranks in 1..n, and a table reads every event off the width
-n - 1 rows and their free ranks, one chunk of rows at a time.  Only a
-listing builds the final level, exactly S_n(patterns).
+n - 1 rows and their free ranks.  Only a listing builds the final level,
+exactly S_n(patterns).
+
+Growth is depth-first in bounded parts: `_descendants` cuts a level into
+parts of at most _CHUNK_ROWS rows and grows each part's subtree to the
+target width, yielding it part by part, before it starts the next part.
+So at most one part's children of each width are held at a time, and the
+memory of a count or a table is bounded by the part size, not by the
+level (each level is up to j + 1 times the one before).  The same
+constant bounds the kernel's and the tabulation's chunks, whose
+temporaries are a few times the chunk's rows.  Counts and tables are
+sums, so the order of the parts does not matter; a listing, the only
+consumer that holds a whole class, is sorted at the end.
 
 Event counts (which blocks of l consecutive values sit in l consecutive
 positions) start from the parents' cluster windows, found with sliding
@@ -34,10 +45,10 @@ a popcount of the mask.  For a fixed l, the block determines its
 positions, so per permutation each (l, k) and each (l, k, a) occurs at
 most once and counting children counts permutations.
 
-Work splitting deals an intermediate level's rows, masks included,
-round-robin into 4 * jobs disjoint parts, which the worker processes take
-one at a time; the subtree results are merged by addition, so parallel
-runs are pure and deterministic.
+Work splitting deals an early level's rows, masks included, round-robin
+into 4 * jobs disjoint parts, which the worker processes take one at a
+time and grow depth-first like the serial path; the subtree results are
+merged by addition, so parallel runs are pure and deterministic.
 
 This module imports numpy.  `enumeration` imports it on the first call
 that has to enumerate, so that answers from the memo, the stores and the
@@ -55,7 +66,7 @@ import numpy as np
 from .enumeration import EventTable
 from .perms import DomainError, PatternSet, Permutation
 
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 13  # rows in a part of a level, a kernel chunk and a tabulation chunk
 _MAX_ENUM_N = 60  # rank bitmasks are uint64
 
 T = TypeVar("T")
@@ -196,27 +207,35 @@ def _root(n: int) -> Level:
     return np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.uint64)
 
 
-def _grow(level: Level, width: int, metas: list[_PatternMeta]) -> Level:
-    """Grow a level, held whole, until its rows have the given width."""
-    while level[0].shape[1] < width:
-        level = _children(level, metas)
-    return level
+def _descendants(level: Level, width: int, metas: list[_PatternMeta]) -> Iterator[Level]:
+    """The descendants of `level` at the given width, in parts of at most
+    _CHUNK_ROWS rows: each part of `level` has its subtree grown and yielded
+    before the next part starts, so at most one part's children of each
+    width are held, and the recursion is at most `width` deep."""
+    rows, bad = level
+    for s in range(0, len(rows), _CHUNK_ROWS):
+        part = rows[s : s + _CHUNK_ROWS], bad[s : s + _CHUNK_ROWS]
+        if rows.shape[1] < width:
+            yield from _descendants(_children(part, metas), width, metas)
+        else:
+            yield part
 
 
 def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
     """|S_n(ps)| below `level`, read off the width n-1 masks: each row has
     one child per free rank in 1..n.  No width-n row is built."""
-    bad = _grow(level, n - 1, _pattern_metas(ps))[1]
-    return int(np.bitwise_count(_free_ranks(bad, n)).sum())
+    return sum(int(np.bitwise_count(_free_ranks(bad, n)).sum())
+               for _, bad in _descendants(level, n - 1, _pattern_metas(ps)))
 
 
 def _split_grow(n: int, ps: PatternSet, jobs: int,
                 consume: Callable[[int, PatternSet, Level], T], pool: Callable) -> list[T]:
-    """consume(n, ps, level) over disjoint levels covering S_n(ps).
+    """consume(n, ps, level) over disjoint levels covering S_n(ps); each
+    consumer grows its level depth-first through `_descendants`.
 
-    With one job the level is the root S_0, run in-process.  Otherwise the
-    level is grown until it has at least 16 * jobs rows and dealt out with
-    its masks, row i to part i mod (4 * jobs), so that neighbouring
+    With one job the level is the root S_0, consumed in-process.  Otherwise
+    the level is grown until it has at least 16 * jobs rows and dealt out
+    with its masks, row i to part i mod (4 * jobs), so that neighbouring
     subtrees, which tend to be alike in size, land in different parts.  A
     pool(max_workers=jobs) of workers takes the parts one at a time, so a
     worker that finishes early, or runs on a less busy core, takes more of
@@ -236,8 +255,9 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
 
 def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:
     """S_n(ps) as an int8 array, one row per member, in lexicographic order."""
-    parents, bad = _grow(_root(n), n - 1, _pattern_metas(ps))
-    rows = np.vstack([_append(parents[_free(bad, r)], r) for r in range(1, n + 1)])
+    parts = [_append(parents[_free(bad, r)], r)
+             for parents, bad in _descendants(_root(n), n - 1, _pattern_metas(ps)) for r in range(1, n + 1)]
+    rows = np.vstack(parts) if parts else np.zeros((0, n), dtype=np.int8)
     return rows[np.lexsort(rows.T[::-1])]
 
 
@@ -324,14 +344,12 @@ def _tabulate_chunk(rows: np.ndarray, bad: np.ndarray, n: int,
 
 def _table_parents(n: int, ps: PatternSet, level: Level) -> EventTable:
     """The event table of the width-n descendants of `level` that avoid ps,
-    read off the width n-1 rows and masks one chunk at a time: no width-n
+    read off the width n-1 rows and masks one part at a time: no width-n
     row is built."""
-    rows, bad = _grow(level, n - 1, _pattern_metas(ps))
     lka = np.zeros((n, n + 2, n + 2), dtype=np.int64)
     union = np.zeros(n, dtype=np.int64)
-    total = 0
-    for s in range(0, len(rows), _CHUNK_ROWS):
-        total += _tabulate_chunk(rows[s : s + _CHUNK_ROWS], bad[s : s + _CHUNK_ROWS], n, lka, union)
+    total = sum(_tabulate_chunk(rows, bad, n, lka, union)
+                for rows, bad in _descendants(level, n - 1, _pattern_metas(ps)))
     by_lka = {(int(l), int(k), int(a)): int(lka[l, k, a]) for l, k, a in zip(*np.nonzero(lka))}
     union_by_l = {int(l): int(union[l]) for l in np.nonzero(union)[0]}
     return EventTable.of(n, ps.key(), total, by_lka, union_by_l)

@@ -211,6 +211,21 @@ def test_domain_error_exit(tmp_path):
     assert code == 3
 
 
+def test_oversized_listing_and_table_exit_3_before_growth(tmp_path, monkeypatch, capsys):
+    # 13! rows of 13 bytes are over the listing budget, and S_13 is over the
+    # S_n table cap; both are refused without growing anything
+    def no_growth():
+        raise AssertionError("no growth expected")
+
+    monkeypatch.setattr(enumeration, "_engine", no_growth)
+    code, out = run_cli(["enumerate", "--n", "13", "--avoid="], tmp_path)
+    assert code == 3 and out == ""
+    assert "over the budget of 40000000" in capsys.readouterr().err
+    code, out = run_cli(["prob", "--n", "13", "--avoid=", "--l", "3", "--union"], tmp_path)
+    assert code == 3 and out == ""
+    assert "out of reach (n! rows); n <= 12" in capsys.readouterr().err
+
+
 def test_parse_error_exit(tmp_path):
     code, _ = run_cli(["count", "--n", "5", "--avoid", "33"], tmp_path)
     assert code == 2
@@ -301,6 +316,57 @@ def test_answers_from_the_stores_leave_out_numpy(tmp_path):
         again, used = run(args)
         assert used == "0 False" and again == first
     assert (tmp_path / "counts.txt.tables").read_text().startswith("avoid=321;n=8\t")
+
+
+def test_count_below_the_pattern_length_leaves_out_numpy(tmp_path):
+    # |S_3(1342)| = 3! without growth, written to the count file as before
+    probe = ("import sys; from permcluster import cli; code = cli.main(sys.argv[1:]); "
+             "print(code, 'numpy' in sys.modules)")
+    cache = tmp_path / "counts.txt"
+    proc = subprocess.run([sys.executable, "-c", probe, "limits", "cor1:1342", "--l", "3", "--no-meta",
+                           "--cache", str(cache)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *output, used = proc.stdout.splitlines()
+    assert used == "0 False"
+    assert output[1:] == [
+        "pattern,l,growth_limit,upper,upper_dec,exact,exact_dec,lower,lower_dec,note",
+        '1342,3,8,3/32,0.09375,,,1/64,0.015625,"conditions held: c1,c2; cluster-free: False"',
+    ]
+    assert cache.read_text() == "avoid=1342;n=3\t6\n"
+
+
+# Runs `python -c <code>` and prints its exit code, its peak RSS in KiB and
+# its stdout.  A child's peak RSS counts the pages of the process it was
+# forked from, so the measured process is started from this small driver,
+# not from the test process.
+_RSS_DRIVER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-c", sys.argv[1]], stdout=subprocess.PIPE)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+sys.stdout.write(out.decode())
+"""
+
+
+def peak_rss_mib(code):
+    """Run `python -c code` in a fresh process; its exit code, stdout and
+    peak RSS in MiB."""
+    proc = subprocess.run([sys.executable, "-c", _RSS_DRIVER, code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    head, _, out = proc.stdout.partition("\n")
+    status, rss_kib = map(int, head.split())
+    return status, out, rss_kib / 1024
+
+
+def test_count_memory_is_bounded_by_the_part_size(tmp_path):
+    # growth holds one part of each level at a time, so counting the 22M
+    # members of S_12(1342) takes a few MiB above the imports
+    baseline = peak_rss_mib("import numpy, permcluster.cli")[2]
+    args = ["count", "--n", "12", "--avoid", "1342", "--no-meta", "--cache", str(tmp_path / "counts.txt")]
+    code, out, peak = peak_rss_mib(f"import sys; from permcluster import cli; sys.exit(cli.main({args!r}))")
+    assert code == 0 and out.splitlines()[-1] == "12,1342,22214707"
+    assert peak - baseline < 48, (peak, baseline)
 
 
 def test_jobs_bound_is_the_cores_the_process_may_use(tmp_path, monkeypatch, capsys):

@@ -102,6 +102,15 @@ def test_stream_rejects_n_zero():
         list(enumerate_avoiders(0, EMPTY_PATTERNS))
 
 
+def test_listing_over_the_row_budget_is_refused(monkeypatch):
+    # the class is counted before it is grown: 42 members of length 5 take
+    # 210 bytes of rows, 14 of length 4 take 56
+    monkeypatch.setattr(enumeration, "_MAX_LISTING_BYTES", 100)
+    assert len(enumeration.avoider_rows(4, ps_of("321"))) == 14
+    with pytest.raises(DomainError, match="210 bytes"):
+        enumeration.avoider_rows(5, ps_of("321"))
+
+
 # ---------------------------------------------------------------------------
 # counting
 
@@ -129,6 +138,13 @@ def test_count_catalan_small():
         ps = PatternSet((Permutation(p),))
         for n in range(1, 9):
             assert count_avoiders(n, ps) == catalan(n)
+
+
+def test_count_below_the_shortest_pattern_is_n_factorial(monkeypatch):
+    # every permutation shorter than each pattern avoids them all; no growth
+    monkeypatch.setattr(enumeration, "_engine", None)
+    for n in range(1, 5):
+        assert enumeration.fresh_count(n, ps_of("25314", "13254")) == math.factorial(n)
 
 
 def test_count_empty_class():
@@ -561,25 +577,31 @@ def test_parallel_fresh_count_matches_serial():
         assert enumeration.fresh_count(8, ps, jobs=2) == enumeration.fresh_count(8, ps)
 
 
+class InlinePool:
+    """An in-process stand-in for the process pool that records the parts
+    it is dealt."""
+
+    parts: list = []
+
+    def __init__(self, max_workers):
+        assert max_workers == 2
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *args):
+        self.parts.extend(args[2])
+        return map(fn, *args)
+
+
 def test_split_deals_rows_round_robin(monkeypatch):
     # the split level is dealt into 4 * jobs parts of near-equal size that
-    # hold every row once; an in-process stand-in for the pool records them
+    # hold every row once; the in-process stand-in for the pool records them
     parts = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            assert max_workers == 2
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *args):
-            parts.extend(args[2])
-            return map(fn, *args)
-
+    monkeypatch.setattr(InlinePool, "parts", parts)
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
     ps = ps_of("1342")
     assert enumeration.fresh_count(9, ps, jobs=2) == enumeration.fresh_count(9, ps)
@@ -601,6 +623,32 @@ def test_parallel_fresh_count_tiny_n_runs_in_process(monkeypatch):
     for n in (1, 2, 3):
         assert enumeration.fresh_count(n, ps_of("231"), jobs=2) == catalan(n)
         assert enumeration.event_count_table(n, ps_of("2413", "13254"), jobs=2).total == math.factorial(n)
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 64])
+def test_growth_in_small_parts_matches_whole_levels(chunk, monkeypatch):
+    # with parts of a few rows every level splits, and every subtree, kernel
+    # chunk and tabulation chunk ends at a part boundary; counts, tables and
+    # listings must not change, serially or dealt to the pool stand-in
+    from permcluster import growth
+
+    sizes = range(1, 7)
+    whole = {ps.key(): ([enumeration.fresh_count(n, ps) for n in sizes], [leaf_table(n, ps) for n in sizes],
+                        [enumeration.avoider_rows(n, ps) for n in sizes], enumeration.fresh_count(7, ps))
+             for ps in DIFFERENTIAL_SETS}
+    monkeypatch.setattr(growth, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "parts", [])
+    for ps in DIFFERENTIAL_SETS:
+        counts, tables, listings, count7 = whole[ps.key()]
+        for n, count, table, rows in zip(sizes, counts, tables, listings):
+            for jobs in (1, 2):
+                assert enumeration.fresh_count(n, ps, jobs=jobs) == count
+                assert_same_table(enumeration.fresh_table(n, ps, jobs=jobs), table)
+            assert np.array_equal(enumeration.avoider_rows(n, ps), rows)
+        assert enumeration.fresh_count(7, ps, jobs=2) == count7
+    # at n = 7 some classes are dealt short of width 6, so the parts grow on in parts
+    assert any(rows.shape[1] < 6 for rows, _ in InlinePool.parts)
 
 
 # ---------------------------------------------------------------------------
