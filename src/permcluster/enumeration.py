@@ -63,7 +63,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 _VALIDATE_UPTO = 10
-_MAX_TABLE_N_SN = 12  # S_n event tables grow n! / n parents
+# S_n event tables grow n! / (2n) parents, the half under 12: the table of
+# all of S_12 (`prob --n 12 --avoid= --l 3 --union`) takes 22 s at 40 MiB
+# peak RSS on a 2-vCPU machine.
+_MAX_TABLE_N_SN = 12
 # A listing holds its whole class as int8 rows, n bytes a member, and a
 # larger one is refused before it is grown.  The largest listing of all of
 # S_n that completes on an 8 GB machine is S_10, 36 MB of rows: through the
@@ -127,6 +130,14 @@ class EventTable:
             raise UndefinedProbabilityError(f"S_{self.n}({self.patterns_key or '(none)'}) is empty")
         return Fraction(self.count(event), self.total)
 
+    def complement_image(self) -> "EventTable":
+        """The table of the complements s_i -> n + 1 - s_i of the members:
+        values k..k+l-1 at positions a..a+l-1 become the block starting at
+        n + 2 - k - l at the same positions, and the total and the unions
+        over k are unchanged."""
+        by_lka = {(l, self.n + 2 - k - l, a): c for (l, k, a), c in self.by_lka.items()}
+        return EventTable.of(self.n, self.patterns_key, self.total, by_lka, self.union_by_l)
+
     def add(self, other: "EventTable") -> None:
         """Add the counts of a disjoint part of the same class."""
         self.total += other.total
@@ -165,8 +176,11 @@ def fresh_table(n: int, ps: PatternSet, *, jobs: int = 1) -> EventTable:
             f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= {_MAX_TABLE_N_SN}"
         )
     engine, table = _engine(), EventTable(n, ps.key())
-    for part in engine._split_grow(n, ps, jobs, engine._table_parents, ProcessPoolExecutor):
+    parts, half = engine._split_grow(n, ps, jobs, engine._table_parents, ProcessPoolExecutor)
+    for part in parts:
         table.add(part)
+    if half:
+        table.add(table.complement_image())
     return table
 
 
@@ -379,7 +393,8 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
     if ps.is_empty() or 0 < n < min(len(tau) for tau in ps):
         return math.factorial(n)
     engine = _engine()
-    return sum(engine._split_grow(n, ps, jobs, engine._count_leaves, ProcessPoolExecutor))
+    counts, half = engine._split_grow(n, ps, jobs, engine._count_leaves, ProcessPoolExecutor)
+    return sum(counts) * (2 if half else 1)
 
 
 def _enumerated_count(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:

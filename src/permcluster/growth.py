@@ -16,7 +16,8 @@ width j, instead of C(j, h).  Every such subset is mapped to its interval
 of bad ranks, a miss to the empty interval, so the kernel's work depends
 on the level's size and the head lengths only: the symmetric images of a
 pattern cost the same.  Growth starts at S_0, the empty permutation, so
-S_1 gets its mask from the same kernel too.  Counting and event tables
+S_1 gets its mask from the same kernel too (complement-closed classes
+start at width 2, below).  Counting and event tables
 stop at width n - 1 and never build a width-n row: a count adds up each
 row's free ranks in 1..n, and a table reads every event off the width
 n - 1 rows and their free ranks.  Only a listing builds the final level,
@@ -45,6 +46,17 @@ a popcount of the mask.  For a fixed l, the block determines its
 positions, so per permutation each (l, k) and each (l, k, a) occurs at
 most once and counting children counts permutations.
 
+Counts and tables of a class closed under complement, s_i -> n + 1 - s_i
+(S_n, SEP, 123+321, ...), grow half the tree.  Appending a last entry
+keeps the relative order of the first two, and complement commutes with
+growth, so for n >= 3 the subtree under 12 holds the members with s_1 <
+s_2 and the complements of its leaves are the rest.  `_start` then
+returns the width-2 level that holds only 12, its mask from the kernel,
+and the caller doubles the count, or adds the table's complement image:
+(l, k, a) -> (l, n + 2 - k - l, a), with the total and the unions
+unchanged.  A listing stays on the whole tree, so that the leaf
+tabulation the tests check tables against shares no code with the mirror.
+
 Work splitting deals an early level's rows, masks included, round-robin
 into 4 * jobs disjoint parts, which the worker processes take one at a
 time and grow depth-first like the serial path; the subtree results are
@@ -64,7 +76,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from .enumeration import EventTable
-from .perms import DomainError, PatternSet, Permutation
+from .perms import DomainError, PatternSet, Permutation, complement
 
 _CHUNK_ROWS = 1 << 13  # rows in a part of a level, a kernel chunk and a tabulation chunk
 _MAX_ENUM_N = 60  # rank bitmasks are uint64
@@ -228,29 +240,47 @@ def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
                for _, bad in _descendants(level, n - 1, _pattern_metas(ps)))
 
 
-def _split_grow(n: int, ps: PatternSet, jobs: int,
-                consume: Callable[[int, PatternSet, Level], T], pool: Callable) -> list[T]:
-    """consume(n, ps, level) over disjoint levels covering S_n(ps); each
-    consumer grows its level depth-first through `_descendants`.
+def _start(n: int, ps: PatternSet, metas: list[_PatternMeta]) -> tuple[Level, bool]:
+    """The level that counts and tables grow from, and whether it is the
+    half root: S_0, or, for a complement-closed ps and n >= 3, the width-2
+    level that holds only 12 (empty if 12 is forbidden), with the mask the
+    kernel gives it.  The half root's descendants are the members with
+    s_1 < s_2, and their complements are the rest of S_n(ps)."""
+    root = _root(n)
+    if n < 3 or PatternSet(tuple(map(complement, ps))) != ps:
+        return root, False
+    rows, bad = _children(_children(root, metas), metas)
+    rising = rows[:, 0] < rows[:, 1]
+    return (rows[rising], bad[rising]), True
 
-    With one job the level is the root S_0, consumed in-process.  Otherwise
-    the level is grown until it has at least 16 * jobs rows and dealt out
-    with its masks, row i to part i mod (4 * jobs), so that neighbouring
-    subtrees, which tend to be alike in size, land in different parts.  A
-    pool(max_workers=jobs) of workers takes the parts one at a time, so a
-    worker that finishes early, or runs on a less busy core, takes more of
-    them; the parts merge by addition.  A level that reaches width n - 1
-    first, still short of 16 * jobs rows, is consumed in-process.
+
+def _split_grow(n: int, ps: PatternSet, jobs: int,
+                consume: Callable[[int, PatternSet, Level], T], pool: Callable) -> tuple[list[T], bool]:
+    """consume(n, ps, level) over disjoint levels covering S_n(ps), or only
+    its half with s_1 < s_2; the flag says which (see `_start`), and the
+    caller adds the complement image of a half.  Each consumer grows its
+    level depth-first through `_descendants`.
+
+    With one job the level is the start level, consumed in-process.
+    Otherwise the level is grown until it has at least 16 * jobs rows and
+    dealt out with its masks, row i to part i mod (4 * jobs), so that
+    neighbouring subtrees, which tend to be alike in size, land in
+    different parts.  A pool(max_workers=jobs) of workers takes the parts
+    one at a time, so a worker that finishes early, or runs on a less busy
+    core, takes more of them; the parts merge by addition.  A level that
+    reaches width n - 1 first, still short of 16 * jobs rows, is consumed
+    in-process.
     """
-    level, metas = _root(n), _pattern_metas(ps)
+    metas = _pattern_metas(ps)
+    level, half = _start(n, ps, metas)
     while jobs > 1 and level[0].shape[1] < n - 1 and len(level[0]) < 16 * jobs:
         level = _children(level, metas)
     if jobs <= 1 or len(level[0]) < 16 * jobs:
-        return [consume(n, ps, level)]
+        return [consume(n, ps, level)], half
     k = 4 * jobs
     parts = [(level[0][i::k], level[1][i::k]) for i in range(k)]
     with pool(max_workers=jobs) as workers:
-        return list(workers.map(consume, [n] * k, [ps] * k, parts))
+        return list(workers.map(consume, [n] * k, [ps] * k, parts)), half
 
 
 def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:

@@ -23,7 +23,6 @@ from .perms import (
     Permutation,
     check_conditions,
     complement,
-    in_cluster_event,
     reverse,
 )
 
@@ -218,6 +217,17 @@ def cor2_suite(max_n: int | None = None) -> SuiteReport:
 # symmetry
 
 
+def _cluster_events(rows: np.ndarray) -> np.ndarray:
+    """hit[i, l, k]: whether row i holds the values k..k+l-1 in l
+    consecutive positions, for l = 2 .. width - 1."""
+    n = rows.shape[1]
+    hit = np.zeros((len(rows), n, n + 1), dtype=bool)
+    for l, cluster, cmin in enumeration.cluster_windows(rows):
+        i, a = np.nonzero(cluster)
+        hit[i, l, cmin[i, a]] = True
+    return hit
+
+
 def symmetry_suite(max_n: int = 9) -> SuiteReport:
     rows = []
     ps321 = PatternSet((Permutation((3, 2, 1)),))
@@ -238,20 +248,17 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
                 "symmetry", f"complement map n={n} (l={l},k={k})->(l={l},k={kk})",
                 str(a321), str(a_mapped), a321 == a_mapped,
             ))
-    # pointwise window behavior under reverse and complement, exhaustive n=6
+    # pointwise window behavior under reverse and complement, exhaustive n=6:
+    # each member's events (l, k) against those of its reverse, and against
+    # those of its complement at (l, n+2-k-l)
     n = 6
-    bad = 0
-    cases = 0
-    for vals in itertools.permutations(range(1, n + 1)):
-        p = Permutation(vals)
-        for l, k in _events(n):
-            ev = ClusterEvent(l, k)
-            hit = in_cluster_event(p, ev)
-            cases += 2
-            if hit != in_cluster_event(reverse(p), ev):
-                bad += 1
-            if hit != in_cluster_event(complement(p), ClusterEvent(l, n + 2 - k - l)):
-                bad += 1
+    members = enumeration.avoider_rows(n, EMPTY_PATTERNS)
+    hit, rev, comp = (_cluster_events(rows) for rows in (members, members[:, ::-1], n + 1 - members))
+    bad = cases = 0
+    for l in range(2, n):
+        ks = np.arange(1, n - l + 2)
+        bad += int((hit[:, l, ks] != rev[:, l, ks]).sum() + (hit[:, l, ks] != comp[:, l, n + 2 - ks - l]).sum())
+        cases += 2 * hit[:, l, ks].size
     rows.append(CheckRow("symmetry", f"pointwise reverse/complement n={n}",
                          f"0 of {cases} mismatches", f"{bad} mismatches", bad == 0))
     # reversing maps the 123-avoiders onto the 321-avoiders

@@ -19,6 +19,7 @@ from permcluster import (
     UndefinedProbabilityError,
     avoids_all,
     catalan,
+    complement,
     count_avoiders,
     count_event,
     count_union_event,
@@ -236,8 +237,18 @@ def assert_same_table(got, want):
         assert all(v > 0 for v in counts.values()), name
 
 
+def complement_closure(ps):
+    return PatternSet(tuple(set(ps) | {complement(tau) for tau in ps}))
+
+
+# Pattern sets equal to their complement image, besides S_n, SEP and 12+21:
+# counts and tables of these classes grow only the subtree under 12.
+CLOSED_SETS = [ps_of("123", "321"), ps_of("132", "312"), ps_of("1342", "4213"), ps_of("2143", "3412")] \
+    + [complement_closure(ps) for ps in random_pattern_sets(9, 2)]
+
 DIFFERENTIAL_SETS = [EMPTY_PATTERNS, SEP, ps_of("12"), ps_of("12", "21"), ps_of("321"), ps_of("1342"),
-                     ps_of("25314"), ps_of("315264"), ps_of("2413", "13254")] + random_pattern_sets(6, 10)
+                     ps_of("25314"), ps_of("315264"), ps_of("2413", "13254")] + random_pattern_sets(6, 10) \
+    + CLOSED_SETS
 
 
 @pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
@@ -281,10 +292,50 @@ def test_event_table_matches_expansion_map(ps):
         assert dict(table.by_lk) == dict(by_lk)
 
 
-@pytest.mark.parametrize("ps", [SEP, ps_of("2413", "13254")], ids=lambda ps: ps.key())
+@pytest.mark.parametrize("ps", [SEP, ps_of("2413", "13254"), EMPTY_PATTERNS, ps_of("132", "312")],
+                         ids=lambda ps: ps.key() or "S_n")
 def test_parallel_event_table_matches_leaf_tabulation(ps, monkeypatch):
     monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
     assert_same_table(event_count_table(8, ps, jobs=2), leaf_table(8, ps))
+
+
+@pytest.mark.parametrize("ps, parents", [(EMPTY_PATTERNS, math.factorial(7) // 2), (SEP, 1806 // 2),
+                                        (ps_of("1342"), 2740)], ids=["S_n", "sep", "1342"])
+def test_closed_classes_read_only_the_parents_under_12(ps, parents, monkeypatch):
+    # S_8 and SEP at n = 8 are complement-closed: their tables and counts read
+    # the width-7 parents with s_1 < s_2, half of S_7(ps); 1342 is not closed
+    # (its image is 4213), so all 2740 members of S_7(1342) are read
+    from permcluster import growth
+
+    want, tabulated, counted = leaf_table(8, ps), [], []
+    tabulate, free_ranks = growth._tabulate_chunk, growth._free_ranks
+    monkeypatch.setattr(growth, "_tabulate_chunk", lambda rows, *args: tabulated.append(rows.shape) or
+                        tabulate(rows, *args))
+    assert_same_table(enumeration.fresh_table(8, ps), want)
+    assert {w for _, w in tabulated} == {7}
+    assert sum(rows for rows, _ in tabulated) == parents
+    if not ps.is_empty():  # |S_n| = n! is not counted by growth
+        monkeypatch.setattr(growth, "_free_ranks", lambda bad, n: counted.append(len(bad)) or free_ranks(bad, n))
+        assert enumeration.fresh_count(8, ps) == want.total
+        assert sum(counted) == parents
+
+
+@pytest.mark.parametrize("ps", [EMPTY_PATTERNS, SEP, ps_of("12", "21")] + CLOSED_SETS,
+                         ids=lambda ps: ps.key() or "S_n")
+def test_closed_classes_at_the_smallest_sizes(ps):
+    # n = 1, 2 grow the whole tree; from n = 3 the subtree under 12, which
+    # 12+21 leaves empty: its classes are empty from n = 2 on
+    from permcluster import growth
+
+    for n in (1, 2, 3, 4):
+        naive = naive_avoider_list(n, ps)
+        assert enumeration.fresh_count(n, ps) == len(naive)
+        for jobs in (1, 2):
+            assert_same_table(enumeration.fresh_table(n, ps, jobs=jobs), leaf_table(n, ps))
+        level, half = growth._start(n, ps, growth._pattern_metas(ps))
+        assert half == (n >= 3)
+        if half:
+            assert level[0].tolist() == ([] if ps == ps_of("12", "21") else [[1, 2]])
 
 
 def test_worked_example_is_counted():
