@@ -8,7 +8,9 @@ used in any comparison.  Exit codes: 0 success; 1 verification
 counterexample, formula disagreement or cache-audit mismatch; 2 usage or
 parse error, or a --cache path that cannot be used; 3 domain error; 4
 internal error (an unexpected exception, reported with its traceback on
-stderr).  The verification suites are imported by `verify` only.
+stderr).  A command imports only what it runs: the verification suites
+only for `verify`, the closed forms for `--formula` and `limits`, json for
+`--format json` and traceback for exit 4.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from . import enumeration, formulas
+from . import enumeration
 from .perms import (
     EMPTY_PATTERNS,
     SEP,
@@ -32,6 +32,7 @@ from .perms import (
     ParseError,
     PatternSet,
     is_cluster_free,
+    one_line,
     parse_permutation,
 )
 
@@ -86,6 +87,7 @@ def _emit(records: list[dict], meta: dict, args, out) -> None:
     if args.no_meta:
         meta = {k: v for k, v in meta.items() if k != "generated_at"}
     if args.format == "json":
+        import json
         json.dump({"meta": meta, "rows": records}, out, indent=2)
         out.write("\n")
         return
@@ -113,12 +115,13 @@ def _cmd_count(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_enumerate(args) -> tuple[list[dict], bool]:
-    ps = parse_avoid_spec(args.avoid)
-    records = [{"permutation": p.text()} for p in enumeration.enumerate_avoiders(args.n, ps)]
-    return records, False
+    rows = enumeration.avoider_rows(args.n, parse_avoid_spec(args.avoid)).tolist()
+    return [{"permutation": one_line(row)} for row in rows], False
 
 
 def _closed_form(n: int, ps: PatternSet, event: ClusterEvent, cache) -> tuple[str, Fraction | None]:
+    from . import formulas
+
     if ps.is_empty():
         return "uniform", formulas.uniform_probability(n, event.l, event.k)
     if len(ps) == 1 and ps.patterns[0].values in ((3, 2, 1), (1, 2, 3)):
@@ -200,6 +203,8 @@ def _cmd_verify(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_limits(args) -> tuple[list[dict], bool]:
+    from . import formulas
+
     cache = _cache(args)
     records = []
     ls = parse_int_range(args.l)
@@ -403,6 +408,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as exc:
+        import traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -40,10 +40,8 @@ import fcntl
 import itertools
 import math
 import os
-import tempfile
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generic, Iterator, TypeVar
@@ -76,9 +74,6 @@ _MAX_LISTING_BYTES = 40_000_000
 
 V = TypeVar("V")
 
-BigCount = int
-ExactRatio = Fraction
-
 
 def _engine():
     """The numpy growth engine, imported on the first enumeration."""
@@ -95,16 +90,21 @@ def ProcessPoolExecutor(max_workers: int):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
-@dataclass
 class EventTable:
     """Exact counts of avoiders in every cluster event at one (n, patterns)."""
 
-    n: int
-    patterns_key: str
-    total: int = 0
-    by_lk: Counter[tuple[int, int]] = field(default_factory=Counter)
-    by_lka: Counter[tuple[int, int, int]] = field(default_factory=Counter)
-    union_by_l: Counter[int] = field(default_factory=Counter)
+    __hash__ = None  # mutable
+
+    def __init__(self, n: int, patterns_key: str, total: int = 0, by_lk: Counter[tuple[int, int]] | None = None,
+                 by_lka: Counter[tuple[int, int, int]] | None = None, union_by_l: Counter[int] | None = None):
+        self.n, self.patterns_key, self.total = n, patterns_key, total
+        self.by_lk, self.by_lka, self.union_by_l = (Counter() if c is None else c for c in (by_lk, by_lka, union_by_l))
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EventTable({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
     @classmethod
     def of(cls, n: int, patterns_key: str, total: int, by_lka: dict[tuple[int, int, int], int],
@@ -275,6 +275,7 @@ class _LineStore(Generic[V]):
     def put(self, key: str, value: V) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         lock_path = self.path.with_name(self.path.name + ".lock")
+        import tempfile  # only a write needs it
         with open(lock_path, "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             merged = self._parse_file()

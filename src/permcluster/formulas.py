@@ -9,8 +9,8 @@ approximations are produced only at the output boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import enumeration
 from .perms import (
@@ -21,6 +21,7 @@ from .perms import (
     DomainError,
     PatternSet,
     Permutation,
+    _Value,
     check_conditions,
     is_cluster_free,
 )
@@ -44,16 +45,13 @@ def sep_count(n: int, *, cache: "enumeration.CountCache | None" = None) -> int:
 # exact arithmetic in Q(sqrt 2)
 
 
-@dataclass(frozen=True)
-class Sqrt2Number:
+class Sqrt2Number(_Value):
     """The exact number a + b*sqrt(2) with rational coefficients."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        self._set(a=Fraction(a), b=Fraction(b))
 
     def __add__(self, other: "Sqrt2Number") -> "Sqrt2Number":
         return Sqrt2Number(self.a + other.a, self.b + other.b)
@@ -158,8 +156,7 @@ def cluster_free_probability(n: int, l: int, ps: PatternSet, *, cache=None) -> F
     return _product_form(n, l, ps, cache)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Finite-n sandwich for the cluster probability of a one-pattern class.
 
     The upper bound holds for every pattern.  The lower bound needs the
@@ -207,8 +204,7 @@ def cluster_probability_bounds(n: int, l: int, tau: Permutation, *, cache=None) 
 # growth constants and n -> infinity limits
 
 
-@dataclass(frozen=True)
-class SWConstant:
+class SWConstant(NamedTuple):
     """A known exponential growth constant of an avoidance class."""
 
     label: str
@@ -240,8 +236,7 @@ def stanley_wilf_limit(ps: PatternSet) -> SWConstant:
     return SWConstant(label, False, None, None, "unknown")
 
 
-@dataclass(frozen=True)
-class LimitSpec:
+class LimitSpec(_Value):
     """How the block start k behaves as n grows.
 
     fixed-k keeps k constant; fixed-right-offset keeps n + 2 - k - l
@@ -249,19 +244,18 @@ class LimitSpec:
     both k and n - k grow without bound.
     """
 
-    mode: str
-    k: int | None = None
-
+    __slots__ = ("mode", "k")
     _MODES = ("fixed-k", "fixed-right-offset", "interior")
 
-    def __post_init__(self) -> None:
-        if self.mode not in self._MODES:
+    def __init__(self, mode: str, k: int | None = None) -> None:
+        if mode not in self._MODES:
             raise DomainError(f"mode must be one of {self._MODES}")
-        if self.mode == "interior":
-            if self.k is not None:
+        if mode == "interior":
+            if k is not None:
                 raise DomainError("interior mode takes no k")
-        elif self.k is None or self.k < 1:
-            raise DomainError(f"{self.mode} mode needs k >= 1")
+        elif k is None or k < 1:
+            raise DomainError(f"{mode} mode needs k >= 1")
+        self._set(mode=mode, k=k)
 
     @classmethod
     def fixed_k(cls, k: int) -> "LimitSpec":
@@ -291,8 +285,7 @@ def monotone_cluster_limit(l: int, spec: LimitSpec) -> Fraction:
     return base + Fraction(catalan(k - 1) * (catalan(l) - 1), 4 ** (k + l - 1))
 
 
-@dataclass(frozen=True)
-class SeparableClusterLimit:
+class SeparableClusterLimit(NamedTuple):
     """The limiting separable cluster probability sep(l) * (3-2*sqrt(2))^(l-1)."""
 
     l: int
@@ -319,8 +312,7 @@ def separable_cluster_limit(l: int, *, cache=None) -> SeparableClusterLimit:
     return SeparableClusterLimit(l, coeff, l - 1, SEP_RATE ** (l - 1) * coeff)
 
 
-@dataclass(frozen=True)
-class ClusterLimitReport:
+class ClusterLimitReport(NamedTuple):
     """Limit bounds for a one-pattern class, with the clauses that fired.
 
     upper needs one of the structural conditions c1/c2/c3 (which make the

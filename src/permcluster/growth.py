@@ -70,8 +70,7 @@ closed forms start no numpy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -111,8 +110,7 @@ def _order_matches(rows: np.ndarray, t: tuple[int, ...], *, last: bool = False) 
     return cols, ok
 
 
-@dataclass(frozen=True)
-class _PatternMeta:
+class _PatternMeta(NamedTuple):
     head: tuple[int, ...]  # the pattern minus its last entry
     below: int | None  # the head slot valued one below the last entry
     above: int | None  # the head slot valued one above the last entry

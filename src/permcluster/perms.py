@@ -13,8 +13,8 @@ module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import functools
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "ApplicabilityError",
@@ -36,6 +36,7 @@ __all__ = [
     "in_cluster_event",
     "is_cluster_free",
     "is_separable",
+    "one_line",
     "parse_permutation",
     "reverse",
     "tight_contains",
@@ -58,20 +59,59 @@ class UndefinedProbabilityError(DomainError):
     """A probability was requested over an empty class."""
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class _Value:
+    """Base of the immutable value types: equality, hashing, repr and pickling
+    go by the `__slots__` fields in order, and only `__init__` sets them."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__slots__, self._key()))})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+def one_line(values: Sequence[int]) -> str:
+    """One-line notation: compact digits for n <= 9, else space separated."""
+    return ("" if len(values) <= 9 else " ").join(map(str, values))
+
+
+@functools.total_ordering
+class Permutation(_Value):
     """A permutation of [n] in one-line notation, values 1..n."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: Sequence[int]) -> None:
+        vals = tuple(int(v) for v in values)
         n = len(vals)
         if n == 0:
             raise ParseError("a permutation needs at least one value")
         if sorted(vals) != list(range(1, n + 1)):
             raise ParseError(f"{vals} is not a bijection of 1..{n}")
+        self._set(values=vals)
+
+    def __lt__(self, other):
+        return self.values < other.values if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def n(self) -> int:
@@ -87,13 +127,9 @@ class Permutation:
         return self.values[i]
 
     def text(self) -> str:
-        """One-line notation: compact digits for n <= 9, else space separated."""
-        if len(self.values) <= 9:
-            return "".join(str(v) for v in self.values)
-        return " ".join(str(v) for v in self.values)
+        return one_line(self.values)
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
     def __repr__(self) -> str:
         return f"Permutation({self.text()!r})"
@@ -142,18 +178,16 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(values)
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(_Value):
     """A canonically ordered set of forbidden patterns.
 
     The empty set is allowed and means "no constraint" (all of S_n).
     """
 
-    patterns: tuple[Permutation, ...] = ()
+    __slots__ = ("patterns",)
 
-    def __post_init__(self) -> None:
-        pats = tuple(sorted(self.patterns, key=lambda p: p.values))
-        object.__setattr__(self, "patterns", pats)
+    def __init__(self, patterns: Sequence[Permutation] = ()) -> None:
+        pats = tuple(sorted(patterns, key=lambda p: p.values))
         seen = set()
         for p in pats:
             if len(p) < 2:
@@ -161,6 +195,7 @@ class PatternSet:
             if p.values in seen:
                 raise ParseError(f"duplicate pattern {p}")
             seen.add(p.values)
+        self._set(patterns=pats)
 
     def is_empty(self) -> bool:
         return not self.patterns
@@ -185,8 +220,7 @@ EMPTY_PATTERNS = PatternSet(())
 SEP = PatternSet((Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2))))
 
 
-@dataclass(frozen=True)
-class ClusterEvent:
+class ClusterEvent(_Value):
     """The event that values k..k+l-1 occupy l consecutive positions.
 
     With the anchor `a` present the window is pinned to start at position
@@ -194,13 +228,12 @@ class ClusterEvent:
     omitted only when the event is used as the union over all k.
     """
 
-    l: int
-    k: int | None = None
-    a: int | None = None
+    __slots__ = ("l", "k", "a")
 
-    def __post_init__(self) -> None:
-        if self.a is not None and self.k is None:
+    def __init__(self, l: int, k: int | None = None, a: int | None = None) -> None:
+        if a is not None and k is None:
             raise DomainError("an anchored event needs k")
+        self._set(l=l, k=k, a=a)
 
     def validate(self, n: int) -> None:
         """Check the ranges for ambient size n, raising DomainError."""
@@ -213,8 +246,7 @@ class ClusterEvent:
             raise DomainError(f"a={self.a} outside 1..{top} for n={n}, l={self.l}")
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Structural flags of a pattern that control which bounds apply."""
 
     c1: bool

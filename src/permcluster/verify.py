@@ -9,8 +9,8 @@ sweeps) aggregate one row per slice with the number of cases covered.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ S4_PATTERNS = tuple(Permutation(p) for p in itertools.permutations((1, 2, 3, 4))
 CLUSTER_FREE_4 = (Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2)))
 
 
-@dataclass
-class CheckRow:
+class CheckRow(NamedTuple):
     suite: str
     instance: str
     expected: str
@@ -40,8 +39,7 @@ class CheckRow:
     passed: bool
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     rows: list[CheckRow]
 
@@ -51,10 +49,6 @@ class SuiteReport:
 
     def first_failure(self) -> CheckRow | None:
         return next((r for r in self.rows if not r.passed), None)
-
-    def summary(self) -> str:
-        good = sum(r.passed for r in self.rows)
-        return f"{self.name}: {good}/{len(self.rows)} checks passed"
 
 
 def _events(n: int):

@@ -276,14 +276,33 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys
     assert err.endswith("RuntimeError: boom\n")
 
 
-def test_cli_import_leaves_out_the_verification_suites():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, permcluster.cli; print('permcluster.verify' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
+# The modules that a command answered from the stores has no use for.
+HEAVY_MODULES = ("numpy", "dataclasses", "inspect", "json", "traceback", "permcluster.formulas",
+                 "permcluster.transform", "permcluster.growth", "permcluster.verify")
+
+# Runs `cli.main` on its arguments (if any) in a fresh process, then prints
+# its exit code and which of HEAVY_MODULES the process loaded from
+# `from permcluster.cli import main` on.
+_IMPORT_PROBE = f"""
+import sys
+before = set(sys.modules)
+from permcluster.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(set({HEAVY_MODULES!r}) & (set(sys.modules) - before)))
+"""
+
+
+def loaded_modules(*args):
+    """(stdout lines, exit code, loaded heavy modules) of one probed run."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    *output, last = proc.stdout.splitlines()
+    code, *loaded = last.split()
+    return output, int(code), set(loaded)
+
+
+def test_cli_import_leaves_out_the_verification_suites():
+    assert loaded_modules() == ([], 0, set())
 
 
 def test_verify_choices_are_the_suite_names():
@@ -293,41 +312,30 @@ def test_verify_choices_are_the_suite_names():
 
 
 def test_answers_from_the_stores_leave_out_numpy(tmp_path):
-    # a cache-hit count and a table-hit prob, each in a fresh process, never
-    # import numpy; the runs that fill the stores do
-    probe = ("import sys; from permcluster import cli; code = cli.main(sys.argv[1:]); "
-             "print(code, 'numpy' in sys.modules)")
+    # a cache-hit count, a table-hit prob and a limits row, each in a fresh
+    # process, load none of the heavy modules but the closed forms (for
+    # --formula and limits) and json (for --format json); the first count
+    # and prob grow, with numpy, and fill the stores (2413 has no known
+    # growth constant, so its limits rows count nothing)
     cache = ["--cache", str(tmp_path / "counts.txt"), "--no-meta"]
     count = ["count", "--n", "9", "--avoid", "1342", *cache]
     prob = ["prob", "--n", "8", "--avoid", "321", "--l", "3", "--k", "2", "--formula", *cache]
-
-    def run(args):
-        proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        *output, last = proc.stdout.splitlines()
-        return output, last
-
-    imported = subprocess.run([sys.executable, "-c", "import sys, permcluster.cli; print('numpy' in sys.modules)"],
-                              capture_output=True, text=True)
-    assert imported.stdout == "False\n", imported.stderr
-    for args in (count, prob):
-        first, used = run(args)
-        assert used == "0 True"
-        again, used = run(args)
-        assert used == "0 False" and again == first
+    limits = ["limits", "cor1:2413", "--l", "3..5", *cache]
+    formulas = {"permcluster.formulas"}
+    for args, grows, warm in ((count, True, set()), (prob, True, formulas), (limits, False, formulas),
+                              (count + ["--format", "json"], False, {"json"})):
+        first, code, cold = loaded_modules(*args)
+        assert code == 0 and ({"numpy", "permcluster.growth"} <= cold) == grows
+        again, code, loaded = loaded_modules(*args)
+        assert code == 0 and loaded == warm and again == first
     assert (tmp_path / "counts.txt.tables").read_text().startswith("avoid=321;n=8\t")
 
 
 def test_count_below_the_pattern_length_leaves_out_numpy(tmp_path):
     # |S_3(1342)| = 3! without growth, written to the count file as before
-    probe = ("import sys; from permcluster import cli; code = cli.main(sys.argv[1:]); "
-             "print(code, 'numpy' in sys.modules)")
     cache = tmp_path / "counts.txt"
-    proc = subprocess.run([sys.executable, "-c", probe, "limits", "cor1:1342", "--l", "3", "--no-meta",
-                           "--cache", str(cache)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    *output, used = proc.stdout.splitlines()
-    assert used == "0 False"
+    output, code, loaded = loaded_modules("limits", "cor1:1342", "--l", "3", "--no-meta", "--cache", str(cache))
+    assert code == 0 and loaded == {"permcluster.formulas"}
     assert output[1:] == [
         "pattern,l,growth_limit,upper,upper_dec,exact,exact_dec,lower,lower_dec,note",
         '1342,3,8,3/32,0.09375,,,1/64,0.015625,"conditions held: c1,c2; cluster-free: False"',

@@ -1,6 +1,7 @@
 import itertools
 import math
 import multiprocessing
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -249,6 +250,23 @@ CLOSED_SETS = [ps_of("123", "321"), ps_of("132", "312"), ps_of("1342", "4213"), 
 DIFFERENTIAL_SETS = [EMPTY_PATTERNS, SEP, ps_of("12"), ps_of("12", "21"), ps_of("321"), ps_of("1342"),
                      ps_of("25314"), ps_of("315264"), ps_of("2413", "13254")] + random_pattern_sets(6, 10) \
     + CLOSED_SETS
+
+
+def test_event_table_is_a_mutable_record():
+    # equal by its fields, unhashable, printed and pickled (as `--jobs`
+    # workers return their parts) as before; a default table owns its counters
+    table = enumeration.EventTable.of(3, "21", 1, {(2, 1, 1): 1}, {2: 1})
+    assert table == enumeration.EventTable(3, "21", 1, Counter({(2, 1): 1}), Counter({(2, 1, 1): 1}), Counter({2: 1}))
+    assert table != enumeration.EventTable.of(3, "21", 1, {(2, 1, 2): 1}, {2: 1}) and table != (3, "21", 1)
+    assert repr(table) == ("EventTable(n=3, patterns_key='21', total=1, by_lk=Counter({(2, 1): 1}), "
+                           "by_lka=Counter({(2, 1, 1): 1}), union_by_l=Counter({2: 1}))")
+    with pytest.raises(TypeError):
+        hash(table)
+    assert pickle.loads(pickle.dumps(table)) == table
+    empty, other = enumeration.EventTable(4, ""), enumeration.EventTable(4, "")
+    assert repr(empty) == "EventTable(n=4, patterns_key='', total=0, by_lk=Counter(), by_lka=Counter(), union_by_l=Counter())"
+    empty.add(table)
+    assert empty.total == 1 and empty.by_lka == table.by_lka and other == enumeration.EventTable(4, "")
 
 
 @pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from conftest import assert_value_semantics
+
 from permcluster import (
     SEP,
     ApplicabilityError,
@@ -298,3 +300,48 @@ def test_union_ratio_small_value():
     r = union_asymptotic_ratio(6, 3)
     assert 0 < r < 10
     assert union_asymptotic_ratio(6, 5) > 0  # l = n - 1 boundary accepted
+
+
+# ---------------------------------------------------------------------------
+# value types and report records
+
+
+_P1342 = parse_permutation("1342")
+
+
+@pytest.mark.parametrize("make,unequal,text", [
+    (lambda: Sqrt2Number(3, -2), Sqrt2Number(3, 2), "Sqrt2Number(a=Fraction(3, 1), b=Fraction(-2, 1))"),
+    (lambda: LimitSpec.fixed_k(2), LimitSpec.fixed_right_offset(2), "LimitSpec(mode='fixed-k', k=2)"),
+    (lambda: LimitSpec.interior(), LimitSpec.fixed_k(1), "LimitSpec(mode='interior', k=None)"),
+    (lambda: stanley_wilf_limit(PatternSet((_P1342,))), stanley_wilf_limit(SEP),
+     "SWConstant(label='1342', known=True, value=8, approx=8.0, source='class of 1342')"),
+    (lambda: separable_cluster_limit(3), separable_cluster_limit(4),
+     "SeparableClusterLimit(l=3, coefficient=6, power=2, "
+     "value=Sqrt2Number(a=Fraction(102, 1), b=Fraction(-72, 1)))"),
+    (lambda: cluster_probability_bounds(6, 3, _P1342), cluster_probability_bounds(7, 3, _P1342),
+     "BoundReport(pattern=Permutation('1342'), n=6, l=3, upper=Fraction(69, 256), lower=Fraction(23, 512), "
+     "lower_factor=1, tight12=True, tight21=False, note='lower factor 1: one tight pair present')"),
+    (lambda: cluster_limit_report(_P1342, 3), cluster_limit_report(_P1342, 4),
+     "ClusterLimitReport(pattern=Permutation('1342'), l=3, conditions=ConditionReport(c1=True, c2=True, "
+     "c3=False, tight12=True, tight21=False, cluster_free=False), sw=SWConstant(label='1342', known=True, "
+     "value=8, approx=8.0, source='class of 1342'), limit_used=8, upper=Fraction(3, 32), exact=None, "
+     "lower=Fraction(1, 64), lower_factor=1, note='conditions held: c1,c2; cluster-free: False')"),
+], ids=["Sqrt2Number", "LimitSpec-fixed", "LimitSpec-interior", "SWConstant", "SeparableClusterLimit",
+        "BoundReport", "ClusterLimitReport"])
+def test_value_types_and_records_keep_their_semantics(make, unequal, text):
+    assert_value_semantics(make(), make(), unequal, text)
+
+
+def test_limit_spec_and_sqrt2_differ_from_the_tuples_of_their_fields():
+    assert LimitSpec.fixed_k(2) != ("fixed-k", 2)
+    assert Sqrt2Number(3, 0) != (3, 0) and Sqrt2Number(3, 0) != 3
+
+
+def test_verification_rows_are_records():
+    from permcluster.verify import CheckRow, SuiteReport
+
+    row = CheckRow("cor2", "l=2", "1/4", "1/4", True)
+    assert_value_semantics(row, CheckRow("cor2", "l=2", "1/4", "1/4", True), row._replace(passed=False),
+                           "CheckRow(suite='cor2', instance='l=2', expected='1/4', actual='1/4', passed=True)")
+    report = SuiteReport("cor2", [row, row._replace(passed=False)])
+    assert not report.passed and report.first_failure() is report.rows[1]

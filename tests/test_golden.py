@@ -34,6 +34,8 @@ CASES = [
     ("count_parse_error", ["count", "--n", "5", "--avoid", "33"], 2),
     ("enumerate_n1", ["enumerate", "--n", "1", "--avoid", "21"], 0),
     ("enumerate_sep", ["enumerate", "--n", "4", "--avoid", "2413+3142"], 0),
+    # n >= 10: one-line text is space separated
+    ("enumerate_n10", ["enumerate", "--n", "10", "--avoid", "12"], 0),
     ("prob_monotone", ["prob", "--n", "6", "--avoid", "321", "--l", "2", "--k", "1", "--formula"], 0),
     ("prob_anchored", ["prob", "--n", "6", "--avoid", "132", "--l", "2", "--k", "2", "--a", "3"], 0),
     ("prob_union", ["prob", "--n", "6", "--avoid", "", "--l", "3", "--union", "--formula"], 0),

@@ -1,10 +1,13 @@
 import itertools
+import operator
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import permutations_up_to
+from conftest import assert_value_semantics, permutations_up_to
 from permcluster import (
     EMPTY_PATTERNS,
     SEP,
@@ -312,3 +315,81 @@ def test_pattern_set_rejects_bad_members():
         PatternSet((parse_permutation("1"),))
     with pytest.raises(ParseError):
         PatternSet((parse_permutation("21"), parse_permutation("21")))
+
+
+# ---------------------------------------------------------------------------
+# value semantics and the package namespace
+
+
+@pytest.mark.parametrize("value,equal,unequal,text", [
+    (Permutation((2, 1, 3)), Permutation([2, 1, 3]), Permutation((1, 2, 3)), "Permutation('213')"),
+    (PatternSet((parse_permutation("321"), parse_permutation("123"))),
+     PatternSet([parse_permutation("123"), parse_permutation("321")]), SEP,
+     "PatternSet(patterns=(Permutation('123'), Permutation('321')))"),
+    (ClusterEvent(3, 2), ClusterEvent(l=3, k=2, a=None), ClusterEvent(3, 2, 1), "ClusterEvent(l=3, k=2, a=None)"),
+    (check_conditions(parse_permutation("1342")), check_conditions(parse_permutation("1342")),
+     check_conditions(parse_permutation("2413")),
+     "ConditionReport(c1=True, c2=True, c3=False, tight12=True, tight21=False, cluster_free=False)"),
+], ids=["Permutation", "PatternSet", "ClusterEvent", "ConditionReport"])
+def test_value_types_keep_their_semantics(value, equal, unequal, text):
+    assert_value_semantics(value, equal, unequal, text)
+
+
+def test_value_types_differ_from_the_tuples_of_their_fields():
+    assert Permutation((1, 2)) != (1, 2) and PatternSet(()) != () and ClusterEvent(3, 2) != (3, 2, None)
+    assert len({Permutation((1, 2)), Permutation([1, 2]), PatternSet(()), EMPTY_PATTERNS}) == 2
+
+
+def test_permutations_order_by_their_values_only():
+    perms = [parse_permutation(t) for t in ("312", "1", "21", "123", "2134")]
+    assert [p.text() for p in sorted(perms)] == ["1", "123", "21", "2134", "312"]
+    p, q = parse_permutation("21"), parse_permutation("312")
+    assert p < q and p <= q and q > p and q >= p and p <= p and p >= p and not p < p
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((p, (2, 1)), ((2, 1), p), (p, SEP)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
+TODAYS_NAMES = """
+ApplicabilityError BoundReport ClusterEvent ClusterLimitReport ConditionReport CountCache DomainError
+EMPTY_PATTERNS EventTable LimitSpec ParseError PatternSet Permutation SEP SWConstant SeparableClusterLimit
+Sqrt2Number UndefinedProbabilityError avoider_rows avoids_all catalan check_conditions cluster_anchors
+cluster_free_probability cluster_limit_report cluster_probability_bounds complement contains_pattern contract
+contract_rows contraction_word count_avoiders count_event count_union_event enumerate_avoiders enumeration
+event_count_table exact_probability expand expand_rows flatten formulas identity in_any_cluster_event
+in_cluster_event inflate is_cluster_free is_separable monotone_cluster_limit monotone_cluster_probability
+parse_permutation perms ratio_sequence reverse sep_count separable_cluster_limit separable_cluster_probability
+stanley_wilf_limit tight_contains transform uniform_probability union_asymptotic_ratio
+""".split()
+
+
+def test_every_public_name_resolves_and_star_import_binds_it():
+    import permcluster
+    from permcluster import enumeration, formulas, transform
+
+    assert sorted(permcluster.__all__) == sorted(TODAYS_NAMES)
+    namespace: dict = {}
+    exec("from permcluster import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(TODAYS_NAMES)
+    for name in TODAYS_NAMES:
+        assert getattr(permcluster, name) is namespace[name]
+    assert (namespace["enumeration"], namespace["formulas"], namespace["transform"]) == (enumeration, formulas, transform)
+    assert namespace["Permutation"] is Permutation and namespace["contract"] is transform.contract
+    assert "Permutation" in dir(permcluster)
+    with pytest.raises(AttributeError, match="no attribute 'growth_engine'"):
+        permcluster.growth_engine
+
+
+def test_package_import_loads_each_submodule_on_first_use():
+    probe = ("import sys, permcluster\n"
+             "def loaded(): return ','.join(sorted(m for m in sys.modules if m.startswith('permcluster')))\n"
+             "print(loaded()); permcluster.Permutation; print(loaded()); permcluster.contract; print(loaded())")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "permcluster",
+        "permcluster,permcluster.perms",
+        "permcluster,permcluster.perms,permcluster.transform",
+    ]
