@@ -252,6 +252,8 @@ def _cmd_limits(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_table(args) -> tuple[list[dict], bool]:
+    if args.union and args.k:
+        raise ParseError("--union excludes --k")
     ps = parse_avoid_spec(args.avoid)
     cache = _cache(args)
     records = []

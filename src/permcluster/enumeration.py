@@ -61,7 +61,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _VALIDATE_UPTO = 10
-# S_n event tables grow n! / (2n) parents, the half under 12: the table of
+# S_n event tables grow n! / (2n) parents, those under 12: the table of
 # all of S_12 (`prob --n 12 --avoid= --l 3 --union`) takes 22 s at 40 MiB
 # peak RSS on a 2-vCPU machine.
 _MAX_TABLE_N_SN = 12
@@ -82,39 +82,26 @@ def _engine():
     return growth
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures.ProcessPoolExecutor, imported on the first parallel
-    enumeration; it keeps the class's name so that it can be replaced as one."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=max_workers)
-
-
 class EventTable:
     """Exact counts of avoiders in every cluster event at one (n, patterns)."""
 
     __hash__ = None  # mutable
 
-    def __init__(self, n: int, patterns_key: str, total: int = 0, by_lk: Counter[tuple[int, int]] | None = None,
-                 by_lka: Counter[tuple[int, int, int]] | None = None, union_by_l: Counter[int] | None = None):
+    def __init__(self, n: int, patterns_key: str, total: int, by_lka: dict[tuple[int, int, int], int],
+                 union_by_l: dict[int, int]):
+        """The table with these anchored counts and unions; by_lk is the sum
+        of by_lka over a."""
         self.n, self.patterns_key, self.total = n, patterns_key, total
-        self.by_lk, self.by_lka, self.union_by_l = (Counter() if c is None else c for c in (by_lk, by_lka, union_by_l))
+        self.by_lk: Counter[tuple[int, int]] = Counter()
+        for (l, k, _), count in by_lka.items():
+            self.by_lk[(l, k)] += count
+        self.by_lka, self.union_by_l = Counter(by_lka), Counter(union_by_l)
 
     def __eq__(self, other):
         return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __repr__(self) -> str:
         return f"EventTable({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
-
-    @classmethod
-    def of(cls, n: int, patterns_key: str, total: int, by_lka: dict[tuple[int, int, int], int],
-           union_by_l: dict[int, int]) -> "EventTable":
-        """The table with these anchored counts and unions; by_lk is the sum
-        of by_lka over a."""
-        by_lk: Counter[tuple[int, int]] = Counter()
-        for (l, k, _), count in by_lka.items():
-            by_lk[(l, k)] += count
-        return cls(n, patterns_key, total, by_lk, Counter(by_lka), Counter(union_by_l))
 
     def count(self, event: ClusterEvent) -> int:
         """Members in the event; an event without k is the union over k."""
@@ -129,21 +116,6 @@ class EventTable:
         if self.total == 0:
             raise UndefinedProbabilityError(f"S_{self.n}({self.patterns_key or '(none)'}) is empty")
         return Fraction(self.count(event), self.total)
-
-    def complement_image(self) -> "EventTable":
-        """The table of the complements s_i -> n + 1 - s_i of the members:
-        values k..k+l-1 at positions a..a+l-1 become the block starting at
-        n + 2 - k - l at the same positions, and the total and the unions
-        over k are unchanged."""
-        by_lka = {(l, self.n + 2 - k - l, a): c for (l, k, a), c in self.by_lka.items()}
-        return EventTable.of(self.n, self.patterns_key, self.total, by_lka, self.union_by_l)
-
-    def add(self, other: "EventTable") -> None:
-        """Add the counts of a disjoint part of the same class."""
-        self.total += other.total
-        self.by_lk.update(other.by_lk)
-        self.by_lka.update(other.by_lka)
-        self.union_by_l.update(other.union_by_l)
 
 
 _EVENT_MEMO: dict[tuple[int, str], EventTable] = {}
@@ -175,13 +147,7 @@ def fresh_table(n: int, ps: PatternSet, *, jobs: int = 1) -> EventTable:
         raise DomainError(
             f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= {_MAX_TABLE_N_SN}"
         )
-    engine, table = _engine(), EventTable(n, ps.key())
-    parts, half = engine._split_grow(n, ps, jobs, engine._table_parents, ProcessPoolExecutor)
-    for part in parts:
-        table.add(part)
-    if half:
-        table.add(table.complement_image())
-    return table
+    return EventTable(n, ps.key(), *_engine().table(n, ps, jobs))
 
 
 def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCache | None" = None) -> EventTable:
@@ -352,7 +318,7 @@ class TableStore(_LineStore[tuple[str, str]]):
                 union[l] = count
         except ValueError:
             return None
-        table = EventTable.of(n, ps.key(), union.pop(n, -1), by_lka, union)
+        table = EventTable(n, ps.key(), union.pop(n, -1), by_lka, union)
         in_range = all(2 <= l < n and 1 <= k <= n - l + 1 and 1 <= a <= n - l + 1 for l, k, a in by_lka) \
             and all(2 <= l < n for l in union)
         counts = itertools.chain(table.by_lka.items(), table.by_lk.items())
@@ -393,9 +359,7 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
         return 1
     if ps.is_empty() or 0 < n < min(len(tau) for tau in ps):
         return math.factorial(n)
-    engine = _engine()
-    counts, half = engine._split_grow(n, ps, jobs, engine._count_leaves, ProcessPoolExecutor)
-    return sum(counts) * (2 if half else 1)
+    return _engine().count(n, ps, jobs)
 
 
 def _enumerated_count(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:
@@ -424,9 +388,9 @@ def _schroeder_counts(n: int) -> list[int]:
 def _closed_count(ps: PatternSet) -> Callable[[int], int] | None:
     """The known closed form n -> |S_n(ps)|, if any: Catalan numbers for a
     single length-3 pattern, the Schroeder-type recurrence for SEP."""
-    from .formulas import catalan  # formulas imports this module
-
     if len(ps) == 1 and len(ps.patterns[0]) == 3:
+        from .formulas import catalan  # formulas imports this module
+
         return catalan
     if ps == SEP:
         return lambda n: _schroeder_counts(n)[n]

@@ -51,20 +51,21 @@ Counts and tables of a class closed under complement, s_i -> n + 1 - s_i
 keeps the relative order of the first two, and complement commutes with
 growth, so for n >= 3 the subtree under 12 holds the members with s_1 <
 s_2 and the complements of its leaves are the rest.  `_start` then
-returns the width-2 level that holds only 12, its mask from the kernel,
-and the caller doubles the count, or adds the table's complement image:
-(l, k, a) -> (l, n + 2 - k - l, a), with the total and the unions
-unchanged.  A listing stays on the whole tree, so that the leaf
-tabulation the tests check tables against shares no code with the mirror.
+returns the width-2 level that holds only 12, its mask from the kernel;
+`count` doubles the half's count and `table` adds its complement image in
+`_mirror`: (l, k, a) -> (l, n + 2 - k - l, a), total and unions doubled.
+A listing stays on the whole tree, so that the leaf tabulation the tests
+check tables against shares no code with the mirror.
 
 Work splitting deals an early level's rows, masks included, round-robin
 into 4 * jobs disjoint parts, which the worker processes take one at a
-time and grow depth-first like the serial path; the subtree results are
-merged by addition, so parallel runs are pure and deterministic.
+time and grow depth-first like the serial path; `count` and `table` add
+up the parts (a table's as arrays), so parallel runs are deterministic.
 
-This module imports numpy.  `enumeration` imports it on the first call
-that has to enumerate, so that answers from the memo, the stores and the
-closed forms start no numpy.
+This module imports numpy, and of the package only `perms`; `count` and
+`table` return plain ints and dicts.  `enumeration` imports it on the
+first call that has to enumerate, so that answers from the memo, the
+stores and the closed forms start no numpy.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
-from .enumeration import EventTable
 from .perms import DomainError, PatternSet, Permutation, complement
 
 _CHUNK_ROWS = 1 << 13  # rows in a part of a level, a kernel chunk and a tabulation chunk
@@ -243,7 +243,7 @@ def _start(n: int, ps: PatternSet, metas: list[_PatternMeta]) -> tuple[Level, bo
     half root: S_0, or, for a complement-closed ps and n >= 3, the width-2
     level that holds only 12 (empty if 12 is forbidden), with the mask the
     kernel gives it.  The half root's descendants are the members with
-    s_1 < s_2, and their complements are the rest of S_n(ps)."""
+    s_1 < s_2, and their complements (`_mirror`) are the rest of S_n(ps)."""
     root = _root(n)
     if n < 3 or PatternSet(tuple(map(complement, ps))) != ps:
         return root, False
@@ -252,22 +252,37 @@ def _start(n: int, ps: PatternSet, metas: list[_PatternMeta]) -> tuple[Level, bo
     return (rows[rising], bad[rising]), True
 
 
+def _mirror(n: int, total: int, lka: np.ndarray, union: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """A half's table sums plus its complement image's: the block of values
+    k..k+l-1 at a becomes n+2-k-l..n+1-k at a; the total and unions double."""
+    for l in range(2, n):
+        lka[l, 1 : n - l + 2] += lka[l, n - l + 1 : 0 : -1]
+    return 2 * total, lka, 2 * union
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported on the first parallel
+    growth; it keeps the class's name so that it can be replaced as one."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _split_grow(n: int, ps: PatternSet, jobs: int,
-                consume: Callable[[int, PatternSet, Level], T], pool: Callable) -> tuple[list[T], bool]:
+                consume: Callable[[int, PatternSet, Level], T]) -> tuple[list[T], bool]:
     """consume(n, ps, level) over disjoint levels covering S_n(ps), or only
-    its half with s_1 < s_2; the flag says which (see `_start`), and the
-    caller adds the complement image of a half.  Each consumer grows its
-    level depth-first through `_descendants`.
+    its half with s_1 < s_2; the flag says which (see `_start`), and
+    `count` and `table` mirror a half.  Each consumer grows its level
+    depth-first through `_descendants`.
 
     With one job the level is the start level, consumed in-process.
     Otherwise the level is grown until it has at least 16 * jobs rows and
     dealt out with its masks, row i to part i mod (4 * jobs), so that
     neighbouring subtrees, which tend to be alike in size, land in
-    different parts.  A pool(max_workers=jobs) of workers takes the parts
-    one at a time, so a worker that finishes early, or runs on a less busy
-    core, takes more of them; the parts merge by addition.  A level that
-    reaches width n - 1 first, still short of 16 * jobs rows, is consumed
-    in-process.
+    different parts.  A ProcessPoolExecutor(max_workers=jobs) of workers
+    takes the parts one at a time, so a worker that finishes early, or runs
+    on a less busy core, takes more of them.  A level that reaches width
+    n - 1 first, still short of 16 * jobs rows, is consumed in-process.
     """
     metas = _pattern_metas(ps)
     level, half = _start(n, ps, metas)
@@ -277,8 +292,25 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
         return [consume(n, ps, level)], half
     k = 4 * jobs
     parts = [(level[0][i::k], level[1][i::k]) for i in range(k)]
-    with pool(max_workers=jobs) as workers:
+    with ProcessPoolExecutor(max_workers=jobs) as workers:
         return list(workers.map(consume, [n] * k, [ps] * k, parts)), half
+
+
+def count(n: int, ps: PatternSet, jobs: int) -> int:
+    """|S_n(ps)| for n >= 1 by growth, in `jobs` processes."""
+    counts, half = _split_grow(n, ps, jobs, _count_leaves)
+    return sum(counts) * (2 if half else 1)
+
+
+def table(n: int, ps: PatternSet, jobs: int) -> tuple[int, dict[tuple[int, int, int], int], dict[int, int]]:
+    """S_n(ps)'s total and nonzero counts by (l, k, a) and unions over k by
+    l, for n >= 1 by growth, in `jobs` processes."""
+    parts, half = _split_grow(n, ps, jobs, _table_parents)
+    total, lka, union = (sum(column) for column in zip(*parts))
+    if half:
+        total, lka, union = _mirror(n, total, lka, union)
+    by_lka = {(int(l), int(k), int(a)): int(lka[l, k, a]) for l, k, a in zip(*np.nonzero(lka))}
+    return total, by_lka, {int(l): int(union[l]) for l in np.nonzero(union)[0]}
 
 
 def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:
@@ -370,14 +402,12 @@ def _tabulate_chunk(rows: np.ndarray, bad: np.ndarray, n: int,
     return total
 
 
-def _table_parents(n: int, ps: PatternSet, level: Level) -> EventTable:
-    """The event table of the width-n descendants of `level` that avoid ps,
-    read off the width n-1 rows and masks one part at a time: no width-n
-    row is built."""
+def _table_parents(n: int, ps: PatternSet, level: Level) -> tuple[int, np.ndarray, np.ndarray]:
+    """The total and the dense lka[l, k, a] and union[l] event counts of the
+    width-n descendants of `level` that avoid ps, read off the width n-1
+    rows and masks one part at a time: no width-n row is built."""
     lka = np.zeros((n, n + 2, n + 2), dtype=np.int64)
     union = np.zeros(n, dtype=np.int64)
     total = sum(_tabulate_chunk(rows, bad, n, lka, union)
                 for rows, bad in _descendants(level, n - 1, _pattern_metas(ps)))
-    by_lka = {(int(l), int(k), int(a)): int(lka[l, k, a]) for l, k, a in zip(*np.nonzero(lka))}
-    union_by_l = {int(l): int(union[l]) for l in np.nonzero(union)[0]}
-    return EventTable.of(n, ps.key(), total, by_lka, union_by_l)
+    return total, lka, union

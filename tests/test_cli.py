@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 
-from permcluster import cli, enumeration
+import pytest
+
+from permcluster import cli, enumeration, growth
 
 
 def run_cli(args, tmp_path):
@@ -163,6 +165,33 @@ def test_table_grid(tmp_path):
     assert ls == {"2", "3", "4"}
 
 
+@pytest.mark.parametrize("name, injective", [
+    ("expand_rows", "ok=False not anchored: eta=12 rho=12 (l=2,k=1,a=1)"),
+    ("contract_rows", None),  # the injectivity check expands only
+], ids=["expand_rows", "contract_rows"])
+def test_verify_reports_a_broken_transform(name, injective, tmp_path, monkeypatch, capsys):
+    # a batch transform that swaps the first and last entries of each output
+    # row breaks the round trips from n = 3 on: exit 1, one counterexample
+    # line on stderr, and FAIL rows that name the first failure
+    from permcluster import transform
+
+    def swapped(*args, fn=getattr(transform, name)):
+        out = fn(*args).copy()
+        out[:, [0, -1]] = out[:, [-1, 0]]
+        return out
+
+    monkeypatch.setattr(transform, name, swapped)
+    code, out = run_cli(["verify", "transform", "--max-n", "4", "--no-meta"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("counterexample in suite transform: round trips n=3: ")
+    assert err[0].endswith(", got 8 failures first: 123 (l=2,k=1,a=1)")
+    failed = {r["instance"]: r["actual"] for r in csv_rows(out) if r["status"] == "FAIL"}
+    assert failed["round trips n=3"] == "8 failures first: 123 (l=2,k=1,a=1)"
+    assert failed["round trips n=4"] == "60 failures first: 1234 (l=2,k=1,a=1)"
+    assert failed.get("expansion injective and anchored n=3") == injective
+
+
 def test_jobs_flag_gives_same_answers(tmp_path):
     from permcluster import enumeration
     from permcluster.perms import PatternSet, Permutation
@@ -183,7 +212,7 @@ def test_jobs_out_of_range_is_a_usage_error(tmp_path, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a rejected --jobs value started a worker pool")
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", no_pool)
     for jobs in ("0", "-1", str((os.cpu_count() or 1) + 1)):
         code, out = run_cli(["count", "--n", "8", "--avoid", "132", "--jobs", jobs], tmp_path)
         assert code == 2 and out == ""
@@ -233,6 +262,8 @@ def test_parse_error_exit(tmp_path):
     assert code == 2
     code, _ = run_cli(["prob", "--n", "5", "--avoid", "", "--l", "2"], tmp_path)
     assert code == 2
+    code, out = run_cli(["table", "--avoid", "321", "--n", "5", "--union", "--k", "2"], tmp_path)
+    assert code == 2 and out == ""  # as for prob: a union row has no k
     code, _ = run_cli(["limits", "nonsense", "--l", "2"], tmp_path)
     assert code == 2
 
@@ -316,14 +347,16 @@ def test_answers_from_the_stores_leave_out_numpy(tmp_path):
     # process, load none of the heavy modules but the closed forms (for
     # --formula and limits) and json (for --format json); the first count
     # and prob grow, with numpy, and fill the stores (2413 has no known
-    # growth constant, so its limits rows count nothing)
+    # growth constant, so its limits rows count nothing); above n = 10 a
+    # count looks for a closed form, and 1342 has none to load
     cache = ["--cache", str(tmp_path / "counts.txt"), "--no-meta"]
     count = ["count", "--n", "9", "--avoid", "1342", *cache]
+    count11 = ["count", "--n", "11", "--avoid", "1342", *cache]
     prob = ["prob", "--n", "8", "--avoid", "321", "--l", "3", "--k", "2", "--formula", *cache]
     limits = ["limits", "cor1:2413", "--l", "3..5", *cache]
     formulas = {"permcluster.formulas"}
     for args, grows, warm in ((count, True, set()), (prob, True, formulas), (limits, False, formulas),
-                              (count + ["--format", "json"], False, {"json"})):
+                              (count + ["--format", "json"], False, {"json"}), (count11, True, set())):
         first, code, cold = loaded_modules(*args)
         assert code == 0 and ({"numpy", "permcluster.growth"} <= cold) == grows
         again, code, loaded = loaded_modules(*args)

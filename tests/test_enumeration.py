@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from permcluster import (
     parse_permutation,
     ratio_sequence,
 )
-from permcluster import enumeration
+from permcluster import enumeration, growth
 
 
 def ps_of(*texts) -> PatternSet:
@@ -217,17 +219,16 @@ def leaf_table(n, ps):
     """The event table tabulated from the leaves: every member of S_n(ps)
     scanned with `cluster_windows`, each cluster window binned by (l, k, a)."""
     rows = np.array([p.values for p in enumerate_avoiders(n, ps)], dtype=np.int8).reshape(-1, n)
-    table = enumeration.EventTable(n, ps.key(), total=len(rows))
+    by_lka, union_by_l = {}, {}
     for l, cluster, cmin in enumeration.cluster_windows(rows):
         if not cluster.any():
             continue
-        table.union_by_l[l] = int(cluster.any(axis=1).sum())
+        union_by_l[l] = int(cluster.any(axis=1).sum())
         ridx, aidx = np.nonzero(cluster)
         keys, counts = np.unique(np.stack([cmin[ridx, aidx], aidx + 1]), axis=1, return_counts=True)
         for (k, a), cnt in zip(keys.T.tolist(), counts.tolist()):
-            table.by_lka[(l, k, a)] = cnt
-            table.by_lk[(l, k)] += cnt
-    return table
+            by_lka[(l, k, a)] = cnt
+    return enumeration.EventTable(n, ps.key(), len(rows), by_lka, union_by_l)
 
 
 def assert_same_table(got, want):
@@ -253,20 +254,24 @@ DIFFERENTIAL_SETS = [EMPTY_PATTERNS, SEP, ps_of("12"), ps_of("12", "21"), ps_of(
 
 
 def test_event_table_is_a_mutable_record():
-    # equal by its fields, unhashable, printed and pickled (as `--jobs`
-    # workers return their parts) as before; a default table owns its counters
-    table = enumeration.EventTable.of(3, "21", 1, {(2, 1, 1): 1}, {2: 1})
-    assert table == enumeration.EventTable(3, "21", 1, Counter({(2, 1): 1}), Counter({(2, 1, 1): 1}), Counter({2: 1}))
-    assert table != enumeration.EventTable.of(3, "21", 1, {(2, 1, 2): 1}, {2: 1}) and table != (3, "21", 1)
+    # equal by its fields, unhashable, printed and pickled as before; by_lk
+    # is derived from by_lka, and every table owns its counters
+    table = enumeration.EventTable(3, "21", 1, {(2, 1, 1): 1}, {2: 1})
+    assert (table.by_lk, table.by_lka, table.union_by_l) == (Counter({(2, 1): 1}), Counter({(2, 1, 1): 1}),
+                                                             Counter({2: 1}))
+    assert table != enumeration.EventTable(3, "21", 1, {(2, 1, 2): 1}, {2: 1}) and table != (3, "21", 1)
     assert repr(table) == ("EventTable(n=3, patterns_key='21', total=1, by_lk=Counter({(2, 1): 1}), "
                            "by_lka=Counter({(2, 1, 1): 1}), union_by_l=Counter({2: 1}))")
     with pytest.raises(TypeError):
         hash(table)
     assert pickle.loads(pickle.dumps(table)) == table
-    empty, other = enumeration.EventTable(4, ""), enumeration.EventTable(4, "")
+    counts = {}
+    empty, other = enumeration.EventTable(4, "", 0, counts, counts), enumeration.EventTable(4, "", 0, {}, {})
     assert repr(empty) == "EventTable(n=4, patterns_key='', total=0, by_lk=Counter(), by_lka=Counter(), union_by_l=Counter())"
-    empty.add(table)
-    assert empty.total == 1 and empty.by_lka == table.by_lka and other == enumeration.EventTable(4, "")
+    empty.total += 1
+    empty.by_lka.update(table.by_lka)
+    assert empty.total == 1 and empty.by_lka == table.by_lka and other == enumeration.EventTable(4, "", 0, {}, {})
+    assert counts == {} and empty.union_by_l == Counter()
 
 
 @pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
@@ -354,6 +359,18 @@ def test_closed_classes_at_the_smallest_sizes(ps):
         assert half == (n >= 3)
         if half:
             assert level[0].tolist() == ([] if ps == ps_of("12", "21") else [[1, 2]])
+
+
+def test_growth_hands_back_plain_values_without_enumeration():
+    # growth's results are ints and dicts, built with no EventTable, so a
+    # fresh import of growth leaves enumeration unloaded
+    total, by_lka, union_by_l = growth.table(6, SEP, 1)
+    assert total == growth.count(6, SEP, 1) == 394
+    values = [total, *itertools.chain(*by_lka), *by_lka.values(), *union_by_l, *union_by_l.values()]
+    assert all(type(v) is int for v in values)
+    probe = "import sys, permcluster.growth; print('permcluster.enumeration' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
 def test_worked_example_is_counted():
@@ -585,7 +602,7 @@ def test_table_store_rejects_resealed_lines_out_of_range_or_bound(tmp_path):
     key = enumeration.cache_key(n, ps)
 
     def stored(by_lka, union_by_l, total=good.total):
-        table = enumeration.EventTable.of(n, ps.key(), total, by_lka, union_by_l)
+        table = enumeration.EventTable(n, ps.key(), total, by_lka, union_by_l)
         store.put(key, enumeration.TableStore.encode(key, table))
         return enumeration.TableStore(store.path).table(n, ps, good.total)
 
@@ -671,7 +688,7 @@ def test_split_deals_rows_round_robin(monkeypatch):
     # hold every row once; the in-process stand-in for the pool records them
     parts = []
     monkeypatch.setattr(InlinePool, "parts", parts)
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", InlinePool)
     ps = ps_of("1342")
     assert enumeration.fresh_count(9, ps, jobs=2) == enumeration.fresh_count(9, ps)
     assert len(parts) == 8
@@ -688,7 +705,7 @@ def test_parallel_fresh_count_tiny_n_runs_in_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("no process pool expected")
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", no_pool)
     for n in (1, 2, 3):
         assert enumeration.fresh_count(n, ps_of("231"), jobs=2) == catalan(n)
         assert enumeration.event_count_table(n, ps_of("2413", "13254"), jobs=2).total == math.factorial(n)
@@ -706,7 +723,7 @@ def test_growth_in_small_parts_matches_whole_levels(chunk, monkeypatch):
                         [enumeration.avoider_rows(n, ps) for n in sizes], enumeration.fresh_count(7, ps))
              for ps in DIFFERENTIAL_SETS}
     monkeypatch.setattr(growth, "_CHUNK_ROWS", chunk)
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(growth, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "parts", [])
     for ps in DIFFERENTIAL_SETS:
         counts, tables, listings, count7 = whole[ps.key()]
