@@ -10,7 +10,8 @@ parse error, or a --cache path that cannot be used; 3 domain error; 4
 internal error (an unexpected exception, reported with its traceback on
 stderr).  A command imports only what it runs: the verification suites
 only for `verify`, the closed forms for `--formula` and `limits`, json for
-`--format json` and traceback for exit 4.
+`--format json`, traceback for exit 4 and fractions for the commands
+that print a ratio.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import csv
 import datetime
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import enumeration
 from .perms import (
@@ -35,6 +36,9 @@ from .perms import (
     one_line,
     parse_permutation,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_USAGE, EXIT_DOMAIN, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -79,6 +83,8 @@ def _ratio_cells(name: str, value: Fraction | float | None) -> dict[str, str]:
     and a missing value as two empty cells."""
     if value is None:
         return {name: "", f"{name}_dec": ""}
+    from fractions import Fraction  # not at the top: it loads decimal, and a count needs neither
+
     exact = f"{value.numerator}/{value.denominator}" if isinstance(value, Fraction) else _dec(value)
     return {name: exact, f"{name}_dec": _dec(value)}
 

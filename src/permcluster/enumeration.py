@@ -5,23 +5,30 @@ table and listing is asked for here.  The numpy growth engine that
 enumerates lives in `growth` (see there for how it grows avoiders and
 reads event counts off the width n - 1 parents); this module imports it on
 the first call that has to enumerate, so that a process answered from the
-memos, the stores or a closed form never imports numpy.  The names of the
+memos, the stores, a closed form or the state counter never imports numpy.  The names of the
 engine that callers use (`avoider_rows`, `contains_pattern_rows`,
 `cluster_windows`) stay here.
 
 |S_n| = n! is an identity, returned for every n without enumeration, and
-so is |S_n(ps)| = n! for n below the shortest pattern of ps.  A listing
+so is |S_n(ps)| = n! for n below the shortest pattern of ps.  A count of
+a single pattern with an image of the form t'.m (see `states`: every
+length-3 pattern, 12...m, and the classes of 1234, 1243, 1432 and 1342)
+is grown without numpy from merged generating-tree states, once per
+process the state counter has reproduced the scalar count
+sum(avoids_all(s, ps) for s in S_j) for every j <= 6; on a miss it is
+grown from rows.  Only counts take that path: `fresh_count` (and so
+`cache-audit`), event tables and listings always grow rows.  A listing
 is the one result that holds a whole class; it is counted first and
 refused (DomainError) if its rows would pass _MAX_LISTING_BYTES.  The
 other counting fast paths (Catalan for a single length-3 pattern, a
 Schroeder-type linear recurrence for the separable class) are only used
 for n > 10, once per process the closed form has reproduced the counts
 for every n <= 10.  Those counts come from the one count lookup: the
-in-process memo, then the count cache, then enumeration, so a cache
-written by an earlier run can satisfy the check; a wrong cached count
-only fails it, and the fast path falls back to enumeration.  The lookup
-and every event table record the count they find in one step: in the
-memo, and in the cache where it lacks or contradicts the count.
+in-process memo, then the count cache, then the states or enumeration,
+so a cache written by an earlier run can satisfy the check; a wrong
+cached count only fails it, and the fast path falls back to the lookup.
+The lookup and every event table record the count they find in one
+step: in the memo, and in the cache where it lacks or contradicts it.
 
 An event table is looked up the same way: the in-process memo, then the
 table store beside the count cache, then growth, whose table is written
@@ -42,7 +49,6 @@ import math
 import os
 import zlib
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generic, Iterator, TypeVar
 
@@ -54,10 +60,13 @@ from .perms import (
     PatternSet,
     Permutation,
     UndefinedProbabilityError,
+    avoids_all,
     parse_permutation,
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 _VALIDATE_UPTO = 10
@@ -115,6 +124,8 @@ class EventTable:
         """The event's share of the class; undefined for an empty class."""
         if self.total == 0:
             raise UndefinedProbabilityError(f"S_{self.n}({self.patterns_key or '(none)'}) is empty")
+        from fractions import Fraction  # not at the top: it loads decimal, and a count needs neither
+
         return Fraction(self.count(event), self.total)
 
 
@@ -362,9 +373,41 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
     return _engine().count(n, ps, jobs)
 
 
+_STATE_GATE_UPTO = 6
+_STATE_GATE: dict[str, bool] = {}
+
+
+def _scalar_count(n: int, ps: PatternSet) -> int:
+    """|S_n(ps)| by testing each member of S_n with the scalar `avoids_all`."""
+    return sum(avoids_all(Permutation(s), ps) for s in itertools.permutations(range(1, n + 1)))
+
+
+def _state_count(n: int, ps: PatternSet) -> int | None:
+    """|S_n(ps)| from generating-tree states (see `states`), or None where
+    they do not apply: ps is not one pattern, n is below its length (n! is
+    an identity), no image of it is eligible, or the counter missed
+    `_scalar_count` at some j <= _STATE_GATE_UPTO, checked once per ps in
+    a process."""
+    if len(ps) != 1 or n < len(ps.patterns[0]):
+        return None
+    from . import states
+
+    image = states.image(ps.patterns[0])
+    if image is None:
+        return None
+    key = ps.key()
+    if key not in _STATE_GATE:
+        _STATE_GATE[key] = all(states.count(j, image) == _scalar_count(j, ps)
+                               for j in range(1, _STATE_GATE_UPTO + 1))
+    return states.count(n, image) if _STATE_GATE[key] else None
+
+
 def _enumerated_count(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:
-    """|S_n(ps)| from the memo, else the cache, else by enumeration."""
+    """|S_n(ps)| from the memo, else the cache, else by generating-tree
+    states, else by enumeration."""
     value = _known_count(n, ps, cache)
+    if value is None:
+        value = _state_count(n, ps)
     if value is None:
         value = fresh_count(n, ps, jobs=jobs)
     return _record_count(n, ps, value, cache)
@@ -488,5 +531,7 @@ def ratio_sequence(ps: PatternSet, n_max: int, *, cache: CountCache | None = Non
     """The consecutive-count ratios |S_{n+1}(ps)| / |S_n(ps)| for n = 1..n_max-1."""
     if n_max < 2:
         raise DomainError("ratio_sequence needs n_max >= 2")
+    from fractions import Fraction
+
     counts = [count_avoiders(n, ps, cache=cache) for n in range(1, n_max + 1)]
     return [Fraction(b, a) for a, b in zip(counts, counts[1:])]

@@ -308,7 +308,7 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys
 
 
 # The modules that a command answered from the stores has no use for.
-HEAVY_MODULES = ("numpy", "dataclasses", "inspect", "json", "traceback", "permcluster.formulas",
+HEAVY_MODULES = ("numpy", "dataclasses", "inspect", "json", "traceback", "fractions", "permcluster.formulas",
                  "permcluster.transform", "permcluster.growth", "permcluster.verify")
 
 # Runs `cli.main` on its arguments (if any) in a fresh process, then prints
@@ -344,31 +344,56 @@ def test_verify_choices_are_the_suite_names():
 
 def test_answers_from_the_stores_leave_out_numpy(tmp_path):
     # a cache-hit count, a table-hit prob and a limits row, each in a fresh
-    # process, load none of the heavy modules but the closed forms (for
-    # --formula and limits) and json (for --format json); the first count
-    # and prob grow, with numpy, and fill the stores (2413 has no known
-    # growth constant, so its limits rows count nothing); above n = 10 a
-    # count looks for a closed form, and 1342 has none to load
+    # process, load none of the heavy modules but the closed forms and
+    # fractions (for --formula and limits) and json (for --format json);
+    # the first 2413 count and the first prob grow, with numpy, and fill
+    # the stores (2413 has no image the state counter takes, and no known
+    # growth constant, so its limits rows count nothing); the 1342 counts
+    # come from generating-tree states, without numpy even when cold; above
+    # n = 10 a count looks for a closed form, and 1342 has none to load
     cache = ["--cache", str(tmp_path / "counts.txt"), "--no-meta"]
     count = ["count", "--n", "9", "--avoid", "1342", *cache]
     count11 = ["count", "--n", "11", "--avoid", "1342", *cache]
+    grown = ["count", "--n", "9", "--avoid", "2413", *cache]
     prob = ["prob", "--n", "8", "--avoid", "321", "--l", "3", "--k", "2", "--formula", *cache]
     limits = ["limits", "cor1:2413", "--l", "3..5", *cache]
-    formulas = {"permcluster.formulas"}
-    for args, grows, warm in ((count, True, set()), (prob, True, formulas), (limits, False, formulas),
-                              (count + ["--format", "json"], False, {"json"}), (count11, True, set())):
+    ratios, engine = {"permcluster.formulas", "fractions"}, {"numpy", "permcluster.growth"}
+    for args, grows, warm in ((count, False, set()), (grown, True, set()), (prob, True, ratios),
+                              (limits, False, ratios), (count + ["--format", "json"], False, {"json"}),
+                              (count11, False, set())):
         first, code, cold = loaded_modules(*args)
-        assert code == 0 and ({"numpy", "permcluster.growth"} <= cold) == grows
+        assert code == 0 and cold & engine == (engine if grows else set())
         again, code, loaded = loaded_modules(*args)
         assert code == 0 and loaded == warm and again == first
     assert (tmp_path / "counts.txt.tables").read_text().startswith("avoid=321;n=8\t")
+
+
+def test_state_counts_leave_out_numpy(tmp_path):
+    # single patterns with an image the state counter takes are counted in
+    # a fresh process from an empty cache without numpy or growth; a count
+    # of one length-3 pattern above n = 10 loads the closed forms for the
+    # Catalan numbers, and limits loads them always
+    cache = ["--no-meta", "--cache", str(tmp_path / "counts.txt")]
+    ratios = {"permcluster.formulas", "fractions"}
+    for args, want, loads in (
+        (["count", "--n", "11", "--avoid", "1342"], ["11,1342,3475090"], set()),
+        (["count", "--n", "10", "--avoid", "54321"], ["10,54321,2190688"], set()),
+        (["count", "--n", "14", "--avoid", "231"], ["14,231,2674440"], ratios),
+        (["limits", "cor1:1342", "--l", "3..6"], [f"1342,{l},8,{upper}," for l, upper in
+                                                 ((3, "3/32"), (4, "23/512"), (5, "103/4096"), (6, "1/64"))], ratios),
+    ):
+        output, code, loaded = loaded_modules(*args, *cache)
+        assert code == 0 and loaded == loads, args
+        assert len(output) == 2 + len(want) and all(row.startswith(w) for row, w in zip(output[2:], want))
+    counts = dict(line.split("\t") for line in (tmp_path / "counts.txt").read_text().splitlines())
+    assert counts["avoid=1342;n=6"] == "512" and counts["avoid=231;n=10"] == "16796"
 
 
 def test_count_below_the_pattern_length_leaves_out_numpy(tmp_path):
     # |S_3(1342)| = 3! without growth, written to the count file as before
     cache = tmp_path / "counts.txt"
     output, code, loaded = loaded_modules("limits", "cor1:1342", "--l", "3", "--no-meta", "--cache", str(cache))
-    assert code == 0 and loaded == {"permcluster.formulas"}
+    assert code == 0 and loaded == {"permcluster.formulas", "fractions"}
     assert output[1:] == [
         "pattern,l,growth_limit,upper,upper_dec,exact,exact_dec,lower,lower_dec,note",
         '1342,3,8,3/32,0.09375,,,1/64,0.015625,"conditions held: c1,c2; cluster-free: False"',
@@ -402,11 +427,12 @@ def peak_rss_mib(code):
 
 def test_count_memory_is_bounded_by_the_part_size(tmp_path):
     # growth holds one part of each level at a time, so counting the 22M
-    # members of S_12(1342) takes a few MiB above the imports
+    # members of S_12(2413) takes a few MiB above the imports (2413 is
+    # Wilf-equivalent to 1342, which is counted by states, not grown)
     baseline = peak_rss_mib("import numpy, permcluster.cli")[2]
-    args = ["count", "--n", "12", "--avoid", "1342", "--no-meta", "--cache", str(tmp_path / "counts.txt")]
+    args = ["count", "--n", "12", "--avoid", "2413", "--no-meta", "--cache", str(tmp_path / "counts.txt")]
     code, out, peak = peak_rss_mib(f"import sys; from permcluster import cli; sys.exit(cli.main({args!r}))")
-    assert code == 0 and out.splitlines()[-1] == "12,1342,22214707"
+    assert code == 0 and out.splitlines()[-1] == "12,2413,22214707"
     assert peak - baseline < 48, (peak, baseline)
 
 

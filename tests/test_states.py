@@ -1,0 +1,93 @@
+"""The generating-tree state counter (`permcluster.states`) and its gate."""
+
+import itertools
+import random
+
+import pytest
+
+from permcluster import SEP, PatternSet, Permutation, count_avoiders, parse_permutation
+from permcluster import enumeration, states
+
+
+def ps_of(*texts) -> PatternSet:
+    return PatternSet(tuple(parse_permutation(t) for t in texts))
+
+
+def eligible_patterns(m):
+    """Every pattern of length m that has an image `states` grows."""
+    return [Permutation(t) for t in itertools.permutations(range(1, m + 1))
+            if states.image(Permutation(t)) is not None]
+
+
+def test_eligible_images():
+    # every length-3 pattern, 12...m, and the length-4 classes of 1234,
+    # 1243, 1432 and 1342; the classes of 1324, 2143 and 2413 have none
+    assert [len(eligible_patterns(m)) for m in (3, 4)] == [6, 24 - 6]
+    for text, image in (("1342", (2, 3, 1, 4)), ("12345", (1, 2, 3, 4, 5)), ("54321", (1, 2, 3, 4, 5)),
+                        ("1243", (2, 1, 3, 4)), ("1432", (3, 2, 1, 4)), ("231", (2, 1, 3))):
+        assert states.image(parse_permutation(text)) == image
+    for text in ("1324", "4231", "2143", "3412", "2413", "3142", "12", "1"):
+        assert states.image(parse_permutation(text)) is None
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_states_match_growth_for_every_eligible_pattern(m):
+    # all 8 images of each eligible class are eligible patterns themselves
+    for tau in eligible_patterns(m):
+        ps, image = PatternSet((tau,)), states.image(tau)
+        assert [states.count(n, image) for n in range(1, 9)] == \
+            [enumeration.fresh_count(n, ps) for n in range(1, 9)], tau
+
+
+def test_states_match_growth_for_random_length_6_patterns():
+    rng = random.Random(6)
+    for tau in rng.sample(eligible_patterns(6), 6):
+        ps, image = PatternSet((tau,)), states.image(tau)
+        assert [states.count(n, image) for n in range(1, 9)] == \
+            [enumeration.fresh_count(n, ps) for n in range(1, 9)], tau
+
+
+def test_state_counts_at_the_benchmark_sizes():
+    assert states.count(11, (2, 3, 1, 4)) == 3475090
+    assert states.count(13, (2, 3, 1, 4)) == 144640291
+    assert states.count(10, (1, 2, 3, 4, 5)) == 2190688
+
+
+@pytest.mark.parametrize("ps", [ps_of("1324"), ps_of("2143"), ps_of("2413"), ps_of("123", "321"), SEP,
+                                PatternSet(())], ids=["1324", "2143", "2413", "123+321", "sep", "empty"])
+def test_ineligible_inputs_never_reach_states(ps, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counted by states")
+
+    monkeypatch.setattr(states, "count", refuse)
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_STATE_GATE", {})
+    for n in range(1, 8):
+        assert count_avoiders(n, ps) == enumeration.fresh_count(n, ps)
+    assert enumeration._STATE_GATE == {}
+
+
+def test_wrong_state_rule_fails_the_gate_and_falls_back_to_rows(monkeypatch):
+    # a state rule that forgets the new partial occurrences of a state's chains
+    def forgetful(state, r, j, rises, keeps):
+        child = right(state, r, j, rises, keeps)
+        return (child[0], *state[1:])
+
+    right = states._child
+    monkeypatch.setattr(states, "_child", forgetful)
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_STATE_GATE", {})
+    assert states.count(9, (2, 3, 1, 4)) != 91245
+    assert count_avoiders(9, ps_of("1342")) == 91245 == enumeration.fresh_count(9, ps_of("1342"))
+    assert enumeration._STATE_GATE == {"1342": False}
+
+
+def test_gate_passes_once_per_pattern(monkeypatch):
+    checked = []
+    scalar = enumeration._scalar_count
+    monkeypatch.setattr(enumeration, "_scalar_count", lambda n, ps: checked.append(n) or scalar(n, ps))
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_STATE_GATE", {})
+    assert [count_avoiders(n, ps_of("1342")) for n in (3, 4, 10, 12)] == [6, 23, 555662, 22214707]
+    assert checked == list(range(1, enumeration._STATE_GATE_UPTO + 1))
+    assert enumeration._STATE_GATE == {"1342": True}
