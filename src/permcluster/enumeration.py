@@ -14,9 +14,12 @@ so is |S_n(ps)| = n! for n below the shortest pattern of ps.  A count of
 a single pattern with an image of the form t'.m (see `states`: every
 length-3 pattern, 12...m, and the classes of 1234, 1243, 1432 and 1342)
 is grown without numpy from merged generating-tree states, once per
-process the state counter has reproduced the scalar count
-sum(avoids_all(s, ps) for s in S_j) for every j <= 6; on a miss it is
-grown from rows.  Only counts take that path: `fresh_count` (and so
+process the state counter has reproduced the count for every j <= 6
+and j <= m + 1, m the pattern's length: the scalar count
+sum(avoids_all(s, ps) for s in S_j) for m <= 5, and the rows that
+`fresh_count` grows for m >= 6 (below j = m both sides are j!, so the
+scalar gate alone would check nothing there); on a miss it is grown from
+rows.  Only counts take that path: `fresh_count` (and so
 `cache-audit`), event tables and listings always grow rows.  A listing
 is the one result that holds a whole class; it is counted first and
 refused (DomainError) if its rows would pass _MAX_LISTING_BYTES.  The
@@ -71,8 +74,8 @@ if TYPE_CHECKING:
 
 _VALIDATE_UPTO = 10
 # S_n event tables grow n! / (2n) parents, those under 12: the table of
-# all of S_12 (`prob --n 12 --avoid= --l 3 --union`) takes 22 s at 40 MiB
-# peak RSS on a 2-vCPU machine.
+# all of S_12 (`prob --n 12 --avoid= --l 3 --union`) takes 7.2-7.6 s at
+# 39 MiB peak RSS on a 2-vCPU machine.
 _MAX_TABLE_N_SN = 12
 # A listing holds its whole class as int8 rows, n bytes a member, and a
 # larger one is refused before it is grown.  The largest listing of all of
@@ -373,7 +376,7 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
     return _engine().count(n, ps, jobs)
 
 
-_STATE_GATE_UPTO = 6
+_STATE_GATE_UPTO = 6  # the gate checks every j <= max(6, m + 1), m the pattern's length
 _STATE_GATE: dict[str, bool] = {}
 
 
@@ -385,9 +388,11 @@ def _scalar_count(n: int, ps: PatternSet) -> int:
 def _state_count(n: int, ps: PatternSet) -> int | None:
     """|S_n(ps)| from generating-tree states (see `states`), or None where
     they do not apply: ps is not one pattern, n is below its length (n! is
-    an identity), no image of it is eligible, or the counter missed
-    `_scalar_count` at some j <= _STATE_GATE_UPTO, checked once per ps in
-    a process."""
+    an identity), no image of it is eligible, or the counter missed the
+    reference count at some j <= max(_STATE_GATE_UPTO, m + 1) for a
+    pattern of length m, checked once per ps in a process: `_scalar_count`
+    for m <= 5, which loads no numpy, and `fresh_count` for m >= 6, where
+    the scalar count of S_(m+1) would take seconds."""
     if len(ps) != 1 or n < len(ps.patterns[0]):
         return None
     from . import states
@@ -395,10 +400,11 @@ def _state_count(n: int, ps: PatternSet) -> int | None:
     image = states.image(ps.patterns[0])
     if image is None:
         return None
-    key = ps.key()
+    key, m = ps.key(), len(image)
     if key not in _STATE_GATE:
-        _STATE_GATE[key] = all(states.count(j, image) == _scalar_count(j, ps)
-                               for j in range(1, _STATE_GATE_UPTO + 1))
+        reference = _scalar_count if m <= 5 else fresh_count
+        _STATE_GATE[key] = all(states.count(j, image) == reference(j, ps)
+                               for j in range(1, max(_STATE_GATE_UPTO, m + 1) + 1))
     return states.count(n, image) if _STATE_GATE[key] else None
 
 
@@ -476,10 +482,10 @@ def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
     return _engine().contains_pattern_rows(rows, tau)
 
 
-def cluster_windows(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Sliding window min/max scan over the rows, for l = 2 .. width - 1;
-    see `growth.cluster_windows`."""
-    return _engine().cluster_windows(rows)
+def cluster_windows(cols: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Sliding window min/max scan over rows given as cols = rows.T, for
+    l = 2 .. width - 1, window-major; see `growth.cluster_windows`."""
+    return _engine().cluster_windows(cols)
 
 
 def enumerate_avoiders(n: int, ps: PatternSet) -> Iterator[Permutation]:

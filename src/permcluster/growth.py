@@ -15,7 +15,10 @@ at the new column: C(j-1, h-1) column subsets for a head of length h at
 width j, instead of C(j, h).  Every such subset is mapped to its interval
 of bad ranks, a miss to the empty interval, so the kernel's work depends
 on the level's size and the head lengths only: the symmetric images of a
-pattern cost the same.  Growth starts at S_0, the empty permutation, so
+pattern cost the same.  The column subsets are gathered once per chunk
+and head length, from the transposed rows, and every pattern with a head
+of that length is tested on them: 2413 and 3142, the separable class,
+share one gather.  Growth starts at S_0, the empty permutation, so
 S_1 gets its mask from the same kernel too (complement-closed classes
 start at width 2, below).  Counting and event tables
 stop at width n - 1 and never build a width-n row: a count adds up each
@@ -37,14 +40,20 @@ consumer that holds a whole class, is sorted at the end.
 Event counts (which blocks of l consecutive values sit in l consecutive
 positions) start from the parents' cluster windows, found with sliding
 window min/max scans: a window is a cluster iff max - min = l - 1, and the
-block start k is then the window minimum.  A child appends a free rank r.
-A parent cluster (l, k, a) stays a cluster iff r <= k, shifted to k + 1,
-or r >= k + l; the child's last window is a cluster iff the parent's last
-l - 1 entries are a block m..m+l-2 and m <= r <= m+l-1.  So every event
-count, the union over k included, is a count of free ranks in intervals,
-a popcount of the mask.  For a fixed l, the block determines its
-positions, so per permutation each (l, k) and each (l, k, a) occurs at
-most once and counting children counts permutations.
+block start k is then the window minimum.  The scan runs column-major, on
+the transposed rows, so that every min and max is over whole contiguous
+columns of a chunk rather than over a row's few entries.  A child appends
+a free rank r.  A parent cluster (l, k, a) stays a cluster iff r <= k,
+shifted to k + 1, or r >= k + l; the child's last window is a cluster iff
+the parent's last l - 1 entries are a block m..m+l-2 and m <= r <= m+l-1.
+So every event count, the union over k included, is a count of free
+ranks in intervals.  Each row's free ranks in 1..x are counted once per
+chunk, for every x, so a window's count is one lookup in these prefix
+counts, and a row has no cluster of length l for the ranks of one
+interval, (max k, min k + l - 1] over its windows, less the suffix range.
+For a fixed l, the block determines its positions, so per permutation
+each (l, k) and each (l, k, a) occurs at most once and counting children
+counts permutations.
 
 Counts and tables of a class closed under complement, s_i -> n + 1 - s_i
 (S_n, SEP, 123+321, ...), grow half the tree.  Appending a last entry
@@ -87,27 +96,32 @@ T = TypeVar("T")
 # vectorized "does the appended rank complete a forbidden occurrence" test
 
 
-def _order_matches(rows: np.ndarray, t: tuple[int, ...], *, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's entries at every len(t)-subset of its columns (only the
-    subsets that include the last column, if `last`), and whether they are
-    order-isomorphic to t.
-
-    Returns cols (m, T, N) and ok (T, N), subset-major so that every
-    comparison runs over contiguous rows.  Entries are distinct, so order
-    isomorphism is m - 1 comparisons: the entries at t's positions, taken
-    by increasing value of t, must increase.
-    """
-    w = rows.shape[1]
+def _column_subsets(cols: np.ndarray, m: int, *, last: bool = False) -> np.ndarray:
+    """The entries at every m-subset of the columns (only the subsets that
+    include the last column, if `last`), from cols = rows.T, (width, N):
+    sub[s, c, i] is row i's entry at the s-th column of subset c.  The
+    result is subset-major, so that every comparison on it runs over
+    contiguous rows."""
+    w = cols.shape[0]
     if last:
-        combos = [c + (w - 1,) for c in itertools.combinations(range(w - 1), len(t) - 1)]
+        combos = [c + (w - 1,) for c in itertools.combinations(range(w - 1), m - 1)]
     else:
-        combos = list(itertools.combinations(range(w), len(t)))
-    cols = np.ascontiguousarray(rows.T)[np.array(combos, dtype=np.intp).T]
-    ok = np.ones(cols.shape[1:], dtype=bool)
+        combos = list(itertools.combinations(range(w), m))
+    return np.ascontiguousarray(cols)[np.array(combos, dtype=np.intp).T]
+
+
+def _order_matches(sub: np.ndarray, t: tuple[int, ...]) -> np.ndarray:
+    """Whether the entries of each subset of `_column_subsets` are
+    order-isomorphic to t, (T, N).  Entries are distinct, so order
+    isomorphism is m - 1 comparisons: the entries at t's positions, taken
+    by increasing value of t, must increase."""
+    if len(t) < 2:
+        return np.ones(sub.shape[1:], dtype=bool)
     by_value = sorted(range(len(t)), key=t.__getitem__)
-    for s, u in zip(by_value, by_value[1:]):
-        ok &= cols[s] < cols[u]
-    return cols, ok
+    ok = sub[by_value[0]] < sub[by_value[1]]
+    for s, u in zip(by_value[1:], by_value[2:]):
+        ok &= sub[s] < sub[u]
+    return ok
 
 
 class _PatternMeta(NamedTuple):
@@ -116,14 +130,18 @@ class _PatternMeta(NamedTuple):
     above: int | None  # the head slot valued one above the last entry
 
 
-def _pattern_metas(ps: PatternSet) -> list[_PatternMeta]:
-    metas = []
+Metas = dict[int, list[_PatternMeta]]  # by head length
+
+
+def _pattern_metas(ps: PatternSet) -> Metas:
+    """The patterns' heads and last-entry neighbours, grouped by head length."""
+    metas: Metas = {}
     for tau in ps:
         t = tau.values
         head = t[:-1]
         below = head.index(t[-1] - 1) if t[-1] > 1 else None
         above = head.index(t[-1] + 1) if t[-1] < len(t) else None
-        metas.append(_PatternMeta(head, below, above))
+        metas.setdefault(len(head), []).append(_PatternMeta(head, below, above))
     return metas
 
 
@@ -135,7 +153,7 @@ _ONE = np.uint64(1)
 Level = tuple[np.ndarray, np.ndarray]
 
 
-def _new_bad(rows: np.ndarray, metas: list[_PatternMeta]) -> np.ndarray:
+def _new_bad(rows: np.ndarray, metas: Metas) -> np.ndarray:
     """Bad ranks contributed by head occurrences ending at the last column.
 
     A new last entry of rank r completes an occurrence of tau iff some
@@ -148,7 +166,8 @@ def _new_bad(rows: np.ndarray, metas: list[_PatternMeta]) -> np.ndarray:
     mask and are carried, not rescanned.  Every subset is turned into its
     interval, matching or not (a miss is masked to the empty one), so the
     work depends on the shape of `rows` and the head lengths only, not on
-    how many occurrences there are.
+    how many occurrences there are.  The subsets of one head length are
+    gathered once, and every head of that length is tested on them.
     """
     n_rows, w = rows.shape
     bad = np.zeros(n_rows, dtype=np.uint64)
@@ -158,14 +177,15 @@ def _new_bad(rows: np.ndarray, metas: list[_PatternMeta]) -> np.ndarray:
     # the difference is still exact modulo 2^bits.
     dt = np.min_scalar_type(2 ** (w + 2) - 1)
     two = dt.type(2)
-    pow2 = two << rows.astype(dt)
-    for meta in metas:
-        if len(meta.head) > w:
+    pow2 = two << rows.T.astype(dt, order="C")
+    for h, group in metas.items():
+        if h > w:
             continue
-        cols, ok = _order_matches(pow2, meta.head, last=True)
-        lo = two if meta.below is None else cols[meta.below]
-        hi = two << dt.type(w + 1) if meta.above is None else cols[meta.above]
-        bad |= np.bitwise_or.reduce((hi - lo) * ok, axis=0)
+        sub = _column_subsets(pow2, h, last=True)
+        for meta in group:
+            lo = two if meta.below is None else sub[meta.below]
+            hi = two << dt.type(w + 1) if meta.above is None else sub[meta.above]
+            bad |= np.bitwise_or.reduce((hi - lo) * _order_matches(sub, meta.head), axis=0)
     return bad
 
 
@@ -186,7 +206,7 @@ def _append(rows: np.ndarray, r: int) -> np.ndarray:
     return np.hstack([(rows + (rows >= r)).astype(rows.dtype), col])
 
 
-def _children(level: Level, metas: list[_PatternMeta]) -> Level:
+def _children(level: Level, metas: Metas) -> Level:
     """The next level below `level`, masks included.
 
     A child made by appending the free rank r inherits its parent's mask B
@@ -217,7 +237,7 @@ def _root(n: int) -> Level:
     return np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.uint64)
 
 
-def _descendants(level: Level, width: int, metas: list[_PatternMeta]) -> Iterator[Level]:
+def _descendants(level: Level, width: int, metas: Metas) -> Iterator[Level]:
     """The descendants of `level` at the given width, in parts of at most
     _CHUNK_ROWS rows: each part of `level` has its subtree grown and yielded
     before the next part starts, so at most one part's children of each
@@ -238,7 +258,7 @@ def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
                for _, bad in _descendants(level, n - 1, _pattern_metas(ps)))
 
 
-def _start(n: int, ps: PatternSet, metas: list[_PatternMeta]) -> tuple[Level, bool]:
+def _start(n: int, ps: PatternSet, metas: Metas) -> tuple[Level, bool]:
     """The level that counts and tables grow from, and whether it is the
     half root: S_0, or, for a complement-closed ps and n >= 3, the width-2
     level that holds only 12 (empty if 12 is forbidden), with the mask the
@@ -332,21 +352,24 @@ def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
         return hit
     for start in range(0, len(rows), _CHUNK_ROWS):
         sl = slice(start, start + _CHUNK_ROWS)
-        hit[sl] = _order_matches(rows[sl], tau.values)[1].any(axis=0)
+        hit[sl] = _order_matches(_column_subsets(rows[sl].T, len(tau)), tau.values).any(axis=0)
     return hit
 
 
-def cluster_windows(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Sliding window min/max scan over the rows, for l = 2 .. width - 1.
+def cluster_windows(cols: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Sliding window min/max scan over rows given column-major, cols =
+    rows.T of shape (width, N), for l = 2 .. width - 1.
 
-    Yields (l, cluster, cmin): cluster[i, a] says whether the l entries of
-    row i starting at position a + 1 are l consecutive values, and then
-    cmin[i, a] is the smallest of them, the block start k.
+    Yields (l, cluster, cmin), window-major: cluster[a, i] says whether the
+    l entries of row i starting at position a + 1 are l consecutive values,
+    and then cmin[a, i] is the smallest of them, the block start k.  Every
+    min and max runs over whole contiguous columns of the rows.
     """
-    cmin = cmax = rows
-    for l in range(2, rows.shape[1]):
-        cmin = np.minimum(cmin[:, :-1], rows[:, l - 1 :])
-        cmax = np.maximum(cmax[:, :-1], rows[:, l - 1 :])
+    cols = np.ascontiguousarray(cols)
+    cmin = cmax = cols
+    for l in range(2, cols.shape[0]):
+        cmin = np.minimum(cmin[:-1], cols[l - 1 :])
+        cmax = np.maximum(cmax[:-1], cols[l - 1 :])
         yield l, (cmax - cmin) == (l - 1), cmin
 
 
@@ -357,10 +380,11 @@ def cluster_windows(rows: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndar
 def _tabulate_chunk(rows: np.ndarray, bad: np.ndarray, n: int,
                     lka: np.ndarray, union: np.ndarray) -> int:
     """Add the events of the width-n children of one chunk of width n-1
-    parents into lka[l, k, a] and union[l]; returns the number of children.
+    parents into lka[l, k, a] and union[l] (both C-contiguous); returns the
+    number of children.
 
     A child appends a free rank r of its parent, so every event count is a
-    count of free ranks in an interval, read off the mask as a popcount:
+    count of free ranks in an interval:
     - a parent cluster window (l, k, a) stays a cluster iff r <= k, as
       (l, k+1, a), or r >= k+l, as (l, k, a); the whole parent is the
       window (n-1, 1, 1), which `cluster_windows` does not yield;
@@ -368,37 +392,57 @@ def _tabulate_chunk(rows: np.ndarray, bad: np.ndarray, n: int,
       last l-1 entries are a block m..m+l-2 and m <= r <= m+l-1, as
       (l, m, n-l+1);
     - so the child has no cluster of length l iff r lies in every
-      (k, k+l-1] of the parent's windows and outside the suffix range.
-    The sums over the rows of each (k, a) come from one integer bincount
-    over (k, a, count) codes, weighted by the count afterwards.
+      (k, k+l-1] of the parent's windows, the one interval
+      (max k, min k + l - 1], and outside the suffix range.
+    Each row's free ranks in 1..x and in x+1..n are counted once for
+    x = 0..n, and every window's count is read off them and added into lka
+    with one integer `np.add.at` per l and side.  The suffix blocks and
+    the intervals (max k, min k + l - 1] are kept per l and row and read
+    once for the chunk.
     """
     n_rows, w = rows.shape
     upto = (np.uint64(2) << np.arange(n + 1, dtype=np.uint64)) - np.uint64(2)  # ranks 1..x
     free = _free_ranks(bad, n)
-    total = int(np.bitwise_count(free).sum())
+    below = np.bitwise_count(free & upto[:, None])  # below[x, i]: row i's free ranks in 1..x
+    total = int(below[n].sum())
     if w < 2:
         return total
-    whole = (w, np.ones((n_rows, 1), dtype=bool), np.ones((n_rows, 1), dtype=rows.dtype))
-    weights = np.arange(n + 1)
-    smin = smax = rows[:, -1]  # of the parent's last l-1 entries
-    for l, cluster, cmin in itertools.chain(cluster_windows(rows), [whole]):
-        smin, smax = np.minimum(smin, rows[:, w - l + 1]), np.maximum(smax, rows[:, w - l + 1])
-        idx = np.flatnonzero(cluster)
-        i, a = np.divmod(idx, cluster.shape[1])
-        k = cmin.ravel()[idx].astype(np.intp)
-        j = np.flatnonzero(smax - smin == l - 2)
-        m = smin[j].astype(np.intp)
-        suffix = upto[m + l - 1] ^ upto[m - 1]
-        ks = np.concatenate([k + 1, k, m])
-        aa = np.concatenate([a + 1, a + 1, np.full(len(j), n - l + 1)])
-        got = np.bitwise_count(np.concatenate([free[i] & upto[k], free[i] & ~upto[k + l - 1],
-                                               free[j] & suffix]))
-        code = (ks * (n + 2) + aa) * (n + 1) + got
-        lka[l] += np.bincount(code, minlength=(n + 2) ** 2 * (n + 1)).reshape(n + 2, n + 2, n + 1) @ weights
-        no_cluster = np.full(n_rows, upto[n])  # the ranks that leave no cluster of length l
-        np.bitwise_and.at(no_cluster, i, upto[k + l - 1] ^ upto[k])
-        no_cluster[j] &= ~suffix
-        union[l] += int(np.bitwise_count(free & ~no_cluster).sum())
+    above = (below[n] - below).ravel()  # above[x * n_rows + i]: row i's free ranks in x+1..n
+    below = below.ravel()
+    flat = lka.reshape(-1)  # a view, lka being contiguous
+    # Entries as uint8, so that every (l, row) array is uint8 and takes shifts.
+    cols = np.ascontiguousarray(rows.T).view(np.uint8)
+    whole = (w, np.ones((1, n_rows), dtype=bool), np.ones((1, n_rows), dtype=np.uint8))
+    # By l - 2 and row: the min and max of the parent's last l-1 entries, and
+    # the max k and n + 1 - min k of its cluster windows (0 without one).
+    smin, smax, kmax, kmin = np.empty((4, w - 1, n_rows), dtype=np.uint8)
+    for l, cluster, cmin in itertools.chain(cluster_windows(cols), [whole]):
+        hit = np.flatnonzero(cluster)
+        a = hit // n_rows
+        k = cmin.ravel()[hit].astype(np.intp)
+        at = (k - a) * n_rows + hit  # k * n_rows + i
+        cell = k * (n + 2) + a + (l * (n + 2) ** 2 + 1)  # (l, k, a + 1)
+        np.add.at(flat, cell + (n + 2), below[at].astype(np.int64))
+        np.add.at(flat, cell, above[at + (l - 1) * n_rows].astype(np.int64))
+        last = (cols[-1], cols[-1]) if l == 2 else (smin[l - 3], smax[l - 3])
+        np.minimum(last[0], cols[w - l + 1], out=smin[l - 2])
+        np.maximum(last[1], cols[w - l + 1], out=smax[l - 2])
+        np.maximum.reduce(cluster.view(np.uint8) * cmin, axis=0, out=kmax[l - 2])
+        np.maximum.reduce(cluster.view(np.uint8) * (n + 1 - cmin), axis=0, out=kmin[l - 2])
+    ls = np.arange(2, w + 1, dtype=np.uint8)[:, None]
+    # the suffix blocks, at (l - 2) * n_rows + j for row j
+    at = np.flatnonzero(smax - smin == ls - 2)
+    l = at // n_rows + 2
+    m = smin.ravel()[at].astype(np.intp)
+    at_m = (m + 1 - l) * n_rows + at  # (m - 1) * n_rows + j
+    np.add.at(flat, (l * (n + 2) + m) * (n + 2) + n + 1 - l,
+              (above[at_m] - above[at_m + l * n_rows]).astype(np.int64))
+    # the ranks that leave no cluster of length l: (max k, min k + l - 1],
+    # all of 1..n for a row without a window, and not the suffix range
+    hi = np.minimum(np.maximum((n + ls) - kmin, kmax), n)
+    no_cluster = (np.uint64(2) << hi) - (np.uint64(2) << kmax)
+    no_cluster.ravel()[at] &= upto[m - 1] | ~upto[m + l - 1]
+    union[2:] += total - np.bitwise_count(free & no_cluster).sum(axis=1, dtype=np.int64)
     return total
 
 

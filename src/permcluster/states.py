@@ -39,7 +39,8 @@ The state is h and the chains, and the count at n is the sum of
 multiplicity * h over the width n - 1 states.  For 1342 (image 2314) the
 width 10 level has 1,014 states where growth holds 555,662 rows.
 `enumeration` uses this counter only after its counts have matched the
-scalar containment count for n <= 6 in the same process.
+scalar containment count for n <= 6 (for a pattern of length m >= 6, the
+counts grown from rows for n <= m + 1) in the same process.
 """
 
 from __future__ import annotations

@@ -216,9 +216,9 @@ def _cluster_events(rows: np.ndarray) -> np.ndarray:
     consecutive positions, for l = 2 .. width - 1."""
     n = rows.shape[1]
     hit = np.zeros((len(rows), n, n + 1), dtype=bool)
-    for l, cluster, cmin in enumeration.cluster_windows(rows):
-        i, a = np.nonzero(cluster)
-        hit[i, l, cmin[i, a]] = True
+    for l, cluster, cmin in enumeration.cluster_windows(rows.T):
+        a, i = np.nonzero(cluster)
+        hit[i, l, cmin[a, i]] = True
     return hit
 
 
@@ -294,9 +294,9 @@ def _cluster_walk(n: int, ps: PatternSet):
     holds a cluster window: the members `sigmas` that do, at the indices
     `idx` of the lexicographic listing.  l-major, then a."""
     members = enumeration.avoider_rows(n, ps)
-    for l, cluster, _ in enumeration.cluster_windows(members):
-        for a0 in np.flatnonzero(cluster.any(axis=0)).tolist():
-            idx = np.flatnonzero(cluster[:, a0])
+    for l, cluster, _ in enumeration.cluster_windows(members.T):
+        for a0 in np.flatnonzero(cluster.any(axis=1)).tolist():
+            idx = np.flatnonzero(cluster[a0])
             yield l, a0 + 1, idx, members[idx]
 
 

@@ -30,6 +30,7 @@ from permcluster import (
     event_count_table,
     exact_probability,
     expand_rows,
+    in_any_cluster_event,
     in_cluster_event,
     parse_permutation,
     ratio_sequence,
@@ -81,12 +82,15 @@ def random_pattern_sets(seed, count):
 
 
 @pytest.mark.parametrize(
-    "ps", [ps_of("25314"), ps_of("315264"), ps_of("2413", "13254")] + random_pattern_sets(2024, 8),
+    "ps", [ps_of("25314"), ps_of("315264"), ps_of("2413", "13254"), ps_of("2413", "3142", "321"),
+           ps_of("1342", "4213", "25314"), ps_of("123", "132", "2413")] + random_pattern_sets(2024, 8),
     ids=lambda ps: ps.key(),
 )
 def test_carried_masks_match_naive_filter(ps):
     # the carried bad-rank masks, the leafless count and the --jobs hand-off
-    # of (rows, masks) against the scalar containment filter
+    # of (rows, masks) against the scalar containment filter; the last
+    # three named sets test heads of equal length on one gathered subset
+    # array, next to heads of other lengths
     for n in range(1, 8):
         naive = naive_avoider_list(n, ps)
         assert enumeration.fresh_count(n, ps) == len(naive)
@@ -220,12 +224,12 @@ def leaf_table(n, ps):
     scanned with `cluster_windows`, each cluster window binned by (l, k, a)."""
     rows = np.array([p.values for p in enumerate_avoiders(n, ps)], dtype=np.int8).reshape(-1, n)
     by_lka, union_by_l = {}, {}
-    for l, cluster, cmin in enumeration.cluster_windows(rows):
+    for l, cluster, cmin in enumeration.cluster_windows(rows.T):
         if not cluster.any():
             continue
-        union_by_l[l] = int(cluster.any(axis=1).sum())
-        ridx, aidx = np.nonzero(cluster)
-        keys, counts = np.unique(np.stack([cmin[ridx, aidx], aidx + 1]), axis=1, return_counts=True)
+        union_by_l[l] = int(cluster.any(axis=0).sum())
+        aidx, ridx = np.nonzero(cluster)
+        keys, counts = np.unique(np.stack([cmin[aidx, ridx], aidx + 1]), axis=1, return_counts=True)
         for (k, a), cnt in zip(keys.T.tolist(), counts.tolist()):
             by_lka[(l, k, a)] = cnt
     return enumeration.EventTable(n, ps.key(), len(rows), by_lka, union_by_l)
@@ -313,6 +317,17 @@ def test_event_table_matches_expansion_map(ps):
         by_lka, by_lk = expansion_table(n, ps)
         assert dict(table.by_lka) == dict(by_lka)
         assert dict(table.by_lk) == dict(by_lk)
+
+
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
+def test_union_counts_match_scalar_filter(ps):
+    # union_by_l against the scalar in_any_cluster_event over the scalar
+    # containment filter, which share no code with the growth engine or
+    # with `cluster_windows` (the expansion map checks by_lka and by_lk)
+    for n in range(1, 7):
+        members = [Permutation(v) for v in naive_avoider_list(n, ps)]
+        direct = {l: sum(in_any_cluster_event(p, l) for p in members) for l in range(2, n)}
+        assert dict(enumeration.fresh_table(n, ps).union_by_l) == {l: c for l, c in direct.items() if c}
 
 
 @pytest.mark.parametrize("ps", [SEP, ps_of("2413", "13254"), EMPTY_PATTERNS, ps_of("132", "312")],

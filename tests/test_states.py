@@ -91,3 +91,16 @@ def test_gate_passes_once_per_pattern(monkeypatch):
     assert [count_avoiders(n, ps_of("1342")) for n in (3, 4, 10, 12)] == [6, 23, 555662, 22214707]
     assert checked == list(range(1, enumeration._STATE_GATE_UPTO + 1))
     assert enumeration._STATE_GATE == {"1342": True}
+
+
+def test_gate_reaches_past_the_length_of_a_long_pattern(monkeypatch):
+    # for 1234567 both sides are j! for every j <= 6, so a counter that is
+    # wrong from j = 7 on must be caught by the rows grown at j = 7 and 8
+    right = states.count
+    monkeypatch.setattr(states, "count", lambda n, t: right(n, t) + (n >= 7))
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_STATE_GATE", {})
+    ps = ps_of("1234567")
+    assert [states.count(j, (1, 2, 3, 4, 5, 6, 7)) for j in (6, 7)] == [720, 5040]
+    assert count_avoiders(9, ps) == 361302 == enumeration.fresh_count(9, ps)
+    assert enumeration._STATE_GATE == {"1234567": False}
