@@ -5,40 +5,45 @@ table and listing is asked for here.  The numpy growth engine that
 enumerates lives in `growth` (see there for how it grows avoiders and
 reads event counts off the width n - 1 parents); this module imports it on
 the first call that has to enumerate, so that a process answered from the
-memos, the stores, a closed form or the state counter never imports numpy.  The names of the
-engine that callers use (`avoider_rows`, `contains_pattern_rows`,
-`cluster_windows`) stay here.
+memos, the stores, the recurrence or the state counter never imports
+numpy.  The names of the engine that callers use (`avoider_rows`,
+`contains_pattern_rows`, `cluster_windows`) stay here.
 
-|S_n| = n! is an identity, returned for every n without enumeration, and
-so is |S_n(ps)| = n! for n below the shortest pattern of ps.  A count of
-a single pattern with an image of the form t'.m (see `states`: every
-length-3 pattern, 12...m, and the classes of 1234, 1243, 1432 and 1342)
-is grown without numpy from merged generating-tree states, once per
-process the state counter has reproduced the count for every j <= 6
-and j <= m + 1, m the pattern's length: the scalar count
+A count is looked up in one order, and the first step that applies
+answers:
+
+1. n = 0, or S_n: n!, an identity for every n.
+2. The separable class above n = 10: a Schroeder-type linear recurrence.
+3. The in-process memo, then the count cache.
+4. n! below the shortest pattern of ps, again an identity.
+5. A single pattern with an image of the form t'.m (see `states`: every
+   length-3 pattern, 12...m, and the classes of 1234, 1243, 1432 and
+   1342): merged generating-tree states, grown without numpy.
+6. Rows, grown by `fresh_count`.
+
+Steps 3-6 record their answer in one step: in the memo, and in the cache
+where it lacks or contradicts it; event tables record their totals the
+same way.  The two fast paths, steps 2 and 5, are each checked once per
+class in a process, in one gate memo; a path that fails its check is
+skipped.  The recurrence must reproduce the counts of steps 3-6 for every
+n <= 10, so a cache written by an earlier run can satisfy the check, and
+a wrong cached count only fails it.  The state counter must reproduce,
+for every j <= max(6, m + 1), m the pattern's length, the scalar count
 sum(avoids_all(s, ps) for s in S_j) for m <= 5, and the rows that
 `fresh_count` grows for m >= 6 (below j = m both sides are j!, so the
-scalar gate alone would check nothing there); on a miss it is grown from
-rows.  Only counts take that path: `fresh_count` (and so
-`cache-audit`), event tables and listings always grow rows.  A listing
-is the one result that holds a whole class; it is counted first and
-refused (DomainError) if its rows would pass _MAX_LISTING_BYTES.  The
-other counting fast paths (Catalan for a single length-3 pattern, a
-Schroeder-type linear recurrence for the separable class) are only used
-for n > 10, once per process the closed form has reproduced the counts
-for every n <= 10.  Those counts come from the one count lookup: the
-in-process memo, then the count cache, then the states or enumeration,
-so a cache written by an earlier run can satisfy the check; a wrong
-cached count only fails it, and the fast path falls back to the lookup.
-The lookup and every event table record the count they find in one
-step: in the memo, and in the cache where it lacks or contradicts it.
+scalar check alone would check nothing there).  Only counts take these
+paths: `fresh_count` (and so `cache-audit`), event tables and listings
+always grow rows.  A listing is the one result that holds a whole class;
+it is counted first and refused (DomainError) if its rows would pass
+_MAX_LISTING_BYTES.  Catalan numbers are no count source: they stay a
+closed form (`formulas.catalan`, the `thm3` suite) checked against counts.
 
-An event table is looked up the same way: the in-process memo, then the
-table store beside the count cache, then growth, whose table is written
-to the store.  A stored table is used only if its line passes its CRC-32
-and every range and bound check, and its total is n! for S_n or the
-count that the memo or the count cache holds; any other line is ignored
-and the table grown and written again.
+An event table is looked up in a shorter order: the in-process memo,
+then the table store beside the count cache, then growth, whose table is
+written to the store.  A stored table is used only if its line passes its
+CRC-32 and every range and bound check, and its total is n! for S_n or
+the count that the memo or the count cache holds; any other line is
+ignored and the table grown and written again.
 
 All counting is exact integer arithmetic; probabilities are Fractions.
 """
@@ -369,15 +374,23 @@ class CountCache(_LineStore[int]):
 def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
     """Count by enumeration only, bypassing memos, caches and fast paths.
     Below its shortest pattern a class is all of S_n, and n! an identity."""
-    if n == 0:
-        return 1
-    if ps.is_empty() or 0 < n < min(len(tau) for tau in ps):
+    if ps.is_empty() or 0 <= n < min(len(tau) for tau in ps):
         return math.factorial(n)
     return _engine().count(n, ps, jobs)
 
 
 _STATE_GATE_UPTO = 6  # the gate checks every j <= max(6, m + 1), m the pattern's length
-_STATE_GATE: dict[str, bool] = {}
+_GATE: dict[tuple[str, str], bool] = {}
+
+
+def _gated(source: str, ps: PatternSet, form: Callable[[int], int], reference: Callable[[int], int],
+           upto: int) -> bool:
+    """Whether the fast path `source` may count ps: form(j) == reference(j)
+    for every j <= upto, checked once per (source, ps) in a process."""
+    key = (source, ps.key())
+    if key not in _GATE:
+        _GATE[key] = all(form(j) == reference(j) for j in range(1, upto + 1))
+    return _GATE[key]
 
 
 def _scalar_count(n: int, ps: PatternSet) -> int:
@@ -387,31 +400,43 @@ def _scalar_count(n: int, ps: PatternSet) -> int:
 
 def _state_count(n: int, ps: PatternSet) -> int | None:
     """|S_n(ps)| from generating-tree states (see `states`), or None where
-    they do not apply: ps is not one pattern, n is below its length (n! is
-    an identity), no image of it is eligible, or the counter missed the
-    reference count at some j <= max(_STATE_GATE_UPTO, m + 1) for a
-    pattern of length m, checked once per ps in a process: `_scalar_count`
-    for m <= 5, which loads no numpy, and `fresh_count` for m >= 6, where
-    the scalar count of S_(m+1) would take seconds."""
-    if len(ps) != 1 or n < len(ps.patterns[0]):
+    they do not apply: ps is not one pattern, no image of it is eligible,
+    or the counter missed the reference count at some j <= max(6, m + 1)
+    for a pattern of length m: `_scalar_count` for m <= 5, which loads no
+    numpy, and `fresh_count` for m >= 6, where the scalar count of S_(m+1)
+    would take seconds."""
+    if len(ps) != 1:
         return None
     from . import states
 
     image = states.image(ps.patterns[0])
     if image is None:
         return None
-    key, m = ps.key(), len(image)
-    if key not in _STATE_GATE:
-        reference = _scalar_count if m <= 5 else fresh_count
-        _STATE_GATE[key] = all(states.count(j, image) == reference(j, ps)
-                               for j in range(1, max(_STATE_GATE_UPTO, m + 1) + 1))
-    return states.count(n, image) if _STATE_GATE[key] else None
+    m = len(image)
+    reference = _scalar_count if m <= 5 else fresh_count
+    if not _gated("states", ps, lambda j: states.count(j, image), lambda j: reference(j, ps),
+                  max(_STATE_GATE_UPTO, m + 1)):
+        return None
+    return states.count(n, image)
 
 
-def _enumerated_count(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:
-    """|S_n(ps)| from the memo, else the cache, else by generating-tree
-    states, else by enumeration."""
+def _schroeder_count(n: int) -> int:
+    """The number of separable permutations of length n, by the exact
+    Schroeder-type recurrence q d_q = 3(2q - 3) d_(q-1) - (q - 3) d_(q-2)
+    from d_0 = d_1 = 1."""
+    prev, d = 1, 1
+    for q in range(2, n + 1):
+        prev, d = d, (3 * (2 * q - 3) * d - (q - 3) * prev) // q
+    return d
+
+
+def _lookup(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:
+    """|S_n(ps)| for n >= 1 and a nonempty ps: the memo, then the cache,
+    then n! below the shortest pattern, then states, then rows.  The answer
+    is recorded, so a memo hit also fills a cache that lacks it."""
     value = _known_count(n, ps, cache)
+    if value is None and n < min(len(tau) for tau in ps):
+        value = math.factorial(n)
     if value is None:
         value = _state_count(n, ps)
     if value is None:
@@ -419,51 +444,16 @@ def _enumerated_count(n: int, ps: PatternSet, cache: CountCache | None, jobs: in
     return _record_count(n, ps, value, cache)
 
 
-_VALIDATED_FAST_PATHS: set[str] = set()
-
-
-def _schroeder_counts(n: int) -> list[int]:
-    # d[q] = |separable permutations of length q|; exact integer recurrence.
-    d = [0] * (n + 1)
-    d[1] = 1
-    if n >= 2:
-        d[2] = 2
-    for q in range(3, n + 1):
-        num = 3 * (2 * q - 3) * d[q - 1] - (q - 3) * d[q - 2]
-        d[q] = num // q
-    return d
-
-
-def _closed_count(ps: PatternSet) -> Callable[[int], int] | None:
-    """The known closed form n -> |S_n(ps)|, if any: Catalan numbers for a
-    single length-3 pattern, the Schroeder-type recurrence for SEP."""
-    if len(ps) == 1 and len(ps.patterns[0]) == 3:
-        from .formulas import catalan  # formulas imports this module
-
-        return catalan
-    if ps == SEP:
-        return lambda n: _schroeder_counts(n)[n]
-    return None
-
-
 def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, jobs: int = 1) -> int:
     """|S_n(ps)| exactly.  n = 0 counts the empty permutation once."""
     if n < 0:
         raise DomainError("counting needs n >= 0")
-    if n == 0:
-        return 1
-    if ps.is_empty():
+    if n == 0 or ps.is_empty():
         return math.factorial(n)
-    form = _closed_count(ps) if n > _VALIDATE_UPTO else None
-    if form is not None:
-        key = ps.key()
-        if key not in _VALIDATED_FAST_PATHS and all(
-            _enumerated_count(j, ps, cache, jobs) == form(j) for j in range(1, _VALIDATE_UPTO + 1)
-        ):
-            _VALIDATED_FAST_PATHS.add(key)
-        if key in _VALIDATED_FAST_PATHS:
-            return form(n)
-    return _enumerated_count(n, ps, cache, jobs)
+    if ps == SEP and n > _VALIDATE_UPTO and _gated(
+            "schroeder", ps, _schroeder_count, lambda j: _lookup(j, ps, cache, jobs), _VALIDATE_UPTO):
+        return _schroeder_count(n)
+    return _lookup(n, ps, cache, jobs)
 
 
 def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:

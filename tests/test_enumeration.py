@@ -162,15 +162,20 @@ def test_count_empty_class():
 
 
 def test_catalan_fast_path_validated():
+    # counted by the gated state counter; the Catalan numbers are the check
     assert count_avoiders(12, ps_of("321")) == 208012
     assert count_avoiders(12, ps_of("213")) == 208012
 
 
 def test_wrong_closed_form_falls_back_to_enumeration(monkeypatch):
-    monkeypatch.setattr(enumeration, "_closed_count", lambda ps: lambda n: catalan(n) + 1)
-    monkeypatch.setattr(enumeration, "_VALIDATED_FAST_PATHS", set())
-    assert count_avoiders(11, ps_of("321")) == 58786
-    assert enumeration._VALIDATED_FAST_PATHS == set()
+    # a recurrence off by one from n = 10 on fails the gate at its last n,
+    # and the count falls back to the lookup instead of the recurrence
+    right = enumeration._schroeder_count
+    monkeypatch.setattr(enumeration, "_schroeder_count", lambda n: right(n) + (n >= 10))
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    assert count_avoiders(11, SEP) == 1037718
+    assert enumeration._GATE == {("schroeder", "2413+3142"): False}
 
 
 def test_separable_fast_path_agrees_with_enumeration_at_11():
@@ -179,9 +184,8 @@ def test_separable_fast_path_agrees_with_enumeration_at_11():
 
 
 def test_separable_fast_path_large_n():
-    d = enumeration._schroeder_counts(20)
-    assert d[1:6] == [1, 2, 6, 22, 90]
-    assert count_avoiders(20, SEP) == d[20]
+    assert [enumeration._schroeder_count(n) for n in range(1, 6)] == [1, 2, 6, 22, 90]
+    assert count_avoiders(20, SEP) == enumeration._schroeder_count(20)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +259,36 @@ CLOSED_SETS = [ps_of("123", "321"), ps_of("132", "312"), ps_of("1342", "4213"), 
 DIFFERENTIAL_SETS = [EMPTY_PATTERNS, SEP, ps_of("12"), ps_of("12", "21"), ps_of("321"), ps_of("1342"),
                      ps_of("25314"), ps_of("315264"), ps_of("2413", "13254")] + random_pattern_sets(6, 10) \
     + CLOSED_SETS
+
+
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
+def test_count_lookup_matches_fresh_count(ps, tmp_path, monkeypatch):
+    # with empty memos and gate, each step of the count lookup answers as
+    # enumeration does, without a cache and through one; the counts that
+    # one cache object writes are read back by a second, without growth
+    # or states (S_n and n = 0 are identities, never written)
+    want = [enumeration.fresh_count(n, ps) for n in range(9)]
+    path = tmp_path / "counts.txt"
+    for cache in (None, CountCache(path)):
+        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_GATE", {})
+        assert [count_avoiders(n, ps, cache=cache) for n in range(9)] == want
+    written = [] if ps.is_empty() else [(enumeration.cache_key(n, ps), want[n]) for n in range(1, 9)]
+    assert CountCache(path).items() == written
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "fresh_count", None)
+    monkeypatch.setattr(enumeration, "_state_count", None)
+    assert [count_avoiders(n, ps, cache=CountCache(path)) for n in range(9)] == want
+
+
+def test_count_lookup_above_the_gates_matches_fresh_count(monkeypatch):
+    # the separable recurrence past n = 10 and the states of 321 past
+    # Tier-1's sizes, each behind its gate, against enumeration
+    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    for n, ps in ((11, SEP), (12, SEP), (11, ps_of("321"))):
+        assert count_avoiders(n, ps) == enumeration.fresh_count(n, ps)
+    assert enumeration._GATE == {("schroeder", SEP.key()): True, ("states", "321"): True}
 
 
 def test_event_table_is_a_mutable_record():
