@@ -281,9 +281,11 @@ def _cmd_table(args) -> tuple[list[dict], bool]:
     return records, disagree
 
 
-def _audit_record(key: str, cached: str, fresh: str | None, same: bool, max_n: int) -> dict:
-    """One cache-audit row; an entry with no recomputed value (n > max_n)
-    is skipped."""
+def _audit_record(key: str, cached: str | None, fresh: str | None, same: bool, max_n: int) -> dict:
+    """One cache-audit row; a line that fails its seal (cached None) shows
+    "bad checksum", and an entry with no recomputed value (n > max_n) is
+    skipped."""
+    cached = "bad checksum" if cached is None else cached
     if fresh is None:
         return {"key": key, "cached": cached, "recomputed": "", "status": f"skipped (n > {max_n})"}
     return {"key": key, "cached": cached, "recomputed": fresh, "status": "ok" if same else "MISMATCH"}
@@ -291,21 +293,20 @@ def _audit_record(key: str, cached: str, fresh: str | None, same: bool, max_n: i
 
 def _cmd_cache_audit(args) -> tuple[list[dict], bool]:
     """Recompute every cached count, then every stored event table, by fresh
-    growth.  A table's row shows the CRC-32 of its stored line ("bad
-    checksum" if the line fails its own) and of the recomputed line."""
+    growth.  A count's row shows the stored and the recomputed count, a
+    table's row the CRC-32 of the stored and of the recomputed line."""
     cache = _cache(args)
     records = []
     for key, cached in cache.items():
         n, ps = enumeration.parse_cache_key(key)
-        fresh = None if n > args.max_n else enumeration.fresh_count(n, ps, jobs=args.jobs)
-        records.append(_audit_record(key, str(cached), None if fresh is None else str(fresh),
-                                     fresh == cached, args.max_n))
+        fresh = None if n > args.max_n else str(enumeration.fresh_count(n, ps, jobs=args.jobs))
+        records.append(_audit_record(key, cached, fresh, fresh == cached, args.max_n))
     store = cache.tables
-    for key, line in store.items():
+    for key, cached in store.items():
         n, ps = enumeration.parse_cache_key(key)
-        fresh = None if n > args.max_n else store.encode(key, enumeration.fresh_table(n, ps, jobs=args.jobs))
-        cached = line[1] if line[1] == store.checksum(key, line[0]) else "bad checksum"
-        records.append(_audit_record(f"table:{key}", cached, fresh and fresh[1], fresh == line, args.max_n))
+        fresh = None if n > args.max_n else store.encode(enumeration.fresh_table(n, ps, jobs=args.jobs))
+        seal = [None if value is None else store.checksum(key, value) for value in (cached, fresh)]
+        records.append(_audit_record(f"table:{key}", *seal, fresh == cached, args.max_n))
     bad = next((r for r in records if r["status"] == "MISMATCH"), None)
     if bad is not None:
         print(f"cache mismatch at {bad['key']}: cached {bad['cached']}, "

@@ -40,10 +40,12 @@ closed form (`formulas.catalan`, the `thm3` suite) checked against counts.
 
 An event table is looked up in a shorter order: the in-process memo,
 then the table store beside the count cache, then growth, whose table is
-written to the store.  A stored table is used only if its line passes its
-CRC-32 and every range and bound check, and its total is n! for S_n or
-the count that the memo or the count cache holds; any other line is
-ignored and the table grown and written again.
+written to the store.  Both files hold one sealed line per key,
+`key<TAB>value<TAB>crc32`, and answer only from a line that passes its
+CRC-32; any other line is ignored, its value recomputed and its line
+written again.  A stored table is used only if it also passes every
+range and bound check, and its total is n! for S_n or the count that the
+memo or the count cache holds.
 
 All counting is exact integer arithmetic; probabilities are Fractions.
 """
@@ -58,7 +60,7 @@ import os
 import zlib
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generic, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .perms import (
     SEP,
@@ -88,8 +90,6 @@ _MAX_TABLE_N_SN = 12
 # CLI, which keeps about 420 bytes of Python objects a member, it peaks at
 # 1.5 GiB (S_11 would need 17 GiB).
 _MAX_LISTING_BYTES = 40_000_000
-
-V = TypeVar("V")
 
 
 def _engine():
@@ -207,124 +207,113 @@ def parse_cache_key(key: str) -> tuple[int, PatternSet]:
     return int(n_part), PatternSet(patterns)
 
 
-class _LineStore(Generic[V]):
-    """A persistent text map from cache keys to values, one line per key:
-    the key, a tab, and the value's tab-separated fields.
+class _LineStore:
+    """A persistent text map from cache keys to text values, one sealed
+    line per key: `key<TAB>value<TAB>crc32`, crc32 being the CRC-32 of
+    `key<TAB>value` in eight hex digits.
 
-    Lines whose key or fields do not parse are ignored (and their keys
-    recomputed on demand).  A write holds an exclusive lock on the sidecar
-    file `<name>.lock` while it re-reads the file, merges, writes a
-    uniquely named temporary file beside it and replaces the file with it:
-    concurrent readers always see a whole file, and concurrent writers lose
-    no entry (for a key written by both with different values, the later
-    writer wins).
+    Lines without three fields or with a key that does not parse are
+    ignored; a line that fails its seal is kept but answers no `get`, so
+    its key is recomputed on demand and its line rewritten.  A write
+    holds an exclusive lock on the sidecar file `<name>.lock` while it
+    re-reads the file, sets the one key it writes, writes a uniquely named
+    temporary file beside it and replaces the file with it: concurrent
+    readers always see a whole file, and concurrent writers lose no entry
+    (for a key written by both with different values, the later writer
+    wins).
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._data: dict[str, V] | None = None
+        self._data: dict[str, tuple[str, str]] | None = None
 
-    def _parse(self, fields: list[str]) -> V | None:
-        """The value of a line's fields after its key, or None if corrupt."""
-        raise NotImplementedError
+    @staticmethod
+    def checksum(key: str, value: str) -> str:
+        return format(zlib.crc32(f"{key}\t{value}".encode()), "08x")
 
-    def _format(self, value: V) -> str:
-        raise NotImplementedError
-
-    def _parse_file(self) -> dict[str, V]:
-        data: dict[str, V] = {}
+    def _parse_file(self) -> dict[str, tuple[str, str]]:
+        data: dict[str, tuple[str, str]] = {}
         try:
             text = self.path.read_text()
         except OSError:
             return data
         for line in text.splitlines():
             key, *fields = line.split("\t")
-            value = self._parse(fields)
-            if value is None:
-                continue  # corrupt entry: ignore, recompute later
+            if len(fields) != 2:
+                continue  # corrupt or unsealed entry: ignore, recompute later
             try:
                 parse_cache_key(key)
             except (ParseError, ValueError):
                 continue
-            data[key] = value
+            data[key] = (fields[0], fields[1])
         return data
 
-    def _load(self) -> dict[str, V]:
+    def _load(self) -> dict[str, tuple[str, str]]:
         if self._data is None:
             self._data = self._parse_file()
         return self._data
 
-    def get(self, key: str) -> V | None:
-        return self._load().get(key)
+    def _sealed(self, key: str, line: tuple[str, str] | None) -> str | None:
+        """The value of a line that passes its seal, else None."""
+        return line[0] if line is not None and line[1] == self.checksum(key, line[0]) else None
 
-    def put(self, key: str, value: V) -> None:
+    def get(self, key: str) -> str | None:
+        return self._sealed(key, self._load().get(key))
+
+    def put(self, key: str, value: str) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         lock_path = self.path.with_name(self.path.name + ".lock")
         import tempfile  # only a write needs it
         with open(lock_path, "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             merged = self._parse_file()
-            merged.update(self._load())
-            merged[key] = value
+            merged[key] = (value, self.checksum(key, value))
             self._data = merged
             fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
                     for k in sorted(merged):
-                        fh.write(f"{k}\t{self._format(merged[k])}\n")
+                        fh.write(f"{k}\t{merged[k][0]}\t{merged[k][1]}\n")
                 os.replace(tmp, self.path)
             except BaseException:
                 os.unlink(tmp)
                 raise
 
-    def items(self) -> list[tuple[str, V]]:
-        return sorted(self._load().items())
+    def items(self) -> list[tuple[str, str | None]]:
+        """Every line's key and value, None for a line that fails its seal."""
+        return [(key, self._sealed(key, line)) for key, line in sorted(self._load().items())]
 
 
-class TableStore(_LineStore[tuple[str, str]]):
-    """Event tables, one line per (n, patterns): `key<TAB>value<TAB>crc32`.
+class TableStore(_LineStore):
+    """Event tables, one sealed line per (n, patterns).
 
     The value is `by_lka+union_by_l`: the anchored counts as `l.k.a=count`
     and the unions as `l=count`, each comma-separated in increasing order.
     The unions run on to l = n, whose event is the whole class, so that
-    entry is the table's total.  crc32 is the CRC-32 of `key<TAB>value` in
-    eight hex digits.  by_lk is derived on load, and only the requested
-    key's value is decoded.
+    entry is the table's total.  by_lk is derived on load, and only the
+    requested key's value is decoded.
     """
 
-    def _parse(self, fields: list[str]) -> tuple[str, str] | None:
-        return (fields[0], fields[1]) if len(fields) == 2 else None
-
-    def _format(self, value: tuple[str, str]) -> str:
-        return "\t".join(value)
-
     @staticmethod
-    def checksum(key: str, value: str) -> str:
-        return format(zlib.crc32(f"{key}\t{value}".encode()), "08x")
-
-    @classmethod
-    def encode(cls, key: str, table: EventTable) -> tuple[str, str]:
-        """The value and checksum fields of a table's line."""
+    def encode(table: EventTable) -> str:
+        """The value field of a table's line."""
         lka = ",".join(f"{l}.{k}.{a}={c}" for (l, k, a), c in sorted(table.by_lka.items()))
         union = ",".join(f"{l}={c}" for l, c in sorted({**table.union_by_l, table.n: table.total}.items()))
-        value = f"{lka}+{union}"
-        return value, cls.checksum(key, value)
+        return f"{lka}+{union}"
 
     def put_table(self, n: int, ps: PatternSet, table: EventTable) -> None:
-        key = cache_key(n, ps)
-        self.put(key, self.encode(key, table))
+        self.put(cache_key(n, ps), self.encode(table))
 
     def table(self, n: int, ps: PatternSet, total: int | None) -> EventTable | None:
         """The stored table of S_n(ps), if its line passes every check: its
-        checksum, the ranges of l, k and a, every count positive and at most
+        seal, the ranges of l, k and a, every count positive and at most
         the union at its l, every union at most the total, and the total
         equal to `total`, the class size known without the table.  A line
         that is not in the form `encode` writes fails too."""
-        key = cache_key(n, ps)
-        line = self.get(key)
-        if line is None or total is None or line[1] != self.checksum(key, line[0]):
+        value = self.get(cache_key(n, ps))
+        if value is None or total is None:
             return None
-        lka_part, _, union_part = line[0].partition("+")
+        lka_part, _, union_part = value.partition("+")
         try:
             by_lka = {}
             for entry in filter(None, lka_part.split(",")):
@@ -343,28 +332,28 @@ class TableStore(_LineStore[tuple[str, str]]):
         counts = itertools.chain(table.by_lka.items(), table.by_lk.items())
         bounded = all(0 < c <= union.get(event[0], 0) for event, c in counts) \
             and all(0 < c <= total for c in union.values())
-        if not (in_range and bounded and table.total == total and self.encode(key, table) == line):
+        if not (in_range and bounded and table.total == total and self.encode(table) == value):
             return None
         return table
 
 
-class CountCache(_LineStore[int]):
-    """A persistent text map from cache keys to decimal count strings, one
-    `key<TAB>count` line per entry, with its event tables in the
+class CountCache(_LineStore):
+    """A persistent text map from cache keys to counts, one sealed line per
+    entry with the count in decimal, and its event tables in the
     `TableStore` sidecar `<name>.tables`."""
 
     def __init__(self, path: str | Path):
         super().__init__(path)
         self.tables = TableStore(self.path.with_name(self.path.name + ".tables"))
 
-    def _parse(self, fields: list[str]) -> int | None:
-        digits = fields[0].strip() if len(fields) == 1 else ""
-        if not (digits.isascii() and digits.isdigit()):  # "²".isdigit(), but int("²") fails
+    def get(self, key: str) -> int | None:
+        digits = super().get(key)
+        if digits is None or not (digits.isascii() and digits.isdigit()):  # "²".isdigit(), but int("²") fails
             return None
-        return int(fields[0])
+        return int(digits)
 
-    def _format(self, value: int) -> str:
-        return str(value)
+    def put(self, key: str, value: int) -> None:
+        super().put(key, str(value))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +363,9 @@ class CountCache(_LineStore[int]):
 def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
     """Count by enumeration only, bypassing memos, caches and fast paths.
     Below its shortest pattern a class is all of S_n, and n! an identity."""
-    if ps.is_empty() or 0 <= n < min(len(tau) for tau in ps):
+    if n < 0:
+        raise DomainError("counting needs n >= 0")
+    if ps.is_empty() or n < min(len(tau) for tau in ps):
         return math.factorial(n)
     return _engine().count(n, ps, jobs)
 

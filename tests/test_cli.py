@@ -225,12 +225,14 @@ def test_cache_audit_clean_and_tampered(tmp_path):
     code, out = run_cli(["cache-audit", "--no-meta"], tmp_path)
     assert code == 0
     assert all(r["status"] == "ok" for r in csv_rows(out))
-    # tamper with the stored value
-    path = tmp_path / "counts.txt"
+    # tamper with the stored value, under its old checksum and resealed
+    path, key = tmp_path / "counts.txt", "avoid=2413;n=5"
     path.write_text(path.read_text().replace("\t103", "\t104"))
-    code, out = run_cli(["cache-audit", "--no-meta"], tmp_path)
-    assert code == 1
-    assert any(r["status"] == "MISMATCH" for r in csv_rows(out))
+    for cached in ("bad checksum", "104"):
+        code, out = run_cli(["cache-audit", "--no-meta"], tmp_path)
+        assert code == 1
+        assert csv_rows(out) == [{"key": key, "cached": cached, "recomputed": "103", "status": "MISMATCH"}]
+        _replace_line(path, key, _resealed(key, "104"))
 
 
 def test_domain_error_exit(tmp_path):
@@ -385,7 +387,9 @@ def test_state_counts_leave_out_numpy(tmp_path):
         output, code, loaded = loaded_modules(*args, *cache)
         assert code == 0 and loaded == loads, args
         assert len(output) == 2 + len(want) and all(row.startswith(w) for row, w in zip(output[2:], want))
-    counts = dict(line.split("\t") for line in (tmp_path / "counts.txt").read_text().splitlines())
+    lines = [line.split("\t") for line in (tmp_path / "counts.txt").read_text().splitlines()]
+    assert all(crc == enumeration.CountCache.checksum(key, value) for key, value, crc in lines)
+    counts = {key: value for key, value, _ in lines}
     assert counts["avoid=1342;n=6"] == "512" and counts["avoid=231;n=14"] == "2674440"
 
 
@@ -398,7 +402,7 @@ def test_count_below_the_pattern_length_leaves_out_numpy(tmp_path):
         "pattern,l,growth_limit,upper,upper_dec,exact,exact_dec,lower,lower_dec,note",
         '1342,3,8,3/32,0.09375,,,1/64,0.015625,"conditions held: c1,c2; cluster-free: False"',
     ]
-    assert cache.read_text() == "avoid=1342;n=3\t6\n"
+    assert cache.read_text() == _resealed("avoid=1342;n=3", "6") + "\n"
 
 
 # Runs `python -c <code>` and prints its exit code, its peak RSS in KiB and
@@ -443,7 +447,7 @@ def test_jobs_bound_is_the_cores_the_process_may_use(tmp_path, monkeypatch, caps
     assert "--jobs 2 outside 1..1" in capsys.readouterr().err
 
 
-def _tables_line(path, key):
+def _stored_line(path, key):
     return next(line for line in path.read_text().splitlines() if line.startswith(key + "\t"))
 
 
@@ -476,7 +480,7 @@ def test_tampered_table_lines_are_ignored(tmp_path, monkeypatch):
     assert code == 0 and want6 != want
     tables = tmp_path / "counts.txt.tables"
     k7, k6 = "avoid=1342;n=7", "avoid=1342;n=6"
-    line7, line6 = _tables_line(tables, k7), _tables_line(tables, k6)
+    line7, line6 = _stored_line(tables, k7), _stored_line(tables, k6)
     assert len(grown) == 2 and run(args) == (0, want) and len(grown) == 2  # an intact line is used
     _, value7, crc7 = line7.split("\t")
     _, value6, crc6 = line6.split("\t")
@@ -495,8 +499,50 @@ def test_tampered_table_lines_are_ignored(tmp_path, monkeypatch):
         before = len(grown)
         for argv, key, line, out in ((args, k7, line7, want), (args6, k6, line6, want6)):
             assert run(argv) == (0, out), name
-            assert _tables_line(tables, key) == line, name
+            assert _stored_line(tables, key) == line, name
         assert len(grown) == before + len(tampered), name
+
+
+def test_tampered_count_lines_are_ignored(tmp_path, monkeypatch):
+    # as for table lines: each tampered or unsealed count line is ignored,
+    # the class counted again, the printed count the recomputed one and the
+    # line rewritten sealed
+    args = ["count", "--n", "7", "--avoid", "2413", "--no-meta"]
+    args6 = args[:2] + ["6"] + args[3:]
+    counted = []
+    fresh_count = enumeration.fresh_count
+    monkeypatch.setattr(enumeration, "fresh_count", lambda *a, **kw: counted.append(a) or fresh_count(*a, **kw))
+
+    def run(argv):
+        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        return run_cli(argv, tmp_path)
+
+    code, want = run(args)
+    assert code == 0 and csv_rows(want)[0]["count"] == "2740"
+    code, want6 = run(args6)
+    assert code == 0 and csv_rows(want6)[0]["count"] == "512"
+    counts = tmp_path / "counts.txt"
+    k7, k6 = "avoid=2413;n=7", "avoid=2413;n=6"
+    line7, line6 = _stored_line(counts, k7), _stored_line(counts, k6)
+    assert (line7, line6) == (_resealed(k7, "2740"), _resealed(k6, "512"))
+    assert len(counted) == 2 and run(args) == (0, want) and len(counted) == 2  # an intact line is used
+    _, count7, crc7 = line7.split("\t")
+    _, count6, crc6 = line6.split("\t")
+    cases = {
+        "digit changed under the old checksum": {k7: f"{k7}\t{count7[:-1]}{(int(count7[-1]) + 1) % 10}\t{crc7}"},
+        "truncated line": {k7: line7[:-4]},
+        "values swapped between two keys": {k7: f"{k7}\t{count6}\t{crc6}", k6: f"{k6}\t{count7}\t{crc7}"},
+        "pre-change two-field line": {k7: f"{k7}\t{count7}"},
+        "torn pre-change line": {k7: f"{k7}\t{count7[:2]}"},
+    }
+    for name, tampered in cases.items():
+        for key, line in tampered.items():
+            _replace_line(counts, key, line)
+        before = len(counted)
+        for argv, key, line, out in ((args, k7, line7, want), (args6, k6, line6, want6)):
+            assert run(argv) == (0, out), name
+            assert _stored_line(counts, key) == line, name
+        assert len(counted) == before + len(tampered), name
 
 
 def test_cache_audit_recomputes_stored_tables(tmp_path, monkeypatch):
@@ -511,7 +557,7 @@ def test_cache_audit_recomputes_stored_tables(tmp_path, monkeypatch):
     assert code == 0 and csv_rows(out)[1]["status"] == "skipped (n > 5)"
     tables = tmp_path / "counts.txt.tables"
     key = "avoid=2413;n=6"
-    _, value, _ = _tables_line(tables, key).split("\t")
+    _, value, _ = _stored_line(tables, key).split("\t")
     for tampered, cached in ((_resealed(key, value.replace("=", "=1", 1)), None),
                              (f"{key}\t{value.replace('=', '=1', 1)}\t{rows[1]['cached']}", "bad checksum")):
         _replace_line(tables, key, tampered)

@@ -110,6 +110,13 @@ def test_stream_rejects_n_zero():
         list(enumerate_avoiders(0, EMPTY_PATTERNS))
 
 
+def test_fresh_count_rejects_negative_n():
+    # one error for out-of-range n, whether or not the class has patterns
+    for ps in (EMPTY_PATTERNS, ps_of("321")):
+        with pytest.raises(DomainError, match="n >= 0"):
+            enumeration.fresh_count(-1, ps)
+
+
 def test_listing_over_the_row_budget_is_refused(monkeypatch):
     # the class is counted before it is grown: 42 members of length 5 take
     # 210 bytes of rows, 14 of length 4 take 56
@@ -273,7 +280,7 @@ def test_count_lookup_matches_fresh_count(ps, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
         monkeypatch.setattr(enumeration, "_GATE", {})
         assert [count_avoiders(n, ps, cache=cache) for n in range(9)] == want
-    written = [] if ps.is_empty() else [(enumeration.cache_key(n, ps), want[n]) for n in range(1, 9)]
+    written = [] if ps.is_empty() else [(enumeration.cache_key(n, ps), str(want[n])) for n in range(1, 9)]
     assert CountCache(path).items() == written
     monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
     monkeypatch.setattr(enumeration, "fresh_count", None)
@@ -545,6 +552,11 @@ def test_ratio_sequence_needs_two_terms():
 # the persistent cache
 
 
+def sealed(key, value):
+    """A count or table line as the stores write it."""
+    return f"{key}\t{value}\t{CountCache.checksum(key, value)}\n"
+
+
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "counts.txt"
     cache = CountCache(path)
@@ -556,11 +568,11 @@ def test_cache_round_trip(tmp_path):
 def test_cache_ignores_corrupt_lines(tmp_path):
     path = tmp_path / "counts.txt"
     path.write_text(
-        "avoid=321;n=4\t14\n"
-        "garbage line\n"
-        "avoid=321;n=5\tnotanumber\n"
-        "avoid=;n=oops\t3\n"
-        "avoid=999;n=3\t7\n"
+        sealed("avoid=321;n=4", "14")
+        + "garbage line\n"
+        + sealed("avoid=321;n=5", "notanumber")
+        + sealed("avoid=;n=oops", "3")
+        + sealed("avoid=999;n=3", "7")
     )
     cache = CountCache(path)
     assert cache.get("avoid=321;n=4") == 14
@@ -580,7 +592,7 @@ def test_cached_value_is_used(tmp_path, monkeypatch):
     # a fresh memo keeps it out of the rest of the test run
     monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
     path = tmp_path / "counts.txt"
-    path.write_text("avoid=53421;n=5\t999\n")
+    path.write_text(sealed("avoid=53421;n=5", "999"))
     cache = CountCache(path)
     assert count_avoiders(5, ps_of("53421"), cache=cache) == 999
     assert enumeration.fresh_count(5, ps_of("53421")) == 119
@@ -589,8 +601,11 @@ def test_cached_value_is_used(tmp_path, monkeypatch):
 def test_corrupt_count_lines_are_ignored(tmp_path, monkeypatch):
     monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
     path = tmp_path / "counts.txt"
-    path.write_text("avoid=321;n=5\t\u00b2\navoid=321;n=6\t1 2\navoid=321;n=7\nbad key\t5\navoid=321;n=4\t14\n")
-    assert CountCache(path).items() == [("avoid=321;n=4", 14)]
+    path.write_text(sealed("avoid=321;n=5", "\u00b2") + sealed("avoid=321;n=6", "1 2") + "avoid=321;n=7\n"
+                    + sealed("bad key", "5") + sealed("avoid=321;n=4", "14"))
+    cache = CountCache(path)
+    assert cache.items() == [("avoid=321;n=4", "14"), ("avoid=321;n=5", "\u00b2"), ("avoid=321;n=6", "1 2")]
+    assert [cache.get(f"avoid=321;n={n}") for n in (4, 5, 6, 7)] == [14, None, None, None]
     assert count_avoiders(5, ps_of("321"), cache=CountCache(path)) == 42
 
 
@@ -598,10 +613,10 @@ def test_table_pass_mends_a_wrong_cached_count(tmp_path, monkeypatch):
     monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
     monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
     path = tmp_path / "counts.txt"
-    path.write_text("avoid=321;n=5\t41\n")
+    path.write_text(sealed("avoid=321;n=5", "41"))
     enumeration.event_count_table(5, ps_of("321"))  # memoized, no cache yet
     enumeration.event_count_table(5, ps_of("321"), cache=CountCache(path))
-    assert path.read_text() == "avoid=321;n=5\t42\n"
+    assert path.read_text() == sealed("avoid=321;n=5", "42")
 
 
 def test_a_known_count_is_written_once(tmp_path, monkeypatch):
@@ -652,7 +667,7 @@ def test_table_store_rejects_resealed_lines_out_of_range_or_bound(tmp_path):
 
     def stored(by_lka, union_by_l, total=good.total):
         table = enumeration.EventTable(n, ps.key(), total, by_lka, union_by_l)
-        store.put(key, enumeration.TableStore.encode(key, table))
+        store.put(key, enumeration.TableStore.encode(table))
         return enumeration.TableStore(store.path).table(n, ps, good.total)
 
     assert_same_table(stored(good.by_lka, good.union_by_l), good)
@@ -669,6 +684,19 @@ def test_table_store_rejects_resealed_lines_out_of_range_or_bound(tmp_path):
     for name, (by_lka, union_by_l) in bad_lines.items():
         assert stored(by_lka, union_by_l) is None, name
     assert stored(good.by_lka, good.union_by_l, good.total + 1) is None
+
+
+def test_a_stale_writer_keeps_another_writers_value(tmp_path):
+    # a put merges only its own key into the file as it stands under the
+    # lock, so a writer's older view of another key does not undo a newer
+    # write of that key
+    path = tmp_path / "counts.txt"
+    stale, other = CountCache(path), CountCache(path)
+    stale.put("avoid=321;n=5", 41)
+    other.put("avoid=321;n=5", 42)
+    stale.put("avoid=321;n=4", 14)
+    cache = CountCache(path)
+    assert [cache.get("avoid=321;n=4"), cache.get("avoid=321;n=5")] == [14, 42]
 
 
 def _put_many(path, pattern):

@@ -62,7 +62,8 @@ CASES = [
 
 # The cache that cache_audit reads: one good entry, one wrong entry (a
 # mismatch, exit 1) and one entry above the default --max-n (skipped).
-AUDITED_CACHE = "avoid=2413;n=5\t103\navoid=321;n=5\t41\navoid=2413+3142;n=12\t5293446\n"
+AUDITED_CACHE = "".join(f"{key}\t{count}\t{enumeration.CountCache.checksum(key, count)}\n" for key, count in
+                        (("avoid=2413;n=5", "103"), ("avoid=321;n=5", "41"), ("avoid=2413+3142;n=12", "5293446")))
 
 
 def run_case(argv: list[str], home: Path) -> tuple[int, str, str]:
