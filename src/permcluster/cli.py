@@ -173,8 +173,7 @@ def _cmd_prob(args) -> tuple[list[dict], bool]:
         raise ParseError("give --k (or --union)")
     event = ClusterEvent(args.l) if args.union else ClusterEvent(args.l, args.k, args.a)
     rec = _prob_record(args.n, ps, event, args.formula, _cache(args), args.jobs)
-    disagree = rec.get("agree") == "DISAGREE"
-    return [rec], disagree
+    return [rec], rec.get("agree") == "DISAGREE"
 
 
 def _cmd_verify(args) -> tuple[list[dict], bool]:
@@ -187,7 +186,6 @@ def _cmd_verify(args) -> tuple[list[dict], bool]:
     else:
         reports = [verify.run_suite(args.suite, args.max_n)]
     records = []
-    failed = False
     for rep in reports:
         for row in rep.rows:
             records.append({
@@ -198,23 +196,29 @@ def _cmd_verify(args) -> tuple[list[dict], bool]:
                 "status": "pass" if row.passed else "FAIL",
             })
         if not rep.passed:
-            failed = True
             bad = rep.first_failure()
             print(
                 f"counterexample in suite {rep.name}: {bad.instance}: "
                 f"expected {bad.expected}, got {bad.actual}",
                 file=sys.stderr,
             )
-    return records, failed
+    return records, not all(rep.passed for rep in reports)
 
 
 def _cmd_limits(args) -> tuple[list[dict], bool]:
     from . import formulas
 
+    target = "cor1" if args.target.startswith("cor1:") else args.target
+    reads = {"sep": ("at_n",), "cor2": ("fixed_k", "right_offset", "interior", "at_n"), "cor1": ("sw_limit",)}
+    if target not in reads:
+        raise ParseError(f"unknown limits target {args.target!r} (use sep, cor2, or cor1:<pattern>)")
+    for name in reads["cor2"] + reads["cor1"]:
+        if getattr(args, name) is not None and name not in reads[target]:
+            raise ParseError(f"limits {target} does not read --{name.replace('_', '-')}")
     cache = _cache(args)
     records = []
     ls = parse_int_range(args.l)
-    if args.target == "sep":
+    if target == "sep":
         for l in ls:
             lim = formulas.separable_cluster_limit(l, cache=cache)
             rec = {"l": str(l), "limit": lim.symbolic(), "limit_dec": _dec(lim.approx)}
@@ -224,7 +228,7 @@ def _cmd_limits(args) -> tuple[list[dict], bool]:
                 rec["gap_dec"] = _dec(abs(float(p) - lim.approx))
             records.append(rec)
         return records, False
-    if args.target == "cor2":
+    if target == "cor2":
         if args.fixed_k is not None:
             spec = formulas.LimitSpec.fixed_k(args.fixed_k)
         elif args.right_offset is not None:
@@ -243,18 +247,16 @@ def _cmd_limits(args) -> tuple[list[dict], bool]:
                 rec["gap_dec"] = _dec(abs(p - lim))
             records.append(rec)
         return records, False
-    if args.target.startswith("cor1:"):
-        tau = parse_permutation(args.target.split(":", 1)[1])
-        for l in ls:
-            rep = formulas.cluster_limit_report(tau, l, sw_limit=args.sw_limit, cache=cache)
-            rec = {"pattern": tau.text(), "l": str(l),
-                   "growth_limit": "unavailable" if rep.limit_used is None else str(rep.limit_used)}
-            for name in ("upper", "exact", "lower"):
-                rec.update(_ratio_cells(name, getattr(rep, name)))
-            rec["note"] = rep.note
-            records.append(rec)
-        return records, False
-    raise ParseError(f"unknown limits target {args.target!r} (use sep, cor2, or cor1:<pattern>)")
+    tau = parse_permutation(args.target.split(":", 1)[1])
+    for l in ls:
+        rep = formulas.cluster_limit_report(tau, l, sw_limit=args.sw_limit, cache=cache)
+        rec = {"pattern": tau.text(), "l": str(l),
+               "growth_limit": "unavailable" if rep.limit_used is None else str(rep.limit_used)}
+        for name in ("upper", "exact", "lower"):
+            rec.update(_ratio_cells(name, getattr(rep, name)))
+        rec["note"] = rep.note
+        records.append(rec)
+    return records, False
 
 
 def _cmd_table(args) -> tuple[list[dict], bool]:
@@ -263,7 +265,6 @@ def _cmd_table(args) -> tuple[list[dict], bool]:
     ps = parse_avoid_spec(args.avoid)
     cache = _cache(args)
     records = []
-    disagree = False
     for n in parse_int_range(args.n):
         ls = parse_int_range(args.l) if args.l else list(range(2, n))
         for l in ls:
@@ -275,10 +276,8 @@ def _cmd_table(args) -> tuple[list[dict], bool]:
                 ks = parse_int_range(args.k) if args.k else range(1, n - l + 2)
                 events = [ClusterEvent(l, k) for k in ks if 1 <= k <= n - l + 1]
             for event in events:
-                rec = _prob_record(n, ps, event, args.formula, cache, args.jobs)
-                records.append(rec)
-                disagree = disagree or rec.get("agree") == "DISAGREE"
-    return records, disagree
+                records.append(_prob_record(n, ps, event, args.formula, cache, args.jobs))
+    return records, any(rec.get("agree") == "DISAGREE" for rec in records)
 
 
 def _audit_record(key: str, cached: str | None, fresh: str | None, same: bool, max_n: int) -> dict:
@@ -306,7 +305,7 @@ def _cmd_cache_audit(args) -> tuple[list[dict], bool]:
         n, ps = enumeration.parse_cache_key(key)
         fresh = None if n > args.max_n else store.encode(enumeration.fresh_table(n, ps, jobs=args.jobs))
         seal = [None if value is None else store.checksum(key, value) for value in (cached, fresh)]
-        records.append(_audit_record(f"table:{key}", *seal, fresh == cached, args.max_n))
+        records.append(_audit_record(enumeration.table_key(key), *seal, fresh == cached, args.max_n))
     bad = next((r for r in records if r["status"] == "MISMATCH"), None)
     if bad is not None:
         print(f"cache mismatch at {bad['key']}: cached {bad['cached']}, "
@@ -360,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     regime = p.add_mutually_exclusive_group()
     regime.add_argument("--fixed-k", type=int, dest="fixed_k")
     regime.add_argument("--right-offset", type=int, dest="right_offset")
-    regime.add_argument("--interior", action="store_true")
+    regime.add_argument("--interior", action="store_true", default=None)
     p.add_argument("--at-n", type=int, dest="at_n",
                    help="also evaluate the finite-n value and the gap")
     p.add_argument("--sw-limit", type=float, dest="sw_limit",
@@ -406,7 +405,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     try:
-        cpus = len(os.sched_getaffinity(0))  # the cores this process may run on
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         if not 1 <= args.jobs <= cpus:
             raise ParseError(f"--jobs {args.jobs} outside 1..{cpus}")
         records, failed = _COMMANDS[args.command](args)

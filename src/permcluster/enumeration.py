@@ -5,27 +5,27 @@ table and listing is asked for here.  The numpy growth engine that
 enumerates lives in `growth` (see there for how it grows avoiders and
 reads event counts off the width n - 1 parents); this module imports it on
 the first call that has to enumerate, so that a process answered from the
-memos, the stores, the recurrence or the state counter never imports
+memo, the stores, the recurrence or the state counter never imports
 numpy.  The names of the engine that callers use (`avoider_rows`,
 `contains_pattern_rows`, `cluster_windows`) stay here.
 
 A count is looked up in one order, and the first step that applies
 answers:
 
-1. n = 0, or S_n: n!, an identity for every n.
+1. n! where S_n(ps) is all of S_n (no patterns, n = 0, or n below the
+   shortest pattern), never read from or written to the memo or the cache.
 2. The separable class above n = 10: a Schroeder-type linear recurrence.
 3. The in-process memo, then the count cache.
-4. n! below the shortest pattern of ps, again an identity.
-5. A single pattern with an image of the form t'.m (see `states`: every
+4. A single pattern with an image of the form t'.m (see `states`: every
    length-3 pattern, 12...m, and the classes of 1234, 1243, 1432 and
    1342): merged generating-tree states, grown without numpy.
-6. Rows, grown by `fresh_count`.
+5. Rows, grown by `fresh_count`.
 
-Steps 3-6 record their answer in one step: in the memo, and in the cache
+Steps 3-5 record their answer in one step: in the memo, and in the cache
 where it lacks or contradicts it; event tables record their totals the
-same way.  The two fast paths, steps 2 and 5, are each checked once per
+same way.  The two fast paths, steps 2 and 4, are each checked once per
 class in a process, in one gate memo; a path that fails its check is
-skipped.  The recurrence must reproduce the counts of steps 3-6 for every
+skipped.  The recurrence must reproduce `count_avoiders` for every
 n <= 10, so a cache written by an earlier run can satisfy the check, and
 a wrong cached count only fails it.  The state counter must reproduce,
 for every j <= max(6, m + 1), m the pattern's length, the scalar count
@@ -44,8 +44,8 @@ written to the store.  Both files hold one sealed line per key,
 `key<TAB>value<TAB>crc32`, and answer only from a line that passes its
 CRC-32; any other line is ignored, its value recomputed and its line
 written again.  A stored table is used only if it also passes every
-range and bound check, and its total is n! for S_n or the count that the
-memo or the count cache holds.
+range and bound check, and its total is n! where the class is all of
+S_n, else the count that the memo or the count cache holds.
 
 All counting is exact integer arithmetic; probabilities are Fractions.
 """
@@ -137,14 +137,18 @@ class EventTable:
         return Fraction(self.count(event), self.total)
 
 
-_EVENT_MEMO: dict[tuple[int, str], EventTable] = {}
-_COUNT_MEMO: dict[str, int] = {}
+_MEMO: dict[str, "int | EventTable"] = {}  # this process's counts and tables, keyed as in the stores
+
+
+def _is_all_of_s_n(n: int, ps: PatternSet) -> bool:
+    """Whether S_n(ps) is all of S_n: no patterns, n = 0, or n below the shortest pattern."""
+    return ps.is_empty() or n < min(len(tau) for tau in ps)
 
 
 def _known_count(n: int, ps: PatternSet, cache: "CountCache | None") -> int | None:
     """|S_n(ps)| from the memo, else the cache, if either holds it."""
     key = cache_key(n, ps)
-    value = _COUNT_MEMO.get(key)
+    value = _MEMO.get(key)
     if value is None and cache is not None:
         value = cache.get(key)
     return value
@@ -152,11 +156,12 @@ def _known_count(n: int, ps: PatternSet, cache: "CountCache | None") -> int | No
 
 def _record_count(n: int, ps: PatternSet, value: int, cache: "CountCache | None") -> int:
     """Keep |S_n(ps)| = value in the memo, and in the cache where the cache
-    lacks it or holds another value (never |S_n|: n! is an identity)."""
+    lacks it or holds another value; an identity n! is kept in neither."""
     key = cache_key(n, ps)
-    _COUNT_MEMO[key] = value
-    if cache is not None and not ps.is_empty() and cache.get(key) != value:
-        cache.put(key, value)
+    if not _is_all_of_s_n(n, ps):
+        _MEMO[key] = value
+        if cache is not None and cache.get(key) != value:
+            cache.put(key, value)
     return value
 
 
@@ -173,19 +178,19 @@ def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCac
     """Counts of S_n(ps) members in every cluster event, from one full pass
     (or from the memo or the table store, which keep the tables of earlier
     passes)."""
-    memo_key = (n, ps.key())
-    table = _EVENT_MEMO.get(memo_key)
+    key = cache_key(n, ps)
+    table = _MEMO.get(table_key(key))
     if table is None and cache is not None and n >= 1:  # growth rejects n < 1
-        total = math.factorial(n) if ps.is_empty() else _known_count(n, ps, cache)
+        total = math.factorial(n) if _is_all_of_s_n(n, ps) else _known_count(n, ps, cache)
         table = cache.tables.table(n, ps, total)
     grown = table is None
     if grown:
         table = fresh_table(n, ps, jobs=jobs)
-    _EVENT_MEMO[memo_key] = table
+    _MEMO[table_key(key)] = table
     _record_count(n, ps, table.total, cache)
     if grown and cache is not None:
         with contextlib.suppress(OSError):  # the store only saves time: a table it cannot keep is grown again
-            cache.tables.put_table(n, ps, table)
+            cache.tables.put(key, cache.tables.encode(table))
     return table
 
 
@@ -195,6 +200,10 @@ def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCac
 
 def cache_key(n: int, ps: PatternSet) -> str:
     return f"avoid={ps.key()};n={n}"
+
+
+def table_key(key: str) -> str:
+    return f"table:{key}"
 
 
 def parse_cache_key(key: str) -> tuple[int, PatternSet]:
@@ -301,9 +310,6 @@ class TableStore(_LineStore):
         union = ",".join(f"{l}={c}" for l, c in sorted({**table.union_by_l, table.n: table.total}.items()))
         return f"{lka}+{union}"
 
-    def put_table(self, n: int, ps: PatternSet, table: EventTable) -> None:
-        self.put(cache_key(n, ps), self.encode(table))
-
     def table(self, n: int, ps: PatternSet, total: int | None) -> EventTable | None:
         """The stored table of S_n(ps), if its line passes every check: its
         seal, the ranges of l, k and a, every count positive and at most
@@ -365,7 +371,7 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
     Below its shortest pattern a class is all of S_n, and n! an identity."""
     if n < 0:
         raise DomainError("counting needs n >= 0")
-    if ps.is_empty() or n < min(len(tau) for tau in ps):
+    if _is_all_of_s_n(n, ps):
         return math.factorial(n)
     return _engine().count(n, ps, jobs)
 
@@ -421,30 +427,22 @@ def _schroeder_count(n: int) -> int:
     return d
 
 
-def _lookup(n: int, ps: PatternSet, cache: CountCache | None, jobs: int) -> int:
-    """|S_n(ps)| for n >= 1 and a nonempty ps: the memo, then the cache,
-    then n! below the shortest pattern, then states, then rows.  The answer
-    is recorded, so a memo hit also fills a cache that lacks it."""
+def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, jobs: int = 1) -> int:
+    """|S_n(ps)| exactly, by the module's count lookup; n = 0 counts the empty permutation once."""
+    if n < 0:
+        raise DomainError("counting needs n >= 0")
+    if _is_all_of_s_n(n, ps):
+        return math.factorial(n)
+    if ps == SEP and n > _VALIDATE_UPTO and _gated(
+            "schroeder", ps, _schroeder_count, lambda j: count_avoiders(j, ps, cache=cache, jobs=jobs),
+            _VALIDATE_UPTO):
+        return _schroeder_count(n)
     value = _known_count(n, ps, cache)
-    if value is None and n < min(len(tau) for tau in ps):
-        value = math.factorial(n)
     if value is None:
         value = _state_count(n, ps)
     if value is None:
         value = fresh_count(n, ps, jobs=jobs)
     return _record_count(n, ps, value, cache)
-
-
-def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, jobs: int = 1) -> int:
-    """|S_n(ps)| exactly.  n = 0 counts the empty permutation once."""
-    if n < 0:
-        raise DomainError("counting needs n >= 0")
-    if n == 0 or ps.is_empty():
-        return math.factorial(n)
-    if ps == SEP and n > _VALIDATE_UPTO and _gated(
-            "schroeder", ps, _schroeder_count, lambda j: _lookup(j, ps, cache, jobs), _VALIDATE_UPTO):
-        return _schroeder_count(n)
-    return _lookup(n, ps, cache, jobs)
 
 
 def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:

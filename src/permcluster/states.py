@@ -38,11 +38,11 @@ stay on rows.  For such an image:
 The state is h and the chains, and the count at n is the sum of
 multiplicity * h over the width n - 1 states.  For 1342 (image 2314) the
 width 10 level has 1,014 states where growth holds 555,662 rows.
-`enumeration` uses this counter as step 5 of its count lookup, after the
-memo, the cache and n! below the pattern's length, and only once its
-counts have matched, in the same process, the scalar containment count
-for every n <= 6 (for a pattern of length m >= 6, the counts grown from
-rows for every n <= m + 1); on a miss the count is grown from rows.
+`enumeration` uses this counter as step 4 of its count lookup, after the
+identities, the memo and the cache, and only once its counts have
+matched, in the same process, the scalar containment count for every
+n <= 6 (for a pattern of length m >= 6, the counts grown from rows for
+every n <= m + 1); on a miss the count is grown from rows.
 """
 
 from __future__ import annotations

@@ -196,8 +196,8 @@ def test_jobs_flag_gives_same_answers(tmp_path):
     from permcluster import enumeration
     from permcluster.perms import PatternSet, Permutation
 
-    enumeration._EVENT_MEMO.pop((8, "132"), None)
-    enumeration._COUNT_MEMO.pop("avoid=132;n=8", None)
+    enumeration._MEMO.pop("table:avoid=132;n=8", None)
+    enumeration._MEMO.pop("avoid=132;n=8", None)
     code, out = run_cli(["count", "--n", "8", "--avoid", "132", "--jobs", "2", "--no-meta"], tmp_path)
     assert code == 0
     assert csv_rows(out)[0]["count"] == "1430"
@@ -394,7 +394,7 @@ def test_state_counts_leave_out_numpy(tmp_path):
 
 
 def test_count_below_the_pattern_length_leaves_out_numpy(tmp_path):
-    # |S_3(1342)| = 3! without growth, written to the count file as before
+    # |S_3(1342)| = 3! without growth, an identity that is never written
     cache = tmp_path / "counts.txt"
     output, code, loaded = loaded_modules("limits", "cor1:1342", "--l", "3", "--no-meta", "--cache", str(cache))
     assert code == 0 and loaded == {"permcluster.formulas", "fractions"}
@@ -402,7 +402,7 @@ def test_count_below_the_pattern_length_leaves_out_numpy(tmp_path):
         "pattern,l,growth_limit,upper,upper_dec,exact,exact_dec,lower,lower_dec,note",
         '1342,3,8,3/32,0.09375,,,1/64,0.015625,"conditions held: c1,c2; cluster-free: False"',
     ]
-    assert cache.read_text() == _resealed("avoid=1342;n=3", "6") + "\n"
+    assert not cache.exists()
 
 
 # Runs `python -c <code>` and prints its exit code, its peak RSS in KiB and
@@ -447,6 +447,111 @@ def test_jobs_bound_is_the_cores_the_process_may_use(tmp_path, monkeypatch, caps
     assert "--jobs 2 outside 1..1" in capsys.readouterr().err
 
 
+def test_jobs_bound_without_sched_getaffinity(tmp_path, monkeypatch, capsys):
+    # where the platform has no affinity call (macOS), the bound is the
+    # machine's cores
+    monkeypatch.delattr(os, "sched_getaffinity")
+    code, out = run_cli(["count", "--n", "5", "--avoid", "321", "--no-meta"], tmp_path)
+    assert code == 0 and csv_rows(out)[0]["count"] == "42"
+    cpus = os.cpu_count() or 1
+    code, out = run_cli(["count", "--n", "5", "--avoid", "321", "--jobs", str(cpus + 1)], tmp_path)
+    assert code == 2 and out == ""
+    assert f"--jobs {cpus + 1} outside 1..{cpus}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, option", [
+    (["cor1:321", "--at-n", "50"], "--at-n"),
+    (["sep", "--fixed-k", "2"], "--fixed-k"),
+    (["sep", "--sw-limit", "4"], "--sw-limit"),
+    (["cor2", "--sw-limit", "4"], "--sw-limit"),
+], ids=["cor1-at-n", "sep-fixed-k", "sep-sw-limit", "cor2-sw-limit"])
+def test_limits_rejects_an_option_its_target_does_not_read(args, option, tmp_path, capsys):
+    code, out = run_cli(["limits", *args, "--l", "3", "--no-meta"], tmp_path)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: limits {args[0].split(':')[0]} does not read {option}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("5..3", "empty range '5..3'"), ("x", "bad range 'x'"), ("3..x", "bad range '3..x'"),
+])
+def test_bad_int_range_is_a_usage_error(spec, message, tmp_path, capsys):
+    code, out = run_cli(["table", "--avoid", "321", "--n", spec, "--no-meta"], tmp_path)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_limits_right_offset_matches_fixed_k(tmp_path):
+    # the limit at a fixed right offset equals the limit at that fixed k
+    limits = {}
+    for regime in ("--right-offset", "--fixed-k"):
+        code, out = run_cli(["limits", "cor2", regime, "2", "--l", "2..3", "--no-meta"], tmp_path)
+        assert code == 0
+        limits[regime] = [(r["l"], r["k"], r["limit"], r["limit_dec"]) for r in csv_rows(out)]
+    assert limits["--right-offset"] == limits["--fixed-k"] == [("2", "2", "17/64", "0.265625"),
+                                                               ("3", "2", "5/64", "0.078125")]
+
+
+def test_table_without_rows_prints_the_meta_line_only(tmp_path):
+    code, out = run_cli(["table", "--avoid", "321", "--n", "5", "--l", "9", "--no-meta"], tmp_path)
+    assert code == 0
+    assert out == f"# command=permcluster table --avoid 321 --n 5 --l 9 --no-meta --cache {tmp_path / 'counts.txt'}\n"
+
+
+def test_prob_formula_none_leaves_the_value_cells_empty(tmp_path):
+    # 1342 has a cluster, so no closed form applies
+    code, out = run_cli(["prob", "--n", "6", "--avoid", "1342", "--l", "2", "--k", "1", "--formula", "--no-meta"],
+                        tmp_path)
+    assert code == 0
+    row = csv_rows(out)[0]
+    assert (row["probability"], row["formula"], row["formula_value"], row["formula_value_dec"], row["agree"]) \
+        == ("103/256", "none", "", "", "")
+
+
+@pytest.mark.parametrize("target", ["sep", "cor1:321"])
+def test_limits_below_l_2_is_a_domain_error(target, tmp_path, capsys):
+    code, out = run_cli(["limits", target, "--l", "1", "--no-meta"], tmp_path)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == "error: limits need l >= 2\n"
+
+
+def test_count_above_the_enumeration_cap_exits_3_before_growth(tmp_path, monkeypatch, capsys):
+    def no_growth(*args):
+        raise AssertionError("no growth expected")
+
+    monkeypatch.setattr(growth, "_children", no_growth)
+    code, out = run_cli(["count", "--n", "61", "--avoid", "1324", "--no-meta"], tmp_path)
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == "error: enumeration supports n <= 60\n"
+
+
+def test_identities_are_never_read_from_the_cache(tmp_path, monkeypatch):
+    # |S_3(1342)| is 3!, whatever a sealed count line says; the audit still
+    # flags the line
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    counts = tmp_path / "counts.txt"
+    counts.write_text(_resealed("avoid=1342;n=3", "7") + "\n")
+    code, out = run_cli(["count", "--n", "3", "--avoid", "1342", "--no-meta"], tmp_path)
+    assert code == 0 and csv_rows(out)[0]["count"] == "6"
+    code, out = run_cli(["limits", "cor1:1342", "--l", "3", "--no-meta"], tmp_path)
+    assert code == 0 and csv_rows(out)[0]["upper"] == "3/32"
+    code, out = run_cli(["cache-audit", "--no-meta"], tmp_path)
+    assert code == 1
+    assert csv_rows(out) == [{"key": "avoid=1342;n=3", "cached": "7", "recomputed": "6", "status": "MISMATCH"}]
+
+
+def test_table_of_an_identity_class_reads_back_without_its_count(tmp_path, monkeypatch):
+    # a stored table of S_3(1342), all of S_3, is checked against 3!, so it
+    # is used with no count line to check it against
+    args = ["prob", "--n", "3", "--avoid", "1342", "--l", "2", "--k", "1", "--no-meta"]
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    code, want = run_cli(args, tmp_path)
+    assert code == 0 and (tmp_path / "counts.txt.tables").exists()
+    (tmp_path / "counts.txt").unlink(missing_ok=True)
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "fresh_table", None)
+    assert run_cli(args, tmp_path) == (0, want)
+
+
 def _stored_line(path, key):
     return next(line for line in path.read_text().splitlines() if line.startswith(key + "\t"))
 
@@ -469,8 +574,7 @@ def test_tampered_table_lines_are_ignored(tmp_path, monkeypatch):
     monkeypatch.setattr(enumeration, "fresh_table", lambda *a, **kw: grown.append(a) or fresh_table(*a, **kw))
 
     def run(argv):
-        monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
-        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         return run_cli(argv, tmp_path)
 
     args6 = args[:2] + ["6"] + args[3:]
@@ -492,6 +596,7 @@ def test_tampered_table_lines_are_ignored(tmp_path, monkeypatch):
         "truncated line": {k7: line7[: len(line7) // 2]},
         "values swapped between two keys": {k7: f"{k7}\t{value6}\t{crc6}", k6: f"{k6}\t{value7}\t{crc7}"},
         "total disagrees with the count file": {k7: _resealed(k7, f"{value7[: -len(total)]}{int(total) + 1}")},
+        "sealed but not a table": {k7: _resealed(k7, "not a table")},
     }
     for name, tampered in cases.items():
         for key, line in tampered.items():
@@ -514,7 +619,7 @@ def test_tampered_count_lines_are_ignored(tmp_path, monkeypatch):
     monkeypatch.setattr(enumeration, "fresh_count", lambda *a, **kw: counted.append(a) or fresh_count(*a, **kw))
 
     def run(argv):
-        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         return run_cli(argv, tmp_path)
 
     code, want = run(args)
@@ -546,7 +651,7 @@ def test_tampered_count_lines_are_ignored(tmp_path, monkeypatch):
 
 
 def test_cache_audit_recomputes_stored_tables(tmp_path, monkeypatch):
-    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})  # so that the table is grown and stored
+    monkeypatch.setattr(enumeration, "_MEMO", {})  # so that the table is grown and stored
     code, _ = run_cli(["prob", "--n", "6", "--avoid", "2413", "--l", "2", "--k", "1", "--no-meta"], tmp_path)
     assert code == 0
     code, out = run_cli(["cache-audit", "--no-meta"], tmp_path)

@@ -179,7 +179,7 @@ def test_wrong_closed_form_falls_back_to_enumeration(monkeypatch):
     # and the count falls back to the lookup instead of the recurrence
     right = enumeration._schroeder_count
     monkeypatch.setattr(enumeration, "_schroeder_count", lambda n: right(n) + (n >= 10))
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "_GATE", {})
     assert count_avoiders(11, SEP) == 1037718
     assert enumeration._GATE == {("schroeder", "2413+3142"): False}
@@ -273,16 +273,18 @@ def test_count_lookup_matches_fresh_count(ps, tmp_path, monkeypatch):
     # with empty memos and gate, each step of the count lookup answers as
     # enumeration does, without a cache and through one; the counts that
     # one cache object writes are read back by a second, without growth
-    # or states (S_n and n = 0 are identities, never written)
+    # or states (S_n, n = 0 and every n below the shortest pattern are the
+    # identity n!, never written)
     want = [enumeration.fresh_count(n, ps) for n in range(9)]
     path = tmp_path / "counts.txt"
     for cache in (None, CountCache(path)):
-        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         monkeypatch.setattr(enumeration, "_GATE", {})
         assert [count_avoiders(n, ps, cache=cache) for n in range(9)] == want
-    written = [] if ps.is_empty() else [(enumeration.cache_key(n, ps), str(want[n])) for n in range(1, 9)]
+    shortest = min((len(tau) for tau in ps), default=9)
+    written = [(enumeration.cache_key(n, ps), str(want[n])) for n in range(shortest, 9)]
     assert CountCache(path).items() == written
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "fresh_count", None)
     monkeypatch.setattr(enumeration, "_state_count", None)
     assert [count_avoiders(n, ps, cache=CountCache(path)) for n in range(9)] == want
@@ -291,7 +293,7 @@ def test_count_lookup_matches_fresh_count(ps, tmp_path, monkeypatch):
 def test_count_lookup_above_the_gates_matches_fresh_count(monkeypatch):
     # the separable recurrence past n = 10 and the states of 321 past
     # Tier-1's sizes, each behind its gate, against enumeration
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "_GATE", {})
     for n, ps in ((11, SEP), (12, SEP), (11, ps_of("321"))):
         assert count_avoiders(n, ps) == enumeration.fresh_count(n, ps)
@@ -322,7 +324,7 @@ def test_event_table_is_a_mutable_record():
 @pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
 def test_event_table_matches_leaf_tabulation(ps, monkeypatch):
     # the tables read off the width n-1 parents against a scan of the leaves
-    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     for n in range(1, 9):
         assert_same_table(event_count_table(n, ps), leaf_table(n, ps))
 
@@ -374,7 +376,7 @@ def test_union_counts_match_scalar_filter(ps):
 @pytest.mark.parametrize("ps", [SEP, ps_of("2413", "13254"), EMPTY_PATTERNS, ps_of("132", "312")],
                          ids=lambda ps: ps.key() or "S_n")
 def test_parallel_event_table_matches_leaf_tabulation(ps, monkeypatch):
-    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     assert_same_table(event_count_table(8, ps, jobs=2), leaf_table(8, ps))
 
 
@@ -590,7 +592,7 @@ def test_cache_key_round_trip():
 def test_cached_value_is_used(tmp_path, monkeypatch):
     # a planted (wrong) value is trusted by count_avoiders and exposed by audit;
     # a fresh memo keeps it out of the rest of the test run
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     path = tmp_path / "counts.txt"
     path.write_text(sealed("avoid=53421;n=5", "999"))
     cache = CountCache(path)
@@ -599,7 +601,7 @@ def test_cached_value_is_used(tmp_path, monkeypatch):
 
 
 def test_corrupt_count_lines_are_ignored(tmp_path, monkeypatch):
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     path = tmp_path / "counts.txt"
     path.write_text(sealed("avoid=321;n=5", "\u00b2") + sealed("avoid=321;n=6", "1 2") + "avoid=321;n=7\n"
                     + sealed("bad key", "5") + sealed("avoid=321;n=4", "14"))
@@ -610,8 +612,7 @@ def test_corrupt_count_lines_are_ignored(tmp_path, monkeypatch):
 
 
 def test_table_pass_mends_a_wrong_cached_count(tmp_path, monkeypatch):
-    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     path = tmp_path / "counts.txt"
     path.write_text(sealed("avoid=321;n=5", "41"))
     enumeration.event_count_table(5, ps_of("321"))  # memoized, no cache yet
@@ -620,8 +621,7 @@ def test_table_pass_mends_a_wrong_cached_count(tmp_path, monkeypatch):
 
 
 def test_a_known_count_is_written_once(tmp_path, monkeypatch):
-    monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     puts = []
     put = CountCache.put
 
@@ -643,11 +643,9 @@ def test_stored_table_reads_back_as_grown(ps, tmp_path, monkeypatch):
     path = tmp_path / "counts.txt"
     for n in range(3, 9):
         grown = enumeration.fresh_table(n, ps)
-        monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
-        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         event_count_table(n, ps, cache=CountCache(path))
-        monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
-        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         with monkeypatch.context() as m:
             m.setattr(enumeration, "fresh_table", None)  # a lookup that grows fails
             stored = event_count_table(n, ps, cache=CountCache(path))
@@ -699,6 +697,23 @@ def test_a_stale_writer_keeps_another_writers_value(tmp_path):
     assert [cache.get("avoid=321;n=4"), cache.get("avoid=321;n=5")] == [14, 42]
 
 
+def test_a_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
+    # a write that cannot replace the file removes its temporary file and
+    # leaves the file as it was
+    path = tmp_path / "counts.txt"
+    CountCache(path).put("avoid=321;n=5", 42)
+    before = path.read_text()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(enumeration.os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        CountCache(path).put("avoid=321;n=6", 132)
+    assert path.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.txt", "counts.txt.lock"]
+
+
 def _put_many(path, pattern):
     cache = CountCache(path)
     for n in range(1, 101):
@@ -726,7 +741,7 @@ def test_cache_two_writers_lose_nothing(tmp_path):
 def test_parallel_event_table_matches_serial():
     for ps in (ps_of("132"), EMPTY_PATTERNS):
         serial = event_count_table(8, ps)
-        enumeration._EVENT_MEMO.pop((8, ps.key()), None)
+        enumeration._MEMO.pop(enumeration.table_key(enumeration.cache_key(8, ps)), None)
         parallel = event_count_table(8, ps, jobs=2)
         assert parallel.total == serial.total
         assert parallel.by_lk == serial.by_lk

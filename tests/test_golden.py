@@ -99,8 +99,7 @@ def test_warm_cache_output_matches_golden(name, argv, code, tmp_path, monkeypatc
     # the second run starts from empty memos, so its tables come from the
     # store beside the cache that the first run wrote, not from growth
     for run in range(2):
-        monkeypatch.setattr(enumeration, "_EVENT_MEMO", {})
-        monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         if run:
             monkeypatch.setattr(enumeration, "fresh_table", None)
         got_code, out, err = run_case(argv, tmp_path)

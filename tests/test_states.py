@@ -60,7 +60,7 @@ def test_ineligible_inputs_never_reach_states(ps, monkeypatch):
         raise AssertionError("counted by states")
 
     monkeypatch.setattr(states, "count", refuse)
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "_GATE", {})
     for n in range(1, 8):
         assert count_avoiders(n, ps) == enumeration.fresh_count(n, ps)
@@ -75,7 +75,7 @@ def test_wrong_state_rule_fails_the_gate_and_falls_back_to_rows(monkeypatch):
 
     right = states._child
     monkeypatch.setattr(states, "_child", forgetful)
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "_GATE", {})
     assert states.count(9, (2, 3, 1, 4)) != 91245
     assert count_avoiders(9, ps_of("1342")) == 91245 == enumeration.fresh_count(9, ps_of("1342"))
@@ -86,7 +86,7 @@ def test_gate_passes_once_per_pattern(monkeypatch):
     checked = []
     scalar = enumeration._scalar_count
     monkeypatch.setattr(enumeration, "_scalar_count", lambda n, ps: checked.append(n) or scalar(n, ps))
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "_GATE", {})
     assert [count_avoiders(n, ps_of("1342")) for n in (3, 4, 10, 12)] == [6, 23, 555662, 22214707]
     assert checked == list(range(1, enumeration._STATE_GATE_UPTO + 1))
@@ -98,7 +98,7 @@ def test_gate_reaches_past_the_length_of_a_long_pattern(monkeypatch):
     # wrong from j = 7 on must be caught by the rows grown at j = 7 and 8
     right = states.count
     monkeypatch.setattr(states, "count", lambda n, t: right(n, t) + (n >= 7))
-    monkeypatch.setattr(enumeration, "_COUNT_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "_GATE", {})
     ps = ps_of("1234567")
     assert [states.count(j, (1, 2, 3, 4, 5, 6, 7)) for j in (6, 7)] == [720, 5040]
