@@ -5,9 +5,10 @@ table and listing is asked for here.  The numpy growth engine that
 enumerates lives in `growth` (see there for how it grows avoiders and
 reads event counts off the width n - 1 parents); this module imports it on
 the first call that has to enumerate, so that a process answered from the
-memo, the stores, the recurrence or the state counter never imports
-numpy.  The names of the engine that callers use (`avoider_rows`,
-`contains_pattern_rows`, `cluster_windows`) stay here.
+memo, the stores, the recurrence, the state counter or the substitution
+decomposition never imports numpy.  The names of the engine that callers
+use (`avoider_rows`, `contains_pattern_rows`, `cluster_windows`) stay
+here.
 
 A count is looked up in one order, and the first step that applies
 answers:
@@ -32,15 +33,28 @@ for every j <= max(6, m + 1), m the pattern's length, the scalar count
 sum(avoids_all(s, ps) for s in S_j) for m <= 5, and the rows that
 `fresh_count` grows for m >= 6 (below j = m both sides are j!, so the
 scalar check alone would check nothing there).  Only counts take these
-paths: `fresh_count` (and so `cache-audit`), event tables and listings
-always grow rows.  A listing is the one result that holds a whole class;
-it is counted first and refused (DomainError) if its rows would pass
-_MAX_LISTING_BYTES.  Catalan numbers are no count source: they stay a
+paths: `fresh_count` (and so `cache-audit`) and listings always grow
+rows, and event tables have a fast path of their own, below.  A listing
+is the one result that holds a whole class; it is counted first and
+refused (DomainError) if its rows would pass _MAX_LISTING_BYTES.  Catalan numbers are no count source: they stay a
 closed form (`formulas.catalan`, the `thm3` suite) checked against counts.
 
-An event table is looked up in a shorter order: the in-process memo,
-then the table store beside the count cache, then growth, whose table is
-written to the store.  Both files hold one sealed line per key,
+An event table is looked up in its own order, and the first step that
+answers wins:
+
+1. the in-process memo;
+2. the table store beside the count cache;
+3. for all of S_n or the separable class at n >= 10, the substitution
+   decomposition (see `substitution`: pure Python, no numpy), gated in the
+   same gate memo: its tables must equal `_scalar_table`, a scan of every
+   member of S_j with the scalar `avoids_all` and a window test, for every
+   j <= 6;
+4. growth, by `fresh_table`.
+
+A table of all of S_n past _MAX_TABLE_N_SN that the stores lack is
+refused (DomainError) before anything is computed.  A table from step 3
+or 4 is written to the store, in the same line either way;
+`fresh_table` (and so `cache-audit`) always grows.  Both files hold one sealed line per key,
 `key<TAB>value<TAB>crc32`, and answer only from a line that passes its
 CRC-32; any other line is ignored, its value recomputed and its line
 written again.  A stored table is used only if it also passes every
@@ -80,9 +94,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 _VALIDATE_UPTO = 10
-# S_n event tables grow n! / (2n) parents, those under 12: the table of
-# all of S_12 (`prob --n 12 --avoid= --l 3 --union`) takes 7.2-7.6 s at
-# 39 MiB peak RSS on a 2-vCPU machine.
+_DECOMPOSE_FROM = 10  # S_n and separable tables from this n on come from `substitution`
+_DECOMPOSITION_GATE_UPTO = 6  # the decomposition must match `_scalar_table` for every j <= 6
+# S_n event tables grow n! / (2n) parents, those under 12: growing the
+# table of all of S_12 (`fresh_table`, and so `cache-audit`) takes 7-8 s
+# at 39 MiB peak RSS on a 2-vCPU machine, where the lookup takes it from
+# the decomposition in about 5 ms.  Past the cap no table could be audited.
 _MAX_TABLE_N_SN = 12
 # A listing holds its whole class as int8 rows, n bytes a member, and a
 # larger one is refused before it is grown.  The largest listing of all of
@@ -183,15 +200,33 @@ def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCac
     if table is None and cache is not None and n >= 1:  # growth rejects n < 1
         total = math.factorial(n) if _is_all_of_s_n(n, ps) else _known_count(n, ps, cache)
         table = cache.tables.table(n, ps, total)
-    grown = table is None
-    if grown:
-        table = fresh_table(n, ps, jobs=jobs)
+    computed = table is None
+    if computed:
+        table = _decomposed_table(n, ps) or fresh_table(n, ps, jobs=jobs)
     _MEMO[table_key(key)] = table
     _record_count(n, ps, table.total, cache)
-    if grown and cache is not None:
-        with contextlib.suppress(OSError):  # the store only saves time: a table it cannot keep is grown again
+    if computed and cache is not None:
+        with contextlib.suppress(OSError):  # the store only saves time: a table it cannot keep is computed again
             cache.tables.put(key, cache.tables.encode(table))
     return table
+
+
+def _decomposed_table(n: int, ps: PatternSet) -> EventTable | None:
+    """The event table of all of S_n or of the separable class from the
+    substitution decomposition, or None where it does not apply: another
+    class, n below _DECOMPOSE_FROM, S_n past _MAX_TABLE_N_SN (which
+    `fresh_table` refuses), or a decomposition that missed `_scalar_table`
+    at some j <= _DECOMPOSITION_GATE_UPTO."""
+    if n < _DECOMPOSE_FROM or not (ps == SEP or (ps.is_empty() and n <= _MAX_TABLE_N_SN)):
+        return None
+    from . import substitution
+
+    def decomposed(j: int) -> EventTable:
+        return EventTable(j, ps.key(), *substitution.table(j, ps == SEP))
+
+    if not _gated("decomposition", ps, decomposed, lambda j: _scalar_table(j, ps), _DECOMPOSITION_GATE_UPTO):
+        return None
+    return decomposed(n)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +312,6 @@ class _LineStore:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             merged = self._parse_file()
             merged[key] = (value, self.checksum(key, value))
-            self._data = merged
             fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
@@ -287,6 +321,7 @@ class _LineStore:
             except BaseException:
                 os.unlink(tmp)
                 raise
+            self._data = merged  # only once the file holds it: a failed write answers as the file does
 
     def items(self) -> list[tuple[str, str | None]]:
         """Every line's key and value, None for a line that fails its seal."""
@@ -393,6 +428,30 @@ def _gated(source: str, ps: PatternSet, form: Callable[[int], int], reference: C
 def _scalar_count(n: int, ps: PatternSet) -> int:
     """|S_n(ps)| by testing each member of S_n with the scalar `avoids_all`."""
     return sum(avoids_all(Permutation(s), ps) for s in itertools.permutations(range(1, n + 1)))
+
+
+def _scalar_table(n: int, ps: PatternSet) -> EventTable:
+    """The event table of S_n(ps) by testing each member of S_n with the
+    scalar `avoids_all` and each of its windows for a cluster."""
+    total, by_lka, union = 0, Counter(), Counter()
+    for s in itertools.permutations(range(1, n + 1)):
+        if not avoids_all(Permutation(s), ps):
+            continue
+        total += 1
+        ls = set()
+        for a in range(n - 1):  # the window of length l at a + 1 is a cluster iff max - min = l - 1
+            lo = hi = s[a]
+            for l in range(2, min(n, n + 1 - a)):
+                v = s[a + l - 1]
+                if v < lo:
+                    lo = v
+                elif v > hi:
+                    hi = v
+                if hi - lo == l - 1:
+                    by_lka[(l, lo, a + 1)] += 1
+                    ls.add(l)
+        union.update(ls)
+    return EventTable(n, ps.key(), total, by_lka, union)
 
 
 def _state_count(n: int, ps: PatternSet) -> int | None:

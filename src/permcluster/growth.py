@@ -1,7 +1,11 @@
 """The numpy growth engine behind `enumeration`.
 
-One engine serves every class, S_n included (no forbidden patterns).  It
-grows avoiders length by length.  Because avoidance only depends on
+One engine serves every class, S_n included (no forbidden patterns): it
+grows every count that `enumeration` asks it for, every listing, every
+table of `fresh_table` (and so of `cache-audit`), and every table of the
+lookup but those of S_n and of the separable class from n = 10 on, which
+come from the substitution decomposition (`substitution`).  It grows
+avoiders length by length.  Because avoidance only depends on
 relative order, each level below n is a numpy array of avoiding patterns
 of that length; a length-j avoider is extended by appending a new last
 entry of rank r in 1..j+1 (existing values >= r are bumped up by one).

@@ -57,17 +57,21 @@ def _events(n: int):
             yield l, k
 
 
-def _table_rows(suite: str, ps: PatternSet, max_n: int, instance: str, check) -> list[CheckRow]:
+def _table_rows(suite: str, ps: PatternSet, max_n: int, instance: str, check,
+                tables=enumeration.event_count_table) -> list[CheckRow]:
     """One row per (n, l, k) for n = 3..max_n: the brute-force probability
     read from the event table of S_n(ps) against a closed form.
 
     `instance` is a str.format template over ps, n, l and k.  check(n, l)
     is evaluated once per (n, l) and returns judge(k, got) -> (expected
-    text, passed).
+    text, passed).  tables(n, ps) gives the table: the lookup by default,
+    and `enumeration.fresh_table` for S_n and the separable class, whose
+    lookup would answer from the substitution decomposition from n = 10
+    on, a closed form and no brute force.
     """
     rows = []
     for n in range(3, max_n + 1):
-        table = enumeration.event_count_table(n, ps)
+        table = tables(n, ps)
         for l in range(2, n):
             judge = check(n, l)
             for k in range(1, n - l + 2):
@@ -93,7 +97,7 @@ def uniform_suite(max_n: int = 8) -> SuiteReport:
     """Brute force over all of S_n versus the uniform product formula."""
     return SuiteReport("uniform", _table_rows(
         "uniform", EMPTY_PATTERNS, max_n, "n={n} l={l} k={k}",
-        lambda n, l: _equals(lambda k: formulas.uniform_probability(n, l, k)),
+        lambda n, l: _equals(lambda k: formulas.uniform_probability(n, l, k)), enumeration.fresh_table,
     ))
 
 
@@ -115,7 +119,7 @@ def separable_exact_suite(max_n: int = 11) -> SuiteReport:
         want = formulas.separable_cluster_probability(n, l)
         return _equals(lambda k: want)
 
-    rows = _table_rows("thm2", SEP, max_n, "n={n} l={l} k={k}", check)
+    rows = _table_rows("thm2", SEP, max_n, "n={n} l={l} k={k}", check, enumeration.fresh_table)
     for l in range(2, 6):
         lim = formulas.separable_cluster_limit(l)
         lo, hi = lim.bounds(40)

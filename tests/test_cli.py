@@ -257,6 +257,32 @@ def test_oversized_listing_and_table_exit_3_before_growth(tmp_path, monkeypatch,
     assert "out of reach (n! rows); n <= 12" in capsys.readouterr().err
 
 
+def test_largest_s_n_table_comes_from_the_decomposition(tmp_path, monkeypatch):
+    # S_12 is served by the substitution decomposition, without growth
+    def no_growth():
+        raise AssertionError("no growth expected")
+
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_engine", no_growth)
+    code, out = run_cli(["prob", "--n", "12", "--avoid=", "--l", "3", "--union", "--no-meta"], tmp_path)
+    assert code == 0
+    row = csv_rows(out)[0]
+    assert (row["event_count"], row["class_count"], row["probability"]) == ("170538330", "479001600",
+                                                                           "5684611/15966720")
+
+
+def test_cache_audit_regrows_decomposed_tables(tmp_path, monkeypatch):
+    # decomposed tables are stored like grown ones, and the audit checks
+    # them against growth
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    for avoid in ("--avoid=", "--avoid=sep"):
+        assert run_cli(["prob", "--n", "10", avoid, "--l", "3", "--union", "--no-meta"], tmp_path)[0] == 0
+    code, out = run_cli(["cache-audit", "--max-n", "10", "--no-meta"], tmp_path)
+    assert code == 0
+    assert [(row["key"], row["status"]) for row in csv_rows(out)] == [
+        ("avoid=2413+3142;n=10", "ok"), ("table:avoid=2413+3142;n=10", "ok"), ("table:avoid=;n=10", "ok")]
+
+
 def test_parse_error_exit(tmp_path):
     code, _ = run_cli(["count", "--n", "5", "--avoid", "33"], tmp_path)
     assert code == 2
@@ -391,6 +417,17 @@ def test_state_counts_leave_out_numpy(tmp_path):
     assert all(crc == enumeration.CountCache.checksum(key, value) for key, value, crc in lines)
     counts = {key: value for key, value, _ in lines}
     assert counts["avoid=1342;n=6"] == "512" and counts["avoid=231;n=14"] == "2674440"
+
+
+def test_s_n_table_leaves_out_numpy(tmp_path):
+    # a cold S_10 table comes from the substitution decomposition, which
+    # loads neither numpy nor the growth engine; --formula loads the
+    # closed forms
+    output, code, loaded = loaded_modules("prob", "--n", "10", "--avoid=", "--l", "3", "--k", "2", "--formula",
+                                          "--no-meta", "--cache", str(tmp_path / "counts.txt"))
+    assert code == 0 and loaded == {"permcluster.formulas", "fractions"}
+    assert output[-1].startswith("10,,3,2,,,241920,3628800,1/15,")
+    assert (tmp_path / "counts.txt.tables").read_text().startswith("avoid=;n=10\t")
 
 
 def test_count_below_the_pattern_length_leaves_out_numpy(tmp_path):

@@ -187,7 +187,7 @@ def test_wrong_closed_form_falls_back_to_enumeration(monkeypatch):
 
 def test_separable_fast_path_agrees_with_enumeration_at_11():
     # recurrence value versus a fresh brute-force count at the crossover
-    assert count_avoiders(11, SEP) == event_count_table(11, SEP).total
+    assert count_avoiders(11, SEP) == enumeration.fresh_table(11, SEP).total
 
 
 def test_separable_fast_path_large_n():
@@ -712,6 +712,25 @@ def test_a_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
         CountCache(path).put("avoid=321;n=6", 132)
     assert path.read_text() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.txt", "counts.txt.lock"]
+
+
+def test_a_failed_write_answers_as_the_file_does(tmp_path, monkeypatch):
+    # the writing object keeps no line that its file lacks: not a count, nor
+    # a table whose failed write the lookup passes over (|S_3(1342)| is 3!,
+    # never written, so only the table is)
+    path = tmp_path / "counts.txt"
+    cache = CountCache(path)
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(enumeration.os, "replace", fail)
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    with pytest.raises(OSError, match="replace failed"):
+        cache.put("avoid=321;n=6", 132)
+    assert cache.get("avoid=321;n=6") is None and CountCache(path).get("avoid=321;n=6") is None
+    assert event_count_table(3, ps_of("1342"), cache=cache).total == 6
+    assert cache.tables.get("avoid=1342;n=3") is None and cache.tables.items() == []
 
 
 def _put_many(path, pattern):

@@ -1,0 +1,100 @@
+import pytest
+
+from permcluster import EMPTY_PATTERNS, SEP, CountCache, enumeration, substitution
+
+CLASSES = [(EMPTY_PATTERNS, 10), (SEP, 11)]
+
+
+def decomposed(n, ps):
+    return enumeration.EventTable(n, ps.key(), *substitution.table(n, ps == SEP))
+
+
+@pytest.mark.parametrize("ps,top", CLASSES, ids=["S_n", "SEP"])
+def test_decomposition_equals_growth(ps, top):
+    # every total, (l, k, a) count and union, against the growth tables
+    for n in range(1, top + 1):
+        assert decomposed(n, ps) == enumeration.fresh_table(n, ps), n
+
+
+def test_simple_counts():
+    # A111111; the separable class has no simple permutation of size >= 4
+    assert substitution._simples(9, separable=False)[4:] == [2, 6, 46, 338, 2926, 28146]
+    assert substitution._simples(9, separable=True) == [0] * 10
+
+
+def test_separable_counts_and_marks_past_growth():
+    # the large Schroeder numbers; at n = 13 the marked counts add up to the
+    # class in every row and column, and every member has an interval of
+    # size 2 (the lowest sum in its decomposition tree has two adjacent
+    # one-point parts)
+    counts, _ = substitution._free(13, 14, substitution._simples(13, separable=True))
+    assert counts[1:] == [1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098, 1037718, 5293446, 27297738]
+    total, by_lka, union = substitution.table(13, separable=True)
+    assert total == enumeration._schroeder_count(13)
+    for l in range(2, 13):
+        m = 13 - l + 1
+        for i in range(1, m + 1):
+            assert sum(by_lka[(l, k, i)] for k in range(1, m + 1)) == counts[l] * counts[m]
+            assert sum(by_lka[(l, i, a)] for a in range(1, m + 1)) == counts[l] * counts[m]
+        assert 0 < union[l] < total or l == 2 and union[l] == total
+
+
+@pytest.mark.parametrize("ps,top", CLASSES, ids=["S_n", "SEP"])
+def test_lookup_serves_decomposed_tables_behind_the_gate(ps, top, monkeypatch):
+    # from n = 10 the lookup takes the decomposition without growth, after
+    # a gate that checked it for exactly j = 1..6
+    checked = []
+    table = substitution.table
+    monkeypatch.setattr(substitution, "table", lambda n, sep: checked.append(n) or table(n, sep))
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    want = enumeration.fresh_table(top, ps)
+    monkeypatch.setattr(enumeration, "_engine", None)
+    assert enumeration.event_count_table(top, ps) == want
+    assert checked == [*range(1, enumeration._DECOMPOSITION_GATE_UPTO + 1), top]
+    assert enumeration._GATE == {("decomposition", ps.key()): True}
+    with pytest.raises(TypeError):  # below n = 10, growth
+        enumeration.event_count_table(9, ps)
+
+
+@pytest.mark.parametrize("field", ["total", "by_lka", "union"])
+@pytest.mark.parametrize("ps", [EMPTY_PATTERNS, SEP], ids=["S_n", "SEP"])
+def test_decomposition_off_by_one_at_6_fails_the_gate(ps, field, monkeypatch):
+    # one count wrong at j = 6 only: the gate fails, and the table is grown
+    def wrong(n, sep):
+        total, by_lka, union = table(n, sep)
+        if n == 6:
+            if field == "total":
+                total += 1
+            elif field == "by_lka":
+                by_lka[(3, 2, 2)] += 1
+            else:
+                union[5] -= 1
+        return total, by_lka, union
+
+    table = substitution.table
+    monkeypatch.setattr(substitution, "table", wrong)
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    assert enumeration.event_count_table(10, ps) == enumeration.fresh_table(10, ps)
+    assert enumeration._GATE[("decomposition", ps.key())] is False
+
+
+def test_decomposed_and_grown_tables_store_the_same_lines(tmp_path, monkeypatch):
+    # a table from the decomposition is written as the grown one would be
+    stores = []
+    for gate in ({}, {("decomposition", ""): False, ("decomposition", SEP.key()): False}):
+        monkeypatch.setattr(enumeration, "_MEMO", {})
+        monkeypatch.setattr(enumeration, "_GATE", dict(gate))
+        path = tmp_path / f"{len(stores)}" / "counts.txt"
+        for n, ps in ((10, EMPTY_PATTERNS), (10, SEP), (11, SEP)):
+            enumeration.event_count_table(n, ps, cache=CountCache(path))
+        stores.append([path.with_name("counts.txt.tables").read_bytes(), path.read_bytes()])
+    assert stores[0] == stores[1]
+
+
+def test_s_n_past_the_table_cap_is_refused_before_the_decomposition(monkeypatch):
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(substitution, "table", None)
+    with pytest.raises(enumeration.DomainError, match="out of reach"):
+        enumeration.event_count_table(13, EMPTY_PATTERNS)
