@@ -17,27 +17,34 @@ answers:
    shortest pattern), never read from or written to the memo or the cache.
 2. The separable class above n = 10: a Schroeder-type linear recurrence.
 3. The in-process memo, then the count cache.
-4. A single pattern with an image of the form t'.m (see `states`: every
+4. The separable class: the substitution decomposition (see
+   `substitution`: pure Python, no numpy).
+5. A single pattern with an image of the form t'.m (see `states`: every
    length-3 pattern, 12...m, and the classes of 1234, 1243, 1432 and
    1342): merged generating-tree states, grown without numpy.
-5. Rows, grown by `fresh_count`.
+6. Rows, grown by `fresh_count`.
 
-Steps 3-5 record their answer in one step: in the memo, and in the cache
+Steps 3-6 record their answer in one step: in the memo, and in the cache
 where it lacks or contradicts it; event tables record their totals the
-same way.  The two fast paths, steps 2 and 4, are each checked once per
-class in a process, in one gate memo; a path that fails its check is
+same way.  The three fast paths, steps 2, 4 and 5, are each checked once
+per class in a process, in one gate memo; a path that fails its check is
 skipped.  The recurrence must reproduce `count_avoiders` for every
 n <= 10, so a cache written by an earlier run can satisfy the check, and
-a wrong cached count only fails it.  The state counter must reproduce,
-for every j <= max(6, m + 1), m the pattern's length, the scalar count
+a wrong cached count only fails it; on an empty cache step 4 answers
+that reference, so no separable count grows rows or loads numpy.  The
+decomposition's counts share one gate entry with its event tables
+(below): their tables, totals included, must equal `_scalar_table` for
+every j <= 6.  The state counter must reproduce, for every
+j <= max(6, m + 1), m the pattern's length, the scalar count
 sum(avoids_all(s, ps) for s in S_j) for m <= 5, and the rows that
 `fresh_count` grows for m >= 6 (below j = m both sides are j!, so the
 scalar check alone would check nothing there).  Only counts take these
 paths: `fresh_count` (and so `cache-audit`) and listings always grow
 rows, and event tables have a fast path of their own, below.  A listing
 is the one result that holds a whole class; it is counted first and
-refused (DomainError) if its rows would pass _MAX_LISTING_BYTES.  Catalan numbers are no count source: they stay a
-closed form (`formulas.catalan`, the `thm3` suite) checked against counts.
+refused (DomainError) if its rows would pass _MAX_LISTING_BYTES.  Catalan
+numbers are no count source: they stay a closed form
+(`formulas.catalan`, the `thm3` suite) checked against counts.
 
 An event table is looked up in its own order, and the first step that
 answers wins:
@@ -48,7 +55,8 @@ answers wins:
    decomposition (see `substitution`: pure Python, no numpy), gated in the
    same gate memo: its tables must equal `_scalar_table`, a scan of every
    member of S_j with the scalar `avoids_all` and a window test, for every
-   j <= 6;
+   j <= 6; and the table at n itself must be fixed by reverse, complement
+   and inverse, as the class is;
 4. growth, by `fresh_table`.
 
 A table of all of S_n past _MAX_TABLE_N_SN that the stores lack is
@@ -211,22 +219,45 @@ def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCac
     return table
 
 
+def _decomposed(n: int, ps: PatternSet) -> EventTable:
+    """The event table of all of S_n or of the separable class from the
+    substitution decomposition, unchecked."""
+    from . import substitution
+
+    return EventTable(n, ps.key(), *substitution.table(n, ps == SEP))
+
+
+def _decomposition_gated(ps: PatternSet) -> bool:
+    """Whether the substitution decomposition may serve ps, all of S_n or
+    the separable class: its tables must equal `_scalar_table` for every
+    j <= _DECOMPOSITION_GATE_UPTO, checked once per class in a process.
+    Its tables and its separable counts pass or fail together."""
+    return _gated("decomposition", ps, lambda j: _decomposed(j, ps), lambda j: _scalar_table(j, ps),
+                  _DECOMPOSITION_GATE_UPTO)
+
+
+def _symmetric(table: EventTable) -> bool:
+    """Whether the anchored counts are invariant under reverse, complement
+    and inverse, which send (l, k, a) to (l, k, n+2-l-a), (l, n+2-l-k, a)
+    and (l, a, k): all of S_n and the separable class are closed under
+    each, and the unions and the total are fixed by them."""
+    n, by_lka = table.n, table.by_lka
+    return all(by_lka[(l, k, n + 2 - l - a)] == by_lka[(l, n + 2 - l - k, a)] == by_lka[(l, a, k)] == c
+               for (l, k, a), c in by_lka.items())
+
+
 def _decomposed_table(n: int, ps: PatternSet) -> EventTable | None:
     """The event table of all of S_n or of the separable class from the
     substitution decomposition, or None where it does not apply: another
     class, n below _DECOMPOSE_FROM, S_n past _MAX_TABLE_N_SN (which
-    `fresh_table` refuses), or a decomposition that missed `_scalar_table`
-    at some j <= _DECOMPOSITION_GATE_UPTO."""
-    if n < _DECOMPOSE_FROM or not (ps == SEP or (ps.is_empty() and n <= _MAX_TABLE_N_SN)):
+    `fresh_table` refuses), a decomposition that missed `_scalar_table`
+    at some j <= _DECOMPOSITION_GATE_UPTO, or a table at n itself that
+    some symmetry of the class does not fix."""
+    if n < _DECOMPOSE_FROM or not (ps == SEP or (ps.is_empty() and n <= _MAX_TABLE_N_SN)) \
+            or not _decomposition_gated(ps):
         return None
-    from . import substitution
-
-    def decomposed(j: int) -> EventTable:
-        return EventTable(j, ps.key(), *substitution.table(j, ps == SEP))
-
-    if not _gated("decomposition", ps, decomposed, lambda j: _scalar_table(j, ps), _DECOMPOSITION_GATE_UPTO):
-        return None
-    return decomposed(n)
+    table = _decomposed(n, ps)
+    return table if _symmetric(table) else None
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +507,16 @@ def _state_count(n: int, ps: PatternSet) -> int | None:
     return states.count(n, image)
 
 
+def _decomposed_count(n: int, ps: PatternSet) -> int | None:
+    """|S_n(ps)| of the separable class from the substitution decomposition,
+    or None for another class or where the decomposition failed its gate."""
+    if ps != SEP or not _decomposition_gated(ps):
+        return None
+    from . import substitution
+
+    return substitution.count(n, separable=True)
+
+
 def _schroeder_count(n: int) -> int:
     """The number of separable permutations of length n, by the exact
     Schroeder-type recurrence q d_q = 3(2q - 3) d_(q-1) - (q - 3) d_(q-2)
@@ -497,6 +538,8 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
             _VALIDATE_UPTO):
         return _schroeder_count(n)
     value = _known_count(n, ps, cache)
+    if value is None:
+        value = _decomposed_count(n, ps)
     if value is None:
         value = _state_count(n, ps)
     if value is None:

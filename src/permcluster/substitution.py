@@ -1,4 +1,4 @@
-"""Event tables of S_n and of the separable class from the substitution decomposition.
+"""Counts and event tables of S_n and of the separable class from the substitution decomposition.
 
 An interval of sigma is a set of consecutive positions holding consecutive
 values, so the cluster event (l, k, a) is an interval of size l at
@@ -42,8 +42,8 @@ Both classes are closed under complement, which swaps the two kinds of sums,
 so the complements of sums count as the sums do.
 
 The module is pure Python with exact integers and imports nothing of the
-package; `enumeration` serves S_n and separable tables from it behind a
-gate on small n.
+package; `enumeration` serves S_n and separable tables, and separable
+counts, from it behind one gate on small n.
 """
 
 from __future__ import annotations
@@ -106,6 +106,12 @@ def _simples(n: int, separable: bool) -> list[int]:
     return simples
 
 
+def count(n: int, separable: bool) -> int:
+    """|C_n| for n >= 1: n! for S_n, the large Schroeder number for the
+    separable class."""
+    return _free(n, n + 1, _simples(n, separable))[0][n]
+
+
 def _marked_separable(n: int, counts: list[int], indecomposable: list[int]) -> list[list[list[int]]]:
     """marked[m][a][k] = #{eta separable of size m : eta_a = k} for m <= n."""
     marked = [[[0] * (m + 1) for _ in range(m + 1)] for m in range(n + 1)]
@@ -134,5 +140,6 @@ def table(n: int, separable: bool) -> tuple[int, dict[tuple[int, int, int], int]
     marked = _marked_separable(n - 1, counts, indecomposable) if separable else None
     by_lka = {(l, k, a): counts[l] * (marked[n - l + 1][a][k] if separable else math.factorial(n - l))
               for l in range(2, n) for k in range(1, n - l + 2) for a in range(1, n - l + 2)}
-    union = {l: counts[n] - _free(n, l, simples)[0][n] for l in range(2, n)}
-    return counts[n], {e: c for e, c in by_lka.items() if c}, {l: c for l, c in union.items() if c}
+    total = count(n, separable)
+    union = {l: total - _free(n, l, simples)[0][n] for l in range(2, n)}
+    return total, {e: c for e, c in by_lka.items() if c}, {l: c for l, c in union.items() if c}

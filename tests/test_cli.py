@@ -430,6 +430,27 @@ def test_s_n_table_leaves_out_numpy(tmp_path):
     assert (tmp_path / "counts.txt.tables").read_text().startswith("avoid=;n=10\t")
 
 
+def test_separable_counts_leave_out_numpy(tmp_path):
+    # from an empty cache, every separable count comes from the gated
+    # substitution decomposition (n <= 10, and the Schroeder recurrence's
+    # gate) or the recurrence (n > 10), so none loads numpy or the growth
+    # engine; --formula and limits load the closed forms
+    ratios = {"permcluster.formulas", "fractions"}
+    limits = [f"{l},{c}*(3-2*sqrt(2))^{l - 1}," for l, c in
+              ((3, 6), (4, 22), (5, 90), (6, 394), (7, 1806), (8, 8558), (9, 41586), (10, 206098), (11, 1037718),
+               (12, 5293446))]
+    for name, args, want, loads in (
+        ("prob", ["prob", "--n", "11", "--avoid=sep", "--l", "3", "--k", "2", "--formula"],
+         ["11,2413+3142,3,2,,,249516,1037718,13862/57651,0.240446826594508,separable,13862/57651,"
+          "0.240446826594508,AGREE"], ratios),
+        ("limits", ["limits", "sep", "--l", "3..12"], limits, ratios),
+        ("count", ["count", "--n", "12", "--avoid", "sep"], ["12,2413+3142,5293446"], set()),
+    ):
+        output, code, loaded = loaded_modules(*args, "--no-meta", "--cache", str(tmp_path / name / "counts.txt"))
+        assert code == 0 and loaded == loads, args
+        assert len(output) == 2 + len(want) and all(row.startswith(w) for row, w in zip(output[2:], want)), output
+
+
 def test_count_below_the_pattern_length_leaves_out_numpy(tmp_path):
     # |S_3(1342)| = 3! without growth, an identity that is never written
     cache = tmp_path / "counts.txt"

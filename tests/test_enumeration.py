@@ -35,7 +35,7 @@ from permcluster import (
     parse_permutation,
     ratio_sequence,
 )
-from permcluster import enumeration, growth
+from permcluster import enumeration, growth, substitution
 
 
 def ps_of(*texts) -> PatternSet:
@@ -176,13 +176,54 @@ def test_catalan_fast_path_validated():
 
 def test_wrong_closed_form_falls_back_to_enumeration(monkeypatch):
     # a recurrence off by one from n = 10 on fails the gate at its last n,
-    # and the count falls back to the lookup instead of the recurrence
+    # and the count falls back to the lookup instead of the recurrence,
+    # where the gated substitution decomposition answers it
     right = enumeration._schroeder_count
     monkeypatch.setattr(enumeration, "_schroeder_count", lambda n: right(n) + (n >= 10))
     monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "_GATE", {})
     assert count_avoiders(11, SEP) == 1037718
-    assert enumeration._GATE == {("schroeder", "2413+3142"): False}
+    assert enumeration._GATE == {("schroeder", "2413+3142"): False, ("decomposition", "2413+3142"): True}
+
+
+def test_wrong_recurrence_and_decomposition_fall_back_to_rows(monkeypatch):
+    # with both separable fast paths wrong, each fails its gate and the
+    # count is grown by rows
+    grown = []
+    right_recurrence, right_count, fresh = enumeration._schroeder_count, substitution.count, enumeration.fresh_count
+    monkeypatch.setattr(enumeration, "_schroeder_count", lambda n: right_recurrence(n) + (n >= 10))
+    monkeypatch.setattr(substitution, "count", lambda n, sep: right_count(n, sep) + (n >= 6))
+    monkeypatch.setattr(enumeration, "fresh_count", lambda n, ps, **kw: grown.append(n) or fresh(n, ps, **kw))
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    assert count_avoiders(11, SEP) == 1037718
+    assert enumeration._GATE == {("schroeder", "2413+3142"): False, ("decomposition", "2413+3142"): False}
+    assert grown == [4, 5, 6, 7, 8, 9, 10, 11]
+
+
+def test_separable_counts_come_from_the_decomposition_without_growth(monkeypatch):
+    # below the recurrence the lookup answers SEP counts from the gated
+    # decomposition, equal to rows; above it the recurrence answers
+    want = [enumeration.fresh_count(n, SEP) for n in range(11)]
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    monkeypatch.setattr(enumeration, "_engine", None)
+    assert [count_avoiders(n, SEP) for n in range(11)] == want
+    assert enumeration._GATE == {("decomposition", "2413+3142"): True}
+    assert count_avoiders(40, SEP) == enumeration._schroeder_count(40)
+    assert enumeration._GATE[("schroeder", "2413+3142")] is True
+
+
+def test_decomposition_off_by_one_at_6_falls_back_to_rows(monkeypatch):
+    # a decomposed count wrong at j = 6 only makes its table total wrong
+    # there: the gate fails, and every count is grown and stays right
+    want = [enumeration.fresh_count(n, SEP) for n in range(11)]
+    right = substitution.count
+    monkeypatch.setattr(substitution, "count", lambda n, sep: right(n, sep) + (n == 6))
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    assert [count_avoiders(n, SEP) for n in range(11)] == want
+    assert enumeration._GATE == {("decomposition", "2413+3142"): False}
 
 
 def test_separable_fast_path_agrees_with_enumeration_at_11():
@@ -297,7 +338,8 @@ def test_count_lookup_above_the_gates_matches_fresh_count(monkeypatch):
     monkeypatch.setattr(enumeration, "_GATE", {})
     for n, ps in ((11, SEP), (12, SEP), (11, ps_of("321"))):
         assert count_avoiders(n, ps) == enumeration.fresh_count(n, ps)
-    assert enumeration._GATE == {("schroeder", SEP.key()): True, ("states", "321"): True}
+    assert enumeration._GATE == {("schroeder", SEP.key()): True, ("decomposition", SEP.key()): True,
+                                 ("states", "321"): True}
 
 
 def test_event_table_is_a_mutable_record():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from permcluster import EMPTY_PATTERNS, SEP, CountCache, enumeration, substitution
@@ -37,6 +39,46 @@ def test_separable_counts_and_marks_past_growth():
             assert sum(by_lka[(l, k, i)] for k in range(1, m + 1)) == counts[l] * counts[m]
             assert sum(by_lka[(l, i, a)] for a in range(1, m + 1)) == counts[l] * counts[m]
         assert 0 < union[l] < total or l == 2 and union[l] == total
+
+
+def test_separable_count_equals_rows_and_the_recurrence():
+    # rows up to n = 10, the Schroeder recurrence from 11 to 40; S_n's is n!
+    assert [substitution.count(n, separable=True) for n in range(1, 11)] == \
+        [enumeration.fresh_count(n, SEP) for n in range(1, 11)]
+    assert [substitution.count(n, separable=True) for n in range(11, 41)] == \
+        [enumeration._schroeder_count(n) for n in range(11, 41)]
+    assert [substitution.count(n, separable=False) for n in range(1, 13)] == \
+        [math.factorial(n) for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("ps,n", [(EMPTY_PATTERNS, 12), (SEP, 10), (SEP, 15), (SEP, 20)],
+                         ids=["S_n-12", "SEP-10", "SEP-15", "SEP-20"])
+def test_decomposed_tables_are_fixed_by_the_symmetries(ps, n):
+    # reverse, complement and inverse fix every table served, and one
+    # anchored count off by one breaks that
+    table = decomposed(n, ps)
+    assert enumeration._symmetric(table)
+    table.by_lka[(3, 1, 2)] += 1
+    assert not enumeration._symmetric(table)
+
+
+def test_marked_count_wrong_past_the_gate_fails_the_symmetry_check(monkeypatch):
+    # a marked count wrong only for m >= 7 passes the gate at j <= 6, but
+    # its table at n = 10 is not fixed by reverse: that table is grown
+    def wrong(n, counts, indecomposable):
+        marked = right(n, counts, indecomposable)
+        for m in range(7, n + 1):
+            marked[m][1][1] += 1
+        return marked
+
+    right = substitution._marked_separable
+    monkeypatch.setattr(substitution, "_marked_separable", wrong)
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    want = enumeration.fresh_table(10, SEP)
+    assert decomposed(10, SEP) != want and not enumeration._symmetric(decomposed(10, SEP))
+    assert enumeration.event_count_table(10, SEP) == want
+    assert enumeration._GATE == {("decomposition", SEP.key()): True}
 
 
 @pytest.mark.parametrize("ps,top", CLASSES, ids=["S_n", "SEP"])
