@@ -225,7 +225,7 @@ def _cmd_limits(args) -> tuple[list[dict], bool]:
             if args.at_n:
                 p = formulas.separable_cluster_probability(args.at_n, l, cache=cache)
                 rec.update(_ratio_cells(f"value_at_n{args.at_n}", p))
-                rec["gap_dec"] = _dec(abs(float(p) - lim.approx))
+                rec["gap_dec"] = _dec(abs(float(formulas.Sqrt2Number(p, 0) - lim.value)))
             records.append(rec)
         return records, False
     if target == "cor2":

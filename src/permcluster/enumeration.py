@@ -5,10 +5,10 @@ table and listing is asked for here.  The numpy growth engine that
 enumerates lives in `growth` (see there for how it grows avoiders and
 reads event counts off the width n - 1 parents); this module imports it on
 the first call that has to enumerate, so that a process answered from the
-memo, the stores, the recurrence, the state counter or the substitution
-decomposition never imports numpy.  The names of the engine that callers
-use (`avoider_rows`, `contains_pattern_rows`, `cluster_windows`) stay
-here.
+memo, the stores, the recurrence, the closed form for the class of 1342,
+the state counter or the substitution decomposition never imports numpy.
+The names of the engine that callers use (`avoider_rows`,
+`contains_pattern_rows`, `cluster_windows`) stay here.
 
 A count is looked up in one order, and the first step that applies
 answers:
@@ -19,32 +19,37 @@ answers:
 3. The in-process memo, then the count cache.
 4. The separable class: the substitution decomposition (see
    `substitution`: pure Python, no numpy).
-5. A single pattern with an image of the form t'.m (see `states`: every
+5. A single pattern of the Wilf class of 1342 (its 8 images, 2413 and
+   3142): Bóna's closed form, in exact integers.
+6. A single pattern with an image of the form t'.m (see `states`: every
    length-3 pattern, 12...m, and the classes of 1234, 1243, 1432 and
    1342): merged generating-tree states, grown without numpy.
-6. Rows, grown by `fresh_count`.
+7. Rows, grown by `fresh_count`.
 
-Steps 3-6 record their answer in one step: in the memo, and in the cache
+Steps 3-7 record their answer in one step: in the memo, and in the cache
 where it lacks or contradicts it; event tables record their totals the
-same way.  The three fast paths, steps 2, 4 and 5, are each checked once
+same way.  The four fast paths, steps 2 and 4-6, are each checked once
 per class in a process, in one gate memo; a path that fails its check is
-skipped.  The recurrence must reproduce `count_avoiders` for every
-n <= 10, so a cache written by an earlier run can satisfy the check, and
-a wrong cached count only fails it; on an empty cache step 4 answers
-that reference, so no separable count grows rows or loads numpy.  The
-decomposition's counts share one gate entry with its event tables
-(below): their tables, totals included, must equal `_scalar_table` for
-every j <= 6.  The state counter must reproduce, for every
-j <= max(6, m + 1), m the pattern's length, the scalar count
-sum(avoids_all(s, ps) for s in S_j) for m <= 5, and the rows that
-`fresh_count` grows for m >= 6 (below j = m both sides are j!, so the
-scalar check alone would check nothing there).  Only counts take these
-paths: `fresh_count` (and so `cache-audit`) and listings always grow
-rows, and event tables have a fast path of their own, below.  A listing
-is the one result that holds a whole class; it is counted first and
-refused (DomainError) if its rows would pass _MAX_LISTING_BYTES.  Catalan
-numbers are no count source: they stay a closed form
-(`formulas.catalan`, the `thm3` suite) checked against counts.
+skipped, and the next step that applies answers.  The recurrence must
+reproduce `count_avoiders` for every n <= 10, so a cache written by an
+earlier run can satisfy the check, and a wrong cached count only fails
+it; on an empty cache step 4 answers that reference, so no separable
+count grows rows or loads numpy.  The decomposition's counts share one
+gate entry with its event tables (below): their tables, totals included,
+must equal `_scalar_table` for every j <= 6.  The closed form must equal
+the scalar count sum(avoids_all(s, ps) for s in S_j) for every j <= 6,
+for each pattern of the class; on a miss 1342's images fall through to
+states and 2413 and 3142 to rows.  The state counter must reproduce, for
+every j <= max(6, m + 1), m the pattern's length, that scalar count for
+m <= 5, and the rows that `fresh_count` grows for m >= 6 (below j = m
+both sides are j!, so the scalar check alone would check nothing
+there).  Only counts take these paths: `fresh_count` (and so
+`cache-audit`) and listings always grow rows, and event tables have a
+fast path of their own, below.  A listing is the one result that holds
+a whole class; it is counted first and refused (DomainError) if its rows
+would pass _MAX_LISTING_BYTES.  Catalan numbers are no count source:
+they stay a closed form (`formulas.catalan`, the `thm3` suite) checked
+against counts.
 
 An event table is looked up in its own order, and the first step that
 answers wins:
@@ -517,6 +522,38 @@ def _decomposed_count(n: int, ps: PatternSet) -> int | None:
     return substitution.count(n, separable=True)
 
 
+# The Wilf class of 1342: its 8 symmetric images and 2413 with its one
+# other image, 3142 (Stankova, "Forbidden subsequences", Discrete Math. 132,
+# 1994).
+_WILF_1342 = frozenset({(1, 3, 4, 2), (2, 4, 3, 1), (4, 2, 1, 3), (3, 1, 2, 4), (1, 4, 2, 3), (3, 2, 4, 1),
+                        (4, 1, 3, 2), (2, 3, 1, 4), (2, 4, 1, 3), (3, 1, 4, 2)})
+
+
+def _bona_count(n: int) -> int:
+    """The number of 1342-avoiding permutations of length n, by Bóna's
+    closed form ("Exact enumeration of 1342-avoiding permutations", J.
+    Combin. Theory Ser. A 80, 1997):
+    (-1)^(n-1) (7n^2 - 3n - 2)/2 + sum_(i=2..n) (-1)^(n-i) t_i C(n-i+2, 2)
+    with t_i = 3 * 2^(i+1) (2i-4)! / (i! (i-2)!), an integer, taken from
+    t_2 = 12 by the exact t_(i+1) = 4 (2i-3) t_i / (i+1)."""
+    t, total = 12, (-1) ** (n + 1) * (7 * n * n - 3 * n - 2) // 2
+    for i in range(2, n + 1):
+        total += (-1) ** (n - i) * t * (n - i + 2) * (n - i + 1) // 2
+        t = t * 4 * (2 * i - 3) // (i + 1)
+    return total
+
+
+def _wilf_1342_count(n: int, ps: PatternSet) -> int | None:
+    """|S_n(ps)| from Bóna's closed form, or None where it does not apply:
+    ps is not one pattern of the Wilf class of 1342, or the form missed
+    `_scalar_count` at some j <= _STATE_GATE_UPTO, the check the state
+    counter meets."""
+    if len(ps) != 1 or ps.patterns[0].values not in _WILF_1342 or not _gated(
+            "bona", ps, _bona_count, lambda j: _scalar_count(j, ps), _STATE_GATE_UPTO):
+        return None
+    return _bona_count(n)
+
+
 def _schroeder_count(n: int) -> int:
     """The number of separable permutations of length n, by the exact
     Schroeder-type recurrence q d_q = 3(2q - 3) d_(q-1) - (q - 3) d_(q-2)
@@ -540,6 +577,8 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
     value = _known_count(n, ps, cache)
     if value is None:
         value = _decomposed_count(n, ps)
+    if value is None:
+        value = _wilf_1342_count(n, ps)
     if value is None:
         value = _state_count(n, ps)
     if value is None:

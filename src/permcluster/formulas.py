@@ -78,11 +78,19 @@ class Sqrt2Number(_Value):
         return out
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(2)
+        """The nearest float but for a few units in the last place.  Where a
+        and b have opposite signs, a + b*sqrt(2) nearly cancels, so it is
+        taken from the conjugate, (a^2 - 2b^2) / (a - b*sqrt(2)): the
+        numerator is exact and the denominator adds two terms of one sign."""
+        root2 = Fraction(math.sqrt(2))
+        if self.a * self.b >= 0:
+            return float(self.a + self.b * root2)
+        return float((self.a * self.a - 2 * self.b * self.b) / (self.a - self.b * root2))
 
     def bounds(self, digits: int = 30) -> tuple[Fraction, Fraction]:
-        """A rational enclosure of the value, tight to ~10^-digits."""
-        scale = 10**digits
+        """A rational enclosure of the value, at most 10^-digits wide: sqrt(2)
+        is enclosed to within 10^-digits / (|b| + 1)."""
+        scale = 10**digits * (math.floor(abs(self.b)) + 1)
         s = math.isqrt(2 * scale * scale)
         lo2, hi2 = Fraction(s, scale), Fraction(s + 1, scale)
         c1 = self.a + self.b * lo2

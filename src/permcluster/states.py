@@ -13,8 +13,10 @@ images of its pattern (reverse, complement, inverse), so the counter grows
 any image of the form t'.m: its last entry is its maximum m, and every
 entry of t' is a left-to-right maximum or a left-to-right minimum of t'.
 Every length-3 pattern, 12...m and the length-4 classes of 1234, 1243,
-1432 and 1342 (through 2314) have one; 1324, 2143 and 2413 have none and
-stay on rows.  For such an image:
+1432 and 1342 (through 2314) have one; 1324, 2143 and 2413 have none.
+(`enumeration` counts 1342's images, and 2413 and 3142, by Bóna's closed
+form before it asks this counter, so 1342 reaches it only where that form
+failed its check; 1324 and 2143 are grown from rows.)  For such an image:
 
 - Appending the rank r to an avoider s of length j (entries >= r bumped
   up) completes t iff some occurrence of t' in s has its top, its largest
@@ -38,11 +40,11 @@ stay on rows.  For such an image:
 The state is h and the chains, and the count at n is the sum of
 multiplicity * h over the width n - 1 states.  For 1342 (image 2314) the
 width 10 level has 1,014 states where growth holds 555,662 rows.
-`enumeration` uses this counter as step 4 of its count lookup, after the
-identities, the memo and the cache, and only once its counts have
-matched, in the same process, the scalar containment count for every
-n <= 6 (for a pattern of length m >= 6, the counts grown from rows for
-every n <= m + 1); on a miss the count is grown from rows.
+`enumeration` uses this counter in its count lookup after the
+identities, the memo, the cache, the separable decomposition and Bóna's
+form, and only once its counts have matched, in the same process, the scalar containment count
+for every n <= 6 (for a pattern of length m >= 6, the counts grown from
+rows for every n <= m + 1); on a miss the count is grown from rows.
 """
 
 from __future__ import annotations

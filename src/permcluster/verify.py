@@ -266,8 +266,8 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
         rows.append(CheckRow("symmetry", f"reverse bijection n={n}",
                              f"{len(a123)} avoiders", f"{len(a321)} mapped", a123 == a321))
     # count invariance under reversing / complementing the forbidden patterns;
-    # the image side is grown, since the state counter (`states`) counts a
-    # pattern and its images from one image
+    # the image side is grown, since the state counter (`states`) and
+    # Bóna's form count a pattern and its images alike
     samples = [PatternSet((t,)) for t in S3_PATTERNS]
     samples += [PatternSet((Permutation(v),)) for v in ((1, 3, 4, 2), (1, 2, 3, 4), (2, 4, 1, 3))]
     samples.append(SEP)

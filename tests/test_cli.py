@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -374,15 +375,15 @@ def test_answers_from_the_stores_leave_out_numpy(tmp_path):
     # a cache-hit count, a table-hit prob and a limits row, each in a fresh
     # process, load none of the heavy modules but the closed forms and
     # fractions (for --formula and limits) and json (for --format json);
-    # the first 2413 count and the first prob grow, with numpy, and fill
-    # the stores (2413 has no image the state counter takes, and no known
-    # growth constant, so its limits rows count nothing); the 1342 counts
-    # come from generating-tree states, without numpy even when cold; above
-    # n = 10 a count looks for a closed form, and 1342 has none to load
+    # the first 1324 count and the first prob grow, with numpy, and fill
+    # the stores (1324 has no image the state counter takes and no closed
+    # form; 2413 has no known growth constant, so its limits rows count
+    # nothing); the 1342 counts come from Bóna's closed form, without numpy
+    # even when cold, and load no other module for it
     cache = ["--cache", str(tmp_path / "counts.txt"), "--no-meta"]
     count = ["count", "--n", "9", "--avoid", "1342", *cache]
     count11 = ["count", "--n", "11", "--avoid", "1342", *cache]
-    grown = ["count", "--n", "9", "--avoid", "2413", *cache]
+    grown = ["count", "--n", "9", "--avoid", "1324", *cache]
     prob = ["prob", "--n", "8", "--avoid", "321", "--l", "3", "--k", "2", "--formula", *cache]
     limits = ["limits", "cor1:2413", "--l", "3..5", *cache]
     ratios, engine = {"permcluster.formulas", "fractions"}, {"numpy", "permcluster.growth"}
@@ -417,6 +418,35 @@ def test_state_counts_leave_out_numpy(tmp_path):
     assert all(crc == enumeration.CountCache.checksum(key, value) for key, value, crc in lines)
     counts = {key: value for key, value, _ in lines}
     assert counts["avoid=1342;n=6"] == "512" and counts["avoid=231;n=14"] == "2674440"
+
+
+def test_wilf_class_of_1342_counts_leave_out_numpy(tmp_path):
+    # a cold count of 2413 (no image the state counter takes) or of 1342
+    # comes from Bóna's closed form, without numpy, the growth engine, the
+    # closed-form module or fractions
+    for text, n, want in (("2413", 13, 144640291), ("1342", 16, 43478151737)):
+        output, code, loaded = loaded_modules("count", "--n", str(n), "--avoid", text, "--no-meta",
+                                              "--cache", str(tmp_path / text / "counts.txt"))
+        assert code == 0 and loaded == set(), text
+        assert output[-1] == f"{n},{text},{want}"
+
+
+def test_limits_sep_decimals_lie_in_the_exact_enclosure(tmp_path):
+    # each printed limit_dec lies in the limit's rational enclosure, widened
+    # by half a unit in its 15th significant digit (taken as a + b*sqrt(2)
+    # in floats, the decimal cancelled: l = 12 printed 0)
+    from fractions import Fraction
+
+    from permcluster import formulas
+
+    code, out = run_cli(["limits", "sep", "--l", "2..30", "--no-meta"], tmp_path)
+    assert code == 0
+    rows = csv_rows(out)
+    assert [row["l"] for row in rows] == [str(l) for l in range(2, 31)]
+    for row in rows:
+        lo, hi = formulas.separable_cluster_limit(int(row["l"])).bounds()
+        half_unit = Fraction(5, 10**15) * 10 ** math.floor(math.log10(lo))
+        assert hi - lo < half_unit and lo - half_unit <= Fraction(row["limit_dec"]) <= hi + half_unit, row
 
 
 def test_s_n_table_leaves_out_numpy(tmp_path):
@@ -488,13 +518,13 @@ def peak_rss_mib(code):
 
 
 def test_count_memory_is_bounded_by_the_part_size(tmp_path):
-    # growth holds one part of each level at a time, so counting the 22M
-    # members of S_12(2413) takes a few MiB above the imports (2413 is
-    # Wilf-equivalent to 1342, which is counted by states, not grown)
+    # growth holds one part of each level at a time, so counting the 25M
+    # members of S_12(1324) takes a few MiB above the imports (1324 has no
+    # closed form and no image the state counter takes, so it is grown)
     baseline = peak_rss_mib("import numpy, permcluster.cli")[2]
-    args = ["count", "--n", "12", "--avoid", "2413", "--no-meta", "--cache", str(tmp_path / "counts.txt")]
+    args = ["count", "--n", "12", "--avoid", "1324", "--no-meta", "--cache", str(tmp_path / "counts.txt")]
     code, out, peak = peak_rss_mib(f"import sys; from permcluster import cli; sys.exit(cli.main({args!r}))")
-    assert code == 0 and out.splitlines()[-1] == "12,2413,22214707"
+    assert code == 0 and out.splitlines()[-1] == "12,1324,25431452"
     assert peak - baseline < 48, (peak, baseline)
 
 
@@ -669,8 +699,8 @@ def test_tampered_table_lines_are_ignored(tmp_path, monkeypatch):
 def test_tampered_count_lines_are_ignored(tmp_path, monkeypatch):
     # as for table lines: each tampered or unsealed count line is ignored,
     # the class counted again, the printed count the recomputed one and the
-    # line rewritten sealed
-    args = ["count", "--n", "7", "--avoid", "2413", "--no-meta"]
+    # line rewritten sealed (1324 is grown, so each recount is seen)
+    args = ["count", "--n", "7", "--avoid", "1324", "--no-meta"]
     args6 = args[:2] + ["6"] + args[3:]
     counted = []
     fresh_count = enumeration.fresh_count
@@ -681,13 +711,13 @@ def test_tampered_count_lines_are_ignored(tmp_path, monkeypatch):
         return run_cli(argv, tmp_path)
 
     code, want = run(args)
-    assert code == 0 and csv_rows(want)[0]["count"] == "2740"
+    assert code == 0 and csv_rows(want)[0]["count"] == "2762"
     code, want6 = run(args6)
-    assert code == 0 and csv_rows(want6)[0]["count"] == "512"
+    assert code == 0 and csv_rows(want6)[0]["count"] == "513"
     counts = tmp_path / "counts.txt"
-    k7, k6 = "avoid=2413;n=7", "avoid=2413;n=6"
+    k7, k6 = "avoid=1324;n=7", "avoid=1324;n=6"
     line7, line6 = _stored_line(counts, k7), _stored_line(counts, k6)
-    assert (line7, line6) == (_resealed(k7, "2740"), _resealed(k6, "512"))
+    assert (line7, line6) == (_resealed(k7, "2762"), _resealed(k6, "513"))
     assert len(counted) == 2 and run(args) == (0, want) and len(counted) == 2  # an intact line is used
     _, count7, crc7 = line7.split("\t")
     _, count6, crc6 = line6.split("\t")

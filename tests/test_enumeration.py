@@ -35,7 +35,7 @@ from permcluster import (
     parse_permutation,
     ratio_sequence,
 )
-from permcluster import enumeration, growth, substitution
+from permcluster import enumeration, growth, states, substitution
 
 
 def ps_of(*texts) -> PatternSet:
@@ -234,6 +234,87 @@ def test_separable_fast_path_agrees_with_enumeration_at_11():
 def test_separable_fast_path_large_n():
     assert [enumeration._schroeder_count(n) for n in range(1, 6)] == [1, 2, 6, 22, 90]
     assert count_avoiders(20, SEP) == enumeration._schroeder_count(20)
+
+
+# The Wilf class of 1342: its 8 symmetric images, and 2413 and 3142.
+WILF_1342 = ["1342", "2431", "4213", "3124", "1423", "3241", "4132", "2314", "2413", "3142"]
+
+
+def test_wilf_class_of_1342_is_its_images_and_2413():
+    assert enumeration._WILF_1342 == states._images((1, 3, 4, 2)) | states._images((2, 4, 1, 3))
+    assert sorted(enumeration._WILF_1342) == sorted(parse_permutation(t).values for t in WILF_1342)
+
+
+def test_bona_form_matches_states_rows_and_the_scalar_count():
+    # Bóna's form against the state counter (image 2314) for n <= 14, rows
+    # of every pattern of the class for n <= 9 and the scalar count for n <= 7
+    assert [enumeration._bona_count(n) for n in range(1, 15)] == \
+        [states.count(n, (2, 3, 1, 4)) for n in range(1, 15)]
+    for text in WILF_1342:
+        ps = ps_of(text)
+        assert [enumeration._bona_count(n) for n in range(1, 10)] == \
+            [enumeration.fresh_count(n, ps) for n in range(1, 10)], text
+        assert [enumeration._bona_count(n) for n in range(1, 8)] == \
+            [enumeration._scalar_count(n, ps) for n in range(1, 8)], text
+    assert enumeration._bona_count(16) == 43478151737
+
+
+@pytest.mark.parametrize("text", WILF_1342)
+def test_wilf_class_of_1342_is_counted_by_the_form_without_growth(text, monkeypatch):
+    # each pattern of the class passes the gate once, on the scalar count
+    # for every j <= 6, and is then counted by the form alone
+    checked = []
+    scalar = enumeration._scalar_count
+    monkeypatch.setattr(enumeration, "_scalar_count", lambda n, ps: checked.append(n) or scalar(n, ps))
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    monkeypatch.setattr(enumeration, "_engine", None)
+    monkeypatch.setattr(enumeration, "_state_count", None)
+    ps = ps_of(text)
+    assert [count_avoiders(n, ps) for n in (5, 9, 13)] == [103, 91245, 144640291]
+    assert checked == list(range(1, enumeration._STATE_GATE_UPTO + 1))
+    assert enumeration._GATE == {("bona", text): True}
+
+
+@pytest.mark.parametrize("text, falls_to", [("1342", "states"), ("4132", "states"), ("2413", "rows"),
+                                            ("3142", "rows")])
+def test_wrong_bona_form_fails_the_gate_and_falls_back(text, falls_to, monkeypatch):
+    # a form off by one at j = 6 fails its gate: 1342's images are then
+    # counted by states, 2413 and 3142 by rows, with the same answers
+    ps = ps_of(text)
+    want = [enumeration.fresh_count(n, ps) for n in range(1, 11)]
+    grown = []
+    right, fresh = enumeration._bona_count, enumeration.fresh_count
+    monkeypatch.setattr(enumeration, "_bona_count", lambda n: right(n) + (n == 6))
+    monkeypatch.setattr(enumeration, "fresh_count", lambda n, ps, **kw: grown.append(n) or fresh(n, ps, **kw))
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    assert [count_avoiders(n, ps) for n in range(1, 11)] == want
+    if falls_to == "states":
+        assert enumeration._GATE == {("bona", text): False, ("states", text): True} and grown == []
+    else:
+        assert enumeration._GATE == {("bona", text): False} and grown == list(range(4, 11))
+
+
+def test_other_classes_never_take_the_bona_form(monkeypatch):
+    # pattern sets that hold a pattern of the class, and single patterns of
+    # lengths 5 and 6, are counted as before and leave no gate entry for it
+    def refuse(n):
+        raise AssertionError("counted by the closed form")
+
+    rng = random.Random(1342)
+    singles = []
+    for m in (5, 5, 5, 6, 6, 6):
+        values = list(range(1, m + 1))
+        rng.shuffle(values)
+        singles.append(PatternSet((Permutation(tuple(values)),)))
+    monkeypatch.setattr(enumeration, "_bona_count", refuse)
+    for ps in [ps_of("1342", "4213"), ps_of("1342", "321"), ps_of("1342", "2413"), ps_of("2413", "3142"),
+               ps_of("1342", "25314")] + singles:
+        monkeypatch.setattr(enumeration, "_MEMO", {})
+        monkeypatch.setattr(enumeration, "_GATE", {})
+        assert [count_avoiders(n, ps) for n in range(1, 9)] == [enumeration.fresh_count(n, ps) for n in range(1, 9)]
+        assert not any(source == "bona" for source, _ in enumeration._GATE), ps
 
 
 # ---------------------------------------------------------------------------
