@@ -277,6 +277,9 @@ def _cmd_table(args) -> tuple[list[dict], bool]:
                 events = [ClusterEvent(l, k) for k in ks if 1 <= k <= n - l + 1]
             for event in events:
                 records.append(_prob_record(n, ps, event, args.formula, cache, args.jobs))
+    if not records:
+        chosen = " ".join(f"--{name} {spec}" for name, spec in (("n", args.n), ("l", args.l), ("k", args.k)) if spec)
+        raise DomainError(f"{chosen} select no event: every event has 2 <= l <= n-1 and 1 <= k <= n-l+1")
     return records, any(rec.get("agree") == "DISAGREE" for rec in records)
 
 

@@ -37,8 +37,11 @@ it; on an empty cache step 4 answers that reference, so no separable
 count grows rows or loads numpy.  The decomposition's counts share one
 gate entry with its event tables (below): their tables, totals included,
 must equal `_scalar_table` for every j <= 6.  The closed form must equal
-the scalar count sum(avoids_all(s, ps) for s in S_j) for every j <= 6,
-for each pattern of the class; on a miss 1342's images fall through to
+the scalar count `_scalar_count` for every j <= 6, for each pattern of
+the class: j! less the members of S_j that contain the pattern, each
+built by placing the pattern on a set of positions and a set of values
+and filling the other positions in every order, so no member is tested
+for containment; on a miss 1342's images fall through to
 states and 2413 and 3142 to rows.  The state counter must reproduce, for
 every j <= max(6, m + 1), m the pattern's length, that scalar count for
 m <= 5, and the rows that `fresh_count` grows for m >= 6 (below j = m
@@ -58,16 +61,17 @@ answers wins:
 2. the table store beside the count cache;
 3. for all of S_n or the separable class at n >= 10, the substitution
    decomposition (see `substitution`: pure Python, no numpy), gated in the
-   same gate memo: its tables must equal `_scalar_table`, a scan of every
-   member of S_j with the scalar `avoids_all` and a window test, for every
-   j <= 6; and the table at n itself must be fixed by reverse, complement
+   same gate memo: its tables must equal `_scalar_table`, a window scan
+   of every member of S_j that the scalar count's placement does not
+   build, for every j <= 6; and the table at n itself must be fixed by reverse, complement
    and inverse, as the class is;
 4. growth, by `fresh_table`.
 
 A table of all of S_n past _MAX_TABLE_N_SN that the stores lack is
 refused (DomainError) before anything is computed.  A table from step 3
 or 4 is written to the store, in the same line either way;
-`fresh_table` (and so `cache-audit`) always grows.  Both files hold one sealed line per key,
+`fresh_table` (and so `cache-audit`) always grows, from S_0 or from the
+levels that growth in this process kept (see `growth`).  Both files hold one sealed line per key,
 `key<TAB>value<TAB>crc32`, and answer only from a line that passes its
 CRC-32; any other line is ignored, its value recomputed and its line
 written again.  A stored table is used only if it also passes every
@@ -97,7 +101,6 @@ from .perms import (
     PatternSet,
     Permutation,
     UndefinedProbabilityError,
-    avoids_all,
     parse_permutation,
 )
 
@@ -170,9 +173,23 @@ class EventTable:
 _MEMO: dict[str, "int | EventTable"] = {}  # this process's counts and tables, keyed as in the stores
 
 
+# By the patterns' one-line values: the class's key and its shortest
+# pattern's length (inf for no pattern), which every lookup reads.
+_PATTERN_FACTS: dict[tuple[tuple[int, ...], ...], tuple[str, float]] = {}
+
+
+def _facts(ps: PatternSet) -> tuple[str, float]:
+    """ps.key() and the length of ps's shortest pattern, memoized."""
+    values = tuple(tau.values for tau in ps.patterns)
+    facts = _PATTERN_FACTS.get(values)
+    if facts is None:
+        facts = _PATTERN_FACTS[values] = (ps.key(), min(map(len, values), default=math.inf))
+    return facts
+
+
 def _is_all_of_s_n(n: int, ps: PatternSet) -> bool:
     """Whether S_n(ps) is all of S_n: no patterns, n = 0, or n below the shortest pattern."""
-    return ps.is_empty() or n < min(len(tau) for tau in ps)
+    return n < _facts(ps)[1]
 
 
 def _known_count(n: int, ps: PatternSet, cache: "CountCache | None") -> int | None:
@@ -196,7 +213,9 @@ def _record_count(n: int, ps: PatternSet, value: int, cache: "CountCache | None"
 
 
 def fresh_table(n: int, ps: PatternSet, *, jobs: int = 1) -> EventTable:
-    """The event table by growth only, bypassing the memo and both stores."""
+    """The event table by growth only, bypassing the memo and both stores:
+    it answers only from growth done in this process, from S_0 or from the
+    whole levels that `growth` kept of earlier growth of the class."""
     if ps.is_empty() and n > _MAX_TABLE_N_SN:
         raise DomainError(
             f"exhaustive event tables over all of S_{n} are out of reach (n! rows); n <= {_MAX_TABLE_N_SN}"
@@ -270,7 +289,7 @@ def _decomposed_table(n: int, ps: PatternSet) -> EventTable | None:
 
 
 def cache_key(n: int, ps: PatternSet) -> str:
-    return f"avoid={ps.key()};n={n}"
+    return f"avoid={_facts(ps)[0]};n={n}"
 
 
 def table_key(key: str) -> str:
@@ -438,8 +457,10 @@ class CountCache(_LineStore):
 
 
 def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
-    """Count by enumeration only, bypassing memos, caches and fast paths.
-    Below its shortest pattern a class is all of S_n, and n! an identity."""
+    """Count by enumeration only, bypassing memos, caches and fast paths:
+    it answers only from growth done in this process, from S_0 or from the
+    whole levels that `growth` kept of earlier growth of the class.  Below
+    its shortest pattern a class is all of S_n, and n! an identity."""
     if n < 0:
         raise DomainError("counting needs n >= 0")
     if _is_all_of_s_n(n, ps):
@@ -461,17 +482,39 @@ def _gated(source: str, ps: PatternSet, form: Callable[[int], int], reference: C
     return _GATE[key]
 
 
+def _containing(n: int, ps: PatternSet) -> set[tuple[int, ...]]:
+    """The members of S_n that contain some pattern of ps, built by placing
+    each pattern's order type on every set of positions and every set of
+    values, with the other positions filled in every order."""
+    members = set()
+    for tau in ps:
+        m = len(tau)
+        for values in itertools.combinations(range(1, n + 1), m):
+            placed = [values[v - 1] for v in tau.values]
+            others = [v for v in range(1, n + 1) if v not in values]
+            for at in itertools.combinations(range(n), m):
+                rest = [i for i in range(n) if i not in at]
+                for fill in itertools.permutations(others):
+                    s = [0] * n
+                    for i, v in itertools.chain(zip(at, placed), zip(rest, fill)):
+                        s[i] = v
+                    members.add(tuple(s))
+    return members
+
+
 def _scalar_count(n: int, ps: PatternSet) -> int:
-    """|S_n(ps)| by testing each member of S_n with the scalar `avoids_all`."""
-    return sum(avoids_all(Permutation(s), ps) for s in itertools.permutations(range(1, n + 1)))
+    """|S_n(ps)|: n! less the members of S_n that contain some pattern,
+    placed by `_containing`."""
+    return math.factorial(n) - len(_containing(n, ps))
 
 
 def _scalar_table(n: int, ps: PatternSet) -> EventTable:
-    """The event table of S_n(ps) by testing each member of S_n with the
-    scalar `avoids_all` and each of its windows for a cluster."""
+    """The event table of S_n(ps) from every member of S_n that `_containing`
+    does not place, by testing each of its windows for a cluster."""
     total, by_lka, union = 0, Counter(), Counter()
+    containing = _containing(n, ps)
     for s in itertools.permutations(range(1, n + 1)):
-        if not avoids_all(Permutation(s), ps):
+        if s in containing:
             continue
         total += 1
         ls = set()

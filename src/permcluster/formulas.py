@@ -27,11 +27,17 @@ from .perms import (
 )
 
 
+_CATALAN: dict[int, int] = {}  # the closed forms ask for the same few hundred n over and over
+
+
 def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n) / (n + 1), defined for n >= 0."""
     if n < 0:
         raise DomainError("catalan needs n >= 0")
-    return math.comb(2 * n, n) // (n + 1)
+    value = _CATALAN.get(n)
+    if value is None:
+        value = _CATALAN[n] = math.comb(2 * n, n) // (n + 1)
+    return value
 
 
 def sep_count(n: int, *, cache: "enumeration.CountCache | None" = None) -> int:

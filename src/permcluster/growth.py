@@ -41,6 +41,20 @@ temporaries are a few times the chunk's rows.  Counts and tables are
 sums, so the order of the parts does not matter; a listing, the only
 consumer that holds a whole class, is sorted at the end.
 
+Serial growth keeps the whole levels it builds that fit in one part
+(`_KeptLevels`): per class and start level (S_0, or the half root under
+12, below), the levels of at most _CHUNK_ROWS rows, masks included, at
+consecutive widths, up to 64 * _CHUNK_ROWS bytes in all (512 KiB), the
+least recently used class dropped first.  A level is whole while every
+level above it fits in one part.  Every later count, table or listing of
+the class starts from the deepest kept level at or above the width it
+needs; a level too large to keep is grown in parts from there, never
+again from S_0.  So the verification suites, which ask for each class at
+consecutive n, grow each of its levels once per process.  A "fresh" count
+or table (`enumeration.fresh_count`, `fresh_table`, and so `cache-audit`)
+is one grown in this process, from S_0 or from these levels, never read
+from the memo or the stores.  Workers of a parallel growth keep nothing.
+
 Event counts (which blocks of l consecutive values sit in l consecutive
 positions) start from the parents' cluster windows, found with sliding
 window min/max scans: a window is a cluster iff max - min = l - 1, and the
@@ -262,6 +276,10 @@ def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
                for _, bad in _descendants(level, n - 1, _pattern_metas(ps)))
 
 
+def _complement_closed(ps: PatternSet) -> bool:
+    return PatternSet(tuple(map(complement, ps))) == ps
+
+
 def _start(n: int, ps: PatternSet, metas: Metas) -> tuple[Level, bool]:
     """The level that counts and tables grow from, and whether it is the
     half root: S_0, or, for a complement-closed ps and n >= 3, the width-2
@@ -269,11 +287,79 @@ def _start(n: int, ps: PatternSet, metas: Metas) -> tuple[Level, bool]:
     kernel gives it.  The half root's descendants are the members with
     s_1 < s_2, and their complements (`_mirror`) are the rest of S_n(ps)."""
     root = _root(n)
-    if n < 3 or PatternSet(tuple(map(complement, ps))) != ps:
+    if n < 3 or not _complement_closed(ps):
         return root, False
     rows, bad = _children(_children(root, metas), metas)
     rising = rows[:, 0] < rows[:, 1]
     return (rows[rising], bad[rising]), True
+
+
+def _nbytes(level: Level) -> int:
+    return level[0].nbytes + level[1].nbytes
+
+
+class _KeptLevels:
+    """The whole levels that serial growth built in this process and that
+    fit in one part, at most _CHUNK_ROWS rows: per class and start level,
+    keyed (ps, half), the levels at consecutive widths from the start level
+    on (S_0, or the half root under 12), shallowest first.  Their rows and
+    masks take at most 64 * _CHUNK_ROWS bytes in all (512 KiB at 2^13 rows,
+    the size of one part of width 56); the least recently used class is
+    dropped first, and a level that would not fit beside the rest of its
+    own class is not kept.  Kept arrays are read-only."""
+
+    def __init__(self):
+        self.chains: dict[tuple[PatternSet, bool], list[Level]] = {}
+        self.nbytes = 0
+
+    def chain(self, key: tuple[PatternSet, bool], start: Callable[[], Level]) -> list[Level]:
+        """The kept levels of key's class, now the most recently used; a
+        class with none kept starts from start()."""
+        chain = self.chains.pop(key, None)
+        if chain is None:
+            chain = []
+            self._append(chain, start())
+        self.chains[key] = chain
+        return chain
+
+    def keep(self, chain: list[Level], level: Level) -> None:
+        """Keep `level` if it is one width below chain's deepest, has at most
+        _CHUNK_ROWS rows and fits in the byte bound once the classes used
+        before chain's are dropped."""
+        budget = 64 * _CHUNK_ROWS
+        if level[0].shape[1] != chain[-1][0].shape[1] + 1 or len(level[0]) > _CHUNK_ROWS:
+            return
+        for key in list(self.chains):
+            if self.nbytes + _nbytes(level) <= budget or self.chains[key] is chain:
+                break
+            self.nbytes -= sum(map(_nbytes, self.chains.pop(key)))
+        if self.nbytes + _nbytes(level) <= budget:
+            self._append(chain, level)
+
+    def _append(self, chain: list[Level], level: Level) -> None:
+        for array in level:
+            array.flags.writeable = False
+        chain.append(level)
+        self.nbytes += _nbytes(level)
+
+
+_KEPT = _KeptLevels()
+
+
+def _whole_level(n: int, ps: PatternSet, metas: Metas, half: bool, enough: Callable[[np.ndarray], bool]) -> Level:
+    """The shallowest whole level of the serial growth of ps from its start
+    level (the half root if `half`, else S_0) whose rows are `enough`, or
+    else the first one of more than _CHUNK_ROWS rows, which its consumer
+    grows on in parts.  It is read off the class's kept levels where they
+    reach it, else grown from the deepest of them, and every new level of
+    at most _CHUNK_ROWS rows is kept."""
+    root = _root(n)
+    chain = _KEPT.chain((ps, half), lambda: _start(n, ps, metas)[0] if half else root)
+    level = next((level for level in chain if enough(level[0])), chain[-1])
+    while not enough(level[0]) and len(level[0]) <= _CHUNK_ROWS:
+        level = _children(level, metas)
+        _KEPT.keep(chain, level)
+    return level
 
 
 def _mirror(n: int, total: int, lka: np.ndarray, union: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -299,9 +385,10 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
     `count` and `table` mirror a half.  Each consumer grows its level
     depth-first through `_descendants`.
 
-    With one job the level is the start level, consumed in-process.
-    Otherwise the level is grown until it has at least 16 * jobs rows and
-    dealt out with its masks, row i to part i mod (4 * jobs), so that
+    With one job the level is the whole level at width n - 1, or the first
+    one past _CHUNK_ROWS rows above it (`_whole_level`), consumed
+    in-process.  Otherwise the level is the first whole level with at least
+    16 * jobs rows, and it is dealt out with its masks, row i to part i mod (4 * jobs), so that
     neighbouring subtrees, which tend to be alike in size, land in
     different parts.  A ProcessPoolExecutor(max_workers=jobs) of workers
     takes the parts one at a time, so a worker that finishes early, or runs
@@ -309,7 +396,9 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
     n - 1 first, still short of 16 * jobs rows, is consumed in-process.
     """
     metas = _pattern_metas(ps)
-    level, half = _start(n, ps, metas)
+    half = n >= 3 and _complement_closed(ps)
+    level = _whole_level(n, ps, metas, half,
+                         lambda rows: rows.shape[1] >= n - 1 or (jobs > 1 and len(rows) >= 16 * jobs))
     while jobs > 1 and level[0].shape[1] < n - 1 and len(level[0]) < 16 * jobs:
         level = _children(level, metas)
     if jobs <= 1 or len(level[0]) < 16 * jobs:
@@ -339,9 +428,15 @@ def table(n: int, ps: PatternSet, jobs: int) -> tuple[int, dict[tuple[int, int, 
 
 def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:
     """S_n(ps) as an int8 array, one row per member, in lexicographic order."""
-    parts = [_append(parents[_free(bad, r)], r)
-             for parents, bad in _descendants(_root(n), n - 1, _pattern_metas(ps)) for r in range(1, n + 1)]
-    rows = np.vstack(parts) if parts else np.zeros((0, n), dtype=np.int8)
+    metas = _pattern_metas(ps)
+    level = _whole_level(n, ps, metas, False, lambda rows: rows.shape[1] >= n - 1)
+    kept = _KEPT.chains[(ps, False)]
+    if len(kept) > n:  # S_n(ps) itself is kept, at width n
+        rows = kept[n][0]
+    else:
+        parts = [_append(parents[_free(bad, r)], r)
+                 for parents, bad in _descendants(level, n - 1, metas) for r in range(1, n + 1)]
+        rows = np.vstack(parts) if parts else np.zeros((0, n), dtype=np.int8)
     return rows[np.lexsort(rows.T[::-1])]
 
 

@@ -14,7 +14,8 @@ All functions are pure; the intermediate relabeled words are exposed
 `contract` and `expand` act on one permutation at a time and are the
 specification.  `contract_rows` and `expand_rows` are their batch kernels:
 they apply the same maps to every row of an integer array at one (l, a),
-reading k per row, and make the same checks, vectorised.  Each relabeling
+reading k per row, and make the same checks, vectorised; `expand_rows`
+also takes every anchor of a batch in one call.  Each relabeling
 shifts the values past the window by l - 1, so a kernel is a comparison,
 a shift and a splice per row.  The verification suites run on the
 kernels, and the tests hold them equal to the scalar maps.  The kernels
@@ -164,10 +165,13 @@ def contract_rows(rows: np.ndarray, l: int, a: int) -> np.ndarray:
     return np.where(kept >= k + l, kept - (l - 1), kept)
 
 
-def expand_rows(etas: np.ndarray, rhos: np.ndarray, l: int, a: int) -> np.ndarray:
+def expand_rows(etas: np.ndarray, rhos: np.ndarray, l: int, a: int | Sequence[int]) -> np.ndarray:
     """`expand` on row pairs at once: row i of etas (N, m) takes the window
     pattern row i of rhos (N, l) at anchor a, with k = etas[i, a - 1].
-    Returns the expansions, (N, m + l - 1).
+    Returns the expansions, (N, m + l - 1).  With a sequence of anchors the
+    expansions at each anchor in turn are stacked, anchor-major, (len(a) * N,
+    m + l - 1), as a vstack of one call per anchor would give them, and each
+    input array is checked once.
 
     The values > k move up by l - 1 and k - 1 + rho replaces the value k.
     """
@@ -178,7 +182,15 @@ def expand_rows(etas: np.ndarray, rhos: np.ndarray, l: int, a: int) -> np.ndarra
         raise DomainError(f"window pattern has length {rhos.shape[1]}, expected l={l}")
     if len(rhos) != len(etas):
         raise DomainError(f"{len(etas)} host rows but {len(rhos)} window patterns")
-    ClusterEvent(l, 1, a).validate(etas.shape[1] + l - 1)
-    k = etas[:, a - 1 : a]
-    raised = np.where(etas > k, etas + (l - 1), etas)
-    return np.hstack([raised[:, : a - 1], k - 1 + rhos, raised[:, a:]])
+    m = etas.shape[1]
+    anchors = np.array(a, dtype=np.intp, ndmin=1)
+    for b in anchors.tolist():
+        ClusterEvent(l, 1, b).validate(m + l - 1)
+    k = etas.T[anchors - 1, :, None]  # k per anchor and row, (A, N, 1)
+    raised, window = np.where(etas > k, etas + (l - 1), etas), k - 1 + rhos
+    out = np.empty((len(anchors), len(etas), m + l - 1), dtype=np.result_type(raised, window))
+    for i, b in enumerate(anchors.tolist()):
+        out[i, :, : b - 1] = raised[i, :, : b - 1]
+        out[i, :, b - 1 : b - 1 + l] = window[i]
+        out[i, :, b - 1 + l :] = raised[i, :, b:]
+    return out.reshape(-1, m + l - 1)

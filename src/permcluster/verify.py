@@ -375,8 +375,7 @@ def _expansions(etas: np.ndarray, l: int, rhos: np.ndarray) -> np.ndarray:
     every window pattern row rho: anchor-major, then eta, then rho."""
     hosts = np.repeat(etas, len(rhos), axis=0)
     windows = np.tile(rhos, (len(etas), 1))
-    return np.vstack([transform.expand_rows(hosts, windows, l, a)
-                      for a in range(1, etas.shape[1] + 1)])
+    return transform.expand_rows(hosts, windows, l, range(1, etas.shape[1] + 1))
 
 
 def _monotone_preservation_rows(max_n: int) -> list[CheckRow]:

@@ -579,10 +579,16 @@ def test_limits_right_offset_matches_fixed_k(tmp_path):
                                                                ("3", "2", "5/64", "0.078125")]
 
 
-def test_table_without_rows_prints_the_meta_line_only(tmp_path):
-    code, out = run_cli(["table", "--avoid", "321", "--n", "5", "--l", "9", "--no-meta"], tmp_path)
-    assert code == 0
-    assert out == f"# command=permcluster table --avoid 321 --n 5 --l 9 --no-meta --cache {tmp_path / 'counts.txt'}\n"
+def test_table_that_selects_no_event_is_a_domain_error(tmp_path, capsys):
+    # as prob exits 3 on an event out of range, table exits 3 when its
+    # ranges select no event at all, and prints nothing on stdout
+    for ranges in (["--n", "5", "--l", "9"], ["--n", "3", "--l", "5"], ["--n", "1..2"],
+                   ["--n", "3..4", "--l", "3", "--k", "3"]):
+        for fmt in ("csv", "json"):
+            code, out = run_cli(["table", "--avoid", "321", *ranges, "--format", fmt, "--no-meta"], tmp_path)
+            assert code == 3 and out == ""
+            assert capsys.readouterr().err == f"error: {' '.join(ranges)} select no event: " \
+                                              "every event has 2 <= l <= n-1 and 1 <= k <= n-l+1\n"
 
 
 def test_prob_formula_none_leaves_the_value_cells_empty(tmp_path):

@@ -317,6 +317,16 @@ def test_other_classes_never_take_the_bona_form(monkeypatch):
         assert not any(source == "bona" for source, _ in enumeration._GATE), ps
 
 
+@pytest.mark.parametrize("ps", [EMPTY_PATTERNS, SEP] + random_pattern_sets(11, 6), ids=lambda ps: ps.key() or "S_n")
+def test_placed_members_are_those_that_contain_a_pattern(ps):
+    # the placement behind the scalar references against the scalar
+    # containment test, over all of S_j for j <= 7
+    for j in range(1, 8):
+        want = {s for s in itertools.permutations(range(1, j + 1)) if not avoids_all(Permutation(s), ps)}
+        assert enumeration._containing(j, ps) == want
+        assert enumeration._scalar_count(j, ps) == math.factorial(j) - len(want)
+
+
 # ---------------------------------------------------------------------------
 # event counts
 
@@ -969,6 +979,85 @@ def test_growth_in_small_parts_matches_whole_levels(chunk, monkeypatch):
         assert enumeration.fresh_count(7, ps, jobs=2) == count7
     # at n = 7 some classes are dealt short of width 6, so the parts grow on in parts
     assert any(rows.shape[1] < 6 for rows, _ in InlinePool.parts)
+
+
+def grown_in_order(sizes, ps):
+    """Counts, tables and listings of ps at each n of sizes, asked in that
+    order of one process, keyed by n."""
+    return {n: (enumeration.fresh_count(n, ps), enumeration.fresh_table(n, ps), growth.avoider_rows(n, ps))
+            for n in sizes}
+
+
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
+def test_kept_levels_answer_as_growth_from_s_0(ps, monkeypatch):
+    # counts, tables and listings asked for in ascending, descending and
+    # shuffled order of n, each order in a process that starts with no kept
+    # levels, equal those grown with no level kept from the call before;
+    # for n <= 6 they also equal the scalar references
+    sizes = list(range(1, 9))
+    want = {}
+    for n in sizes:
+        monkeypatch.setattr(growth, "_KEPT", growth._KeptLevels())
+        want.update(grown_in_order([n], ps))
+    for order in (sizes, sizes[::-1], random.Random(ps.key()).sample(sizes, len(sizes))):
+        monkeypatch.setattr(growth, "_KEPT", growth._KeptLevels())
+        got = grown_in_order(order, ps)
+        for n in sizes:
+            assert got[n][0] == want[n][0], (order, n)
+            assert_same_table(got[n][1], want[n][1])
+            assert np.array_equal(got[n][2], want[n][2]), (order, n)
+    for n in range(1, 7):
+        assert want[n][0] == enumeration._scalar_count(n, ps)
+        assert_same_table(want[n][1], enumeration._scalar_table(n, ps))
+
+
+@pytest.mark.parametrize("ps, closed", [(ps_of("1342"), False), (SEP, True)], ids=["1342", "sep"])
+def test_one_width_more_grows_one_level(ps, closed, monkeypatch):
+    # after width n, width n + 1 grows one level from the deepest kept one,
+    # for a count, a table or a listing of the class; a level of more than
+    # _CHUNK_ROWS rows is not kept, and the next ask grows it again from
+    # the level above, not from S_0
+    grown = []
+    children = growth._children
+    monkeypatch.setattr(growth, "_children", lambda level, metas: grown.append(level[0].shape) or
+                        children(level, metas))
+    monkeypatch.setattr(growth, "_KEPT", growth._KeptLevels())
+    enumeration.fresh_count(6, ps)
+    calls = [(enumeration.fresh_count, 7), (enumeration.fresh_table, 8), (enumeration.fresh_count, 9)]
+    if not closed:  # a listing grows the whole tree, which a closed class's counts do not
+        calls += [(growth.avoider_rows, 9), (growth.avoider_rows, 9)]
+    for fresh, n in calls:
+        grown.clear()
+        fresh(n, ps)
+        assert [width for _, width in grown] == [n - 2], (fresh.__name__, n, grown)
+    assert grown[0][0] <= growth._CHUNK_ROWS  # the last ask grew from a kept level
+
+
+def test_kept_levels_stay_within_their_byte_bound(monkeypatch):
+    # with parts of 64 rows every growth past them runs in parts, levels of
+    # at most 64 rows are kept, and the kept bytes stay within 64 * 64, which
+    # the levels of these classes pass: the least recently used class is
+    # dropped first
+    classes = [ps_of(text) for text in ("123", "132", "213", "231", "312", "321", "1342", "25314")]
+    want = [enumeration.fresh_count(8, ps) for ps in classes]
+    monkeypatch.setattr(growth, "_CHUNK_ROWS", 64)
+    kept = growth._KeptLevels()
+    monkeypatch.setattr(growth, "_KEPT", kept)
+    parts = []
+    children = growth._children
+    monkeypatch.setattr(growth, "_children", lambda level, metas: parts.append(len(level[0])) or
+                        children(level, metas))
+    for ps, count in zip(classes, want):
+        assert enumeration.fresh_count(8, ps) == count
+        assert kept.nbytes == sum(a.nbytes for chain in kept.chains.values() for level in chain for a in level)
+        assert kept.nbytes <= 64 * 64
+        for levels in kept.chains.values():  # consecutive widths from S_0, of at most 64 rows
+            assert [(rows.shape[1], len(rows) <= 64) for rows, _ in levels] == [(w, True) for w in range(len(levels))]
+        assert list(kept.chains)[-1] == (ps, False)
+    assert max(parts) <= 64 and parts.count(64) > 1  # the levels past 64 rows ran in parts
+    assert [ps for ps, _ in kept.chains] == classes[-len(kept.chains):] and len(kept.chains) < len(classes)
+    with pytest.raises(ValueError, match="read-only"):
+        kept.chains[(classes[-1], False)][-1][1][0] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -266,12 +266,20 @@ def test_contract_rows_matches_contract_exhaustively():
 
 
 def test_expand_rows_matches_expand_exhaustively():
-    for m, l in [(2, 2), (3, 3), (4, 2), (4, 3), (2, 5)]:
-        etas = list(itertools.permutations(range(1, m + 1)))
-        rhos = list(itertools.permutations(range(1, l + 1)))
-        pairs = list(itertools.product(etas, rhos))
-        for a in range(1, m + 1):
-            assert_expand_rows_match([e for e, _ in pairs], [r for _, r in pairs], l, a)
+    # every (eta, rho, a) with n <= 7: each anchor's call against the scalar
+    # map, and one call over all anchors against the stacked calls
+    for n in range(3, 8):
+        for l in range(2, n):
+            m = n - l + 1
+            pairs = list(itertools.product(itertools.permutations(range(1, m + 1)),
+                                           itertools.permutations(range(1, l + 1))))
+            etas, rhos = [e for e, _ in pairs], [r for _, r in pairs]
+            for a in range(1, m + 1):
+                assert_expand_rows_match(etas, rhos, l, a)
+            hosts, windows = rows_of(etas, m), rows_of(rhos, l)
+            each = np.vstack([expand_rows(hosts, windows, l, a) for a in range(1, m + 1)])
+            every = expand_rows(hosts, windows, l, range(1, m + 1))
+            assert every.dtype == each.dtype and np.array_equal(every, each)
 
 
 @given(st.integers(3, 9).flatmap(
@@ -293,6 +301,7 @@ def test_expand_rows_matches_expand_random(sizes, data):
 def test_batch_kernels_take_empty_batches():
     assert contract_rows(np.zeros((0, 5), dtype=np.int8), 2, 1).shape == (0, 4)
     assert expand_rows(np.zeros((0, 4), dtype=np.int8), np.zeros((0, 3), dtype=np.int8), 3, 2).shape == (0, 6)
+    assert expand_rows(np.zeros((0, 4), dtype=np.int8), np.zeros((0, 3), dtype=np.int8), 3, [1, 4]).shape == (0, 6)
 
 
 P = parse_permutation
@@ -320,6 +329,9 @@ BAD_ARGUMENTS = {
         lambda: expand(P("213"), P("21"), 2, 3, 0)),
     "expand: anchor past |eta|": (
         lambda: expand_rows(rows_of([(2, 1, 3)], 3), rows_of([(2, 1)], 2), 2, 4),
+        lambda: expand(P("213"), P("21"), 2, 3, 4)),
+    "expand: one anchor of several past |eta|": (
+        lambda: expand_rows(rows_of([(2, 1, 3)], 3), rows_of([(2, 1)], 2), 2, [1, 4]),
         lambda: expand(P("213"), P("21"), 2, 3, 4)),
     "expand: l = 1": (
         lambda: expand_rows(rows_of([(2, 1, 3)], 3), rows_of([(1,)], 1), 1, 1),
