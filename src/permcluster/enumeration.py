@@ -78,6 +78,20 @@ written again.  A stored table is used only if it also passes every
 range and bound check, and its total is n! where the class is all of
 S_n, else the count that the memo or the count cache holds.
 
+A lookup that has to grow (count step 7, table step 4) with a store
+records more than it was asked for: the count and the table of every
+width j from 2 up to the reach R that neither the memo nor the stores
+hold, each grown serially by `fresh_table` over the levels that growth
+keeps, so that a session asking for the class at another n reads it from
+the stores without numpy.  R is the least j with |S_(j-1)(ps)| >
+growth._CHUNK_ROWS, whose table reads the first level that growth does
+not keep whole: 9 for the length-4 classes, SEP and S_n, 11 for the
+length-3 classes.  A class that dies out stops at its first empty width,
+and one that grows too slowly to get there stops at _MAX_TABLE_N_SN.
+Each store takes the new lines in one locked write.  Without a store (the
+verification suites, `cache-audit`, `fresh_*`) a lookup grows only what
+it is asked for.
+
 All counting is exact integer arithmetic; probabilities are Fractions.
 """
 
@@ -187,6 +201,14 @@ def _facts(ps: PatternSet) -> tuple[str, float]:
     return facts
 
 
+_SEP_KEY = SEP.key()
+
+
+def _is_separable_class(ps: PatternSet) -> bool:
+    """Whether ps is SEP, {2413, 3142}, by its memoized key."""
+    return _facts(ps)[0] == _SEP_KEY
+
+
 def _is_all_of_s_n(n: int, ps: PatternSet) -> bool:
     """Whether S_n(ps) is all of S_n: no patterns, n = 0, or n below the shortest pattern."""
     return n < _facts(ps)[1]
@@ -198,17 +220,6 @@ def _known_count(n: int, ps: PatternSet, cache: "CountCache | None") -> int | No
     value = _MEMO.get(key)
     if value is None and cache is not None:
         value = cache.get(key)
-    return value
-
-
-def _record_count(n: int, ps: PatternSet, value: int, cache: "CountCache | None") -> int:
-    """Keep |S_n(ps)| = value in the memo, and in the cache where the cache
-    lacks it or holds another value; an identity n! is kept in neither."""
-    key = cache_key(n, ps)
-    if not _is_all_of_s_n(n, ps):
-        _MEMO[key] = value
-        if cache is not None and cache.get(key) != value:
-            cache.put(key, value)
     return value
 
 
@@ -227,20 +238,95 @@ def event_count_table(n: int, ps: PatternSet, *, jobs: int = 1, cache: "CountCac
     """Counts of S_n(ps) members in every cluster event, from one full pass
     (or from the memo or the table store, which keep the tables of earlier
     passes)."""
-    key = cache_key(n, ps)
-    table = _MEMO.get(table_key(key))
-    if table is None and cache is not None and n >= 1:  # growth rejects n < 1
-        total = math.factorial(n) if _is_all_of_s_n(n, ps) else _known_count(n, ps, cache)
-        table = cache.tables.table(n, ps, total)
-    computed = table is None
-    if computed:
-        table = _decomposed_table(n, ps) or fresh_table(n, ps, jobs=jobs)
-    _MEMO[table_key(key)] = table
-    _record_count(n, ps, table.total, cache)
-    if computed and cache is not None:
-        with contextlib.suppress(OSError):  # the store only saves time: a table it cannot keep is computed again
-            cache.tables.put(key, cache.tables.encode(table))
+    table = _stored_table(n, ps, cache)
+    if table is not None:
+        _MEMO[table_key(cache_key(n, ps))] = table
+        _record(n, ps, {n: table.total}, {}, cache)
+        return table
+    table = _decomposed_table(n, ps)
+    if table is None:
+        return _grown(n, ps, fresh_table, jobs, cache)
+    _record(n, ps, {n: table.total}, {n: table}, cache)
     return table
+
+
+def _stored_table(n: int, ps: PatternSet, cache: "CountCache | None",
+                  total: int | None = None) -> EventTable | None:
+    """S_n(ps)'s table from the memo, else from the table store if its line
+    passes every check against the class size: `total` if given, else the
+    one known without the table."""
+    table = _MEMO.get(table_key(cache_key(n, ps)))
+    if table is None and cache is not None and n >= 1:  # growth rejects n < 1
+        if total is None:
+            total = math.factorial(n) if _is_all_of_s_n(n, ps) else _known_count(n, ps, cache)
+        table = cache.tables.table(n, ps, total)
+    return table
+
+
+def _record(n: int, ps: PatternSet, counts: dict[int, int], tables: dict[int, EventTable],
+            cache: "CountCache | None") -> None:
+    """Keep the counts |S_j(ps)| and the tables, by width j, in the memo;
+    write each count to the cache where it lacks it or holds another value,
+    and every table to the table store, in one write per store.  An
+    identity j! is kept in neither the memo nor the cache.  A failed write
+    raises only if it held the count at n, the width asked for: the other
+    lines only save time, and what a store cannot keep is computed again."""
+    lines = {}
+    for j, value in counts.items():
+        if not _is_all_of_s_n(j, ps):
+            key = cache_key(j, ps)
+            _MEMO[key] = value
+            if cache is not None and cache.get(key) != value:
+                lines[key] = value
+    for j, table in tables.items():
+        _MEMO[table_key(cache_key(j, ps))] = table
+    if cache is None:
+        return
+    if lines:
+        try:
+            cache.put(lines)
+        except OSError:
+            if cache_key(n, ps) in lines:
+                raise
+    if tables:
+        with contextlib.suppress(OSError):
+            cache.tables.put({cache_key(j, ps): cache.tables.encode(table) for j, table in tables.items()})
+
+
+def _grown(n: int, ps: PatternSet, fresh: Callable, jobs: int, cache: "CountCache | None") -> "int | EventTable":
+    """fresh(n, ps, jobs=jobs), `fresh_count` or `fresh_table`, recorded;
+    with a store, recorded together with the count and table of every width
+    from 2 up to the reach that neither the memo nor the store holds."""
+    answer = fresh(n, ps, jobs=jobs)
+    tables = {n: answer} if isinstance(answer, EventTable) else {}
+    counts = {n: answer.total if tables else answer}
+    if cache is not None:
+        _add_reach(ps, counts, tables, cache)
+    _record(n, ps, counts, tables, cache)
+    return answer
+
+
+def _add_reach(ps: PatternSet, counts: dict[int, int], tables: dict[int, EventTable], cache: "CountCache") -> None:
+    """Add to `counts` and `tables` the count and table of every width j
+    from 2 up to the reach R whose table neither `tables`, the memo nor the
+    store holds (a stored table passes its checks against the count in
+    `counts`, else the known one), each grown by `fresh_table` over the
+    levels that growth keeps.  R is the least j with
+    |S_(j-1)(ps)| > growth._CHUNK_ROWS, so the table at R reads the first
+    level too large to keep whole; or the first empty width, where the
+    class dies out before; and at most _MAX_TABLE_N_SN, for a class that
+    grows too slowly to pass _CHUNK_ROWS by then (up to width 60, the
+    tables of S_n(132, 321), C(n, 2) + 1 members, took 11 MB)."""
+    chunk_rows = _engine()._CHUNK_ROWS
+    parents = 1  # |S_1(ps)|, the level that the table at width 2 reads
+    for j in range(2, _MAX_TABLE_N_SN + 1):
+        table = tables.get(j) or _stored_table(j, ps, cache, counts.get(j))
+        if table is None:
+            table = tables[j] = fresh_table(j, ps)
+            counts.setdefault(j, table.total)
+        if parents > chunk_rows or table.total == 0:
+            return
+        parents = table.total
 
 
 def _decomposed(n: int, ps: PatternSet) -> EventTable:
@@ -248,7 +334,7 @@ def _decomposed(n: int, ps: PatternSet) -> EventTable:
     substitution decomposition, unchecked."""
     from . import substitution
 
-    return EventTable(n, ps.key(), *substitution.table(n, ps == SEP))
+    return EventTable(n, ps.key(), *substitution.table(n, _is_separable_class(ps)))
 
 
 def _decomposition_gated(ps: PatternSet) -> bool:
@@ -277,7 +363,7 @@ def _decomposed_table(n: int, ps: PatternSet) -> EventTable | None:
     `fresh_table` refuses), a decomposition that missed `_scalar_table`
     at some j <= _DECOMPOSITION_GATE_UPTO, or a table at n itself that
     some symmetry of the class does not fix."""
-    if n < _DECOMPOSE_FROM or not (ps == SEP or (ps.is_empty() and n <= _MAX_TABLE_N_SN)) \
+    if n < _DECOMPOSE_FROM or not (_is_separable_class(ps) or (ps.is_empty() and n <= _MAX_TABLE_N_SN)) \
             or not _decomposition_gated(ps):
         return None
     table = _decomposed(n, ps)
@@ -315,7 +401,7 @@ class _LineStore:
     ignored; a line that fails its seal is kept but answers no `get`, so
     its key is recomputed on demand and its line rewritten.  A write
     holds an exclusive lock on the sidecar file `<name>.lock` while it
-    re-reads the file, sets the one key it writes, writes a uniquely named
+    re-reads the file, sets the keys it writes, writes a uniquely named
     temporary file beside it and replaces the file with it: concurrent
     readers always see a whole file, and concurrent writers lose no entry
     (for a key written by both with different values, the later writer
@@ -359,14 +445,15 @@ class _LineStore:
     def get(self, key: str) -> str | None:
         return self._sealed(key, self._load().get(key))
 
-    def put(self, key: str, value: str) -> None:
+    def put(self, entries: dict[str, str]) -> None:
+        """Set every key of `entries` to its value, in one locked rewrite."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         lock_path = self.path.with_name(self.path.name + ".lock")
         import tempfile  # only a write needs it
         with open(lock_path, "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             merged = self._parse_file()
-            merged[key] = (value, self.checksum(key, value))
+            merged.update((key, (value, self.checksum(key, value))) for key, value in entries.items())
             fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
@@ -448,8 +535,8 @@ class CountCache(_LineStore):
             return None
         return int(digits)
 
-    def put(self, key: str, value: int) -> None:
-        super().put(key, str(value))
+    def put(self, entries: dict[str, int]) -> None:
+        super().put({key: str(value) for key, value in entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +563,7 @@ def _gated(source: str, ps: PatternSet, form: Callable[[int], int], reference: C
            upto: int) -> bool:
     """Whether the fast path `source` may count ps: form(j) == reference(j)
     for every j <= upto, checked once per (source, ps) in a process."""
-    key = (source, ps.key())
+    key = (source, _facts(ps)[0])
     if key not in _GATE:
         _GATE[key] = all(form(j) == reference(j) for j in range(1, upto + 1))
     return _GATE[key]
@@ -558,7 +645,7 @@ def _state_count(n: int, ps: PatternSet) -> int | None:
 def _decomposed_count(n: int, ps: PatternSet) -> int | None:
     """|S_n(ps)| of the separable class from the substitution decomposition,
     or None for another class or where the decomposition failed its gate."""
-    if ps != SEP or not _decomposition_gated(ps):
+    if not _is_separable_class(ps) or not _decomposition_gated(ps):
         return None
     from . import substitution
 
@@ -613,7 +700,7 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
         raise DomainError("counting needs n >= 0")
     if _is_all_of_s_n(n, ps):
         return math.factorial(n)
-    if ps == SEP and n > _VALIDATE_UPTO and _gated(
+    if _is_separable_class(ps) and n > _VALIDATE_UPTO and _gated(
             "schroeder", ps, _schroeder_count, lambda j: count_avoiders(j, ps, cache=cache, jobs=jobs),
             _VALIDATE_UPTO):
         return _schroeder_count(n)
@@ -625,8 +712,9 @@ def count_avoiders(n: int, ps: PatternSet, *, cache: CountCache | None = None, j
     if value is None:
         value = _state_count(n, ps)
     if value is None:
-        value = fresh_count(n, ps, jobs=jobs)
-    return _record_count(n, ps, value, cache)
+        return _grown(n, ps, fresh_count, jobs, cache)
+    _record(n, ps, {n: value}, {}, cache)
+    return value
 
 
 def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:

@@ -50,7 +50,10 @@ level above it fits in one part.  Every later count, table or listing of
 the class starts from the deepest kept level at or above the width it
 needs; a level too large to keep is grown in parts from there, never
 again from S_0.  So the verification suites, which ask for each class at
-consecutive n, grow each of its levels once per process.  A "fresh" count
+consecutive n, grow each of its levels once per process, and so does a
+lookup with a store (see `enumeration`), which tabulates every width from
+2 up to the one that reads the first level past _CHUNK_ROWS rows, each
+from the kept level one width below it.  A "fresh" count
 or table (`enumeration.fresh_count`, `fresh_table`, and so `cache-audit`)
 is one grown in this process, from S_0 or from these levels, never read
 from the memo or the stores.  Workers of a parallel growth keep nothing.
@@ -102,7 +105,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
-from .perms import DomainError, PatternSet, Permutation, complement
+from .perms import DomainError, PatternSet, Permutation
 
 _CHUNK_ROWS = 1 << 13  # rows in a part of a level, a kernel chunk and a tabulation chunk
 _MAX_ENUM_N = 60  # rank bitmasks are uint64
@@ -276,8 +279,16 @@ def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
                for _, bad in _descendants(level, n - 1, _pattern_metas(ps)))
 
 
+_CLOSED: dict[tuple[tuple[int, ...], ...], bool] = {}  # by the patterns' one-line values
+
+
 def _complement_closed(ps: PatternSet) -> bool:
-    return PatternSet(tuple(map(complement, ps))) == ps
+    """Whether ps is closed under complement, memoized per pattern set."""
+    values = tuple(tau.values for tau in ps.patterns)  # sorted, as PatternSet keeps them
+    closed = _CLOSED.get(values)
+    if closed is None:
+        closed = _CLOSED[values] = sorted(tuple(len(t) + 1 - v for v in t) for t in values) == list(values)
+    return closed
 
 
 def _start(n: int, ps: PatternSet, metas: Metas) -> tuple[Level, bool]:

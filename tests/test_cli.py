@@ -394,7 +394,28 @@ def test_answers_from_the_stores_leave_out_numpy(tmp_path):
         assert code == 0 and cold & engine == (engine if grows else set())
         again, code, loaded = loaded_modules(*args)
         assert code == 0 and loaded == warm and again == first
-    assert (tmp_path / "counts.txt.tables").read_text().startswith("avoid=321;n=8\t")
+    # the growing lookups stored every width up to the reach: 9 for 1324, 11 for 321
+    tables = [line.split("\t")[0] for line in (tmp_path / "counts.txt.tables").read_text().splitlines()]
+    assert tables == sorted([f"avoid=1324;n={n}" for n in range(2, 10)] + [f"avoid=321;n={n}" for n in range(2, 12)])
+
+
+def test_queries_after_a_cold_table_leave_out_numpy(tmp_path, monkeypatch):
+    # one cold table of 1324 at n = 5..6 grows the class and stores every
+    # width up to its reach, 9: a prob at 9, a table at 8..9 and a count at
+    # 8 then load neither numpy nor the growth engine, and print the rows
+    # that each prints from an empty store
+    cache = ["--no-meta", "--cache", str(tmp_path / "counts.txt")]
+    _, code, loaded = loaded_modules("table", "--avoid", "1324", "--n", "5..6", *cache)
+    assert code == 0 and {"numpy", "permcluster.growth"} <= loaded
+    ratios = {"permcluster.formulas", "fractions"}
+    for args, loads in ((["prob", "--n", "9", "--avoid", "1324", "--l", "3", "--k", "2", "--formula"], ratios),
+                        (["table", "--avoid", "1324", "--n", "8..9"], {"fractions"}),
+                        (["count", "--n", "8", "--avoid", "1324"], set())):
+        output, code, loaded = loaded_modules(*args, *cache)
+        assert code == 0 and loaded == loads, args
+        monkeypatch.setattr(enumeration, "_MEMO", {})
+        code, cold = run_cli(args + ["--no-meta"], tmp_path / args[0])
+        assert code == 0 and output[1:] == cold.splitlines()[1:], args
 
 
 def test_state_counts_leave_out_numpy(tmp_path):
@@ -661,7 +682,9 @@ def _resealed(key, value):
 
 def test_tampered_table_lines_are_ignored(tmp_path, monkeypatch):
     # each tampered line is ignored: the table is grown again, the printed
-    # probability is the recomputed one and the line is rewritten whole
+    # probability is the recomputed one and the line is rewritten whole;
+    # the first lookup grows the table at 7 and, with it, those of every
+    # other width up to the reach, 2..9, so the second finds its line
     args = ["prob", "--n", "7", "--avoid", "1342", "--l", "3", "--k", "2", "--a", "1", "--no-meta"]
     grown = []
     fresh_table = enumeration.fresh_table
@@ -679,7 +702,7 @@ def test_tampered_table_lines_are_ignored(tmp_path, monkeypatch):
     tables = tmp_path / "counts.txt.tables"
     k7, k6 = "avoid=1342;n=7", "avoid=1342;n=6"
     line7, line6 = _stored_line(tables, k7), _stored_line(tables, k6)
-    assert len(grown) == 2 and run(args) == (0, want) and len(grown) == 2  # an intact line is used
+    assert len(grown) == 8 and run(args) == (0, want) and len(grown) == 8  # an intact line is used
     _, value7, crc7 = line7.split("\t")
     _, value6, crc6 = line6.split("\t")
     entry = next(e for e in value7.split(",") if e.startswith("3.2.1="))
@@ -705,12 +728,17 @@ def test_tampered_table_lines_are_ignored(tmp_path, monkeypatch):
 def test_tampered_count_lines_are_ignored(tmp_path, monkeypatch):
     # as for table lines: each tampered or unsealed count line is ignored,
     # the class counted again, the printed count the recomputed one and the
-    # line rewritten sealed (1324 is grown, so each recount is seen)
+    # line rewritten sealed (1324 is grown, so each recount is seen); the
+    # width asked for is counted by `fresh_count`, and the first lookup
+    # grows the table and count of every width up to the reach, 2..9, by
+    # `fresh_table`, as a later one grows each other width whose count line
+    # it finds tampered
     args = ["count", "--n", "7", "--avoid", "1324", "--no-meta"]
     args6 = args[:2] + ["6"] + args[3:]
-    counted = []
-    fresh_count = enumeration.fresh_count
-    monkeypatch.setattr(enumeration, "fresh_count", lambda *a, **kw: counted.append(a) or fresh_count(*a, **kw))
+    counted, tabled = [], []
+    fresh_count, fresh_table = enumeration.fresh_count, enumeration.fresh_table
+    monkeypatch.setattr(enumeration, "fresh_count", lambda n, *a, **kw: counted.append(n) or fresh_count(n, *a, **kw))
+    monkeypatch.setattr(enumeration, "fresh_table", lambda n, *a, **kw: tabled.append(n) or fresh_table(n, *a, **kw))
 
     def run(argv):
         monkeypatch.setattr(enumeration, "_MEMO", {})
@@ -724,7 +752,8 @@ def test_tampered_count_lines_are_ignored(tmp_path, monkeypatch):
     k7, k6 = "avoid=1324;n=7", "avoid=1324;n=6"
     line7, line6 = _stored_line(counts, k7), _stored_line(counts, k6)
     assert (line7, line6) == (_resealed(k7, "2762"), _resealed(k6, "513"))
-    assert len(counted) == 2 and run(args) == (0, want) and len(counted) == 2  # an intact line is used
+    assert (counted, tabled) == ([7], list(range(2, 10)))
+    assert run(args) == (0, want) and (len(counted), len(tabled)) == (1, 8)  # an intact line is used
     _, count7, crc7 = line7.split("\t")
     _, count6, crc6 = line6.split("\t")
     cases = {
@@ -737,31 +766,40 @@ def test_tampered_count_lines_are_ignored(tmp_path, monkeypatch):
     for name, tampered in cases.items():
         for key, line in tampered.items():
             _replace_line(counts, key, line)
-        before = len(counted)
+        before = len(counted), len(tabled)
         for argv, key, line, out in ((args, k7, line7, want), (args6, k6, line6, want6)):
             assert run(argv) == (0, out), name
             assert _stored_line(counts, key) == line, name
-        assert len(counted) == before + len(tampered), name
+        assert counted[before[0]:] == [7] and tabled[before[1]:] == ([6] if k6 in tampered else []), name
 
 
 def test_cache_audit_recomputes_stored_tables(tmp_path, monkeypatch):
+    # the prob grows the table at 6 and stores with it the counts and tables
+    # of 2413 up to its reach, 9 (no count below 4, where the class is all
+    # of S_n); the audit regrows every line
     monkeypatch.setattr(enumeration, "_MEMO", {})  # so that the table is grown and stored
     code, _ = run_cli(["prob", "--n", "6", "--avoid", "2413", "--l", "2", "--k", "1", "--no-meta"], tmp_path)
     assert code == 0
-    code, out = run_cli(["cache-audit", "--no-meta"], tmp_path)
-    rows = csv_rows(out)
-    assert code == 0 and [r["status"] for r in rows] == ["ok", "ok"]
-    assert rows[1]["key"] == "table:avoid=2413;n=6" and rows[1]["cached"] == rows[1]["recomputed"]
-    code, out = run_cli(["cache-audit", "--max-n", "5", "--no-meta"], tmp_path)
-    assert code == 0 and csv_rows(out)[1]["status"] == "skipped (n > 5)"
+
+    def audit(*args):
+        code, out = run_cli(["cache-audit", *args, "--no-meta"], tmp_path)
+        return code, {row["key"]: row for row in csv_rows(out)}
+
+    code, rows = audit()
+    assert code == 0 and all(row["status"] == "ok" for row in rows.values())
+    assert list(rows) == [f"avoid=2413;n={n}" for n in range(4, 10)] + [f"table:avoid=2413;n={n}" for n in range(2, 10)]
+    table6 = rows["table:avoid=2413;n=6"]
+    assert table6["cached"] == table6["recomputed"]
+    code, rows = audit("--max-n", "5")
+    assert code == 0 and rows["table:avoid=2413;n=6"]["status"] == "skipped (n > 5)"
     tables = tmp_path / "counts.txt.tables"
     key = "avoid=2413;n=6"
     _, value, _ = _stored_line(tables, key).split("\t")
     for tampered, cached in ((_resealed(key, value.replace("=", "=1", 1)), None),
-                             (f"{key}\t{value.replace('=', '=1', 1)}\t{rows[1]['cached']}", "bad checksum")):
+                             (f"{key}\t{value.replace('=', '=1', 1)}\t{table6['cached']}", "bad checksum")):
         _replace_line(tables, key, tampered)
-        code, out = run_cli(["cache-audit", "--no-meta"], tmp_path)
-        row = csv_rows(out)[1]
+        code, rows = audit()
+        row = rows["table:" + key]
         assert code == 1 and row["status"] == "MISMATCH"
-        assert row["recomputed"] == rows[1]["recomputed"]
+        assert row["recomputed"] == table6["recomputed"]
         assert row["cached"] == (cached or tampered.split("\t")[2])

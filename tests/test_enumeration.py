@@ -400,6 +400,16 @@ DIFFERENTIAL_SETS = [EMPTY_PATTERNS, SEP, ps_of("12"), ps_of("12", "21"), ps_of(
     + CLOSED_SETS
 
 
+def reach(ps):
+    """The widest width that a lookup of ps with a store records when it
+    grows: the least j with |S_(j-1)(ps)| past one part of growth, or the
+    first empty width before it, at most the table cap."""
+    for j in range(2, enumeration._MAX_TABLE_N_SN + 1):
+        if enumeration.fresh_count(j - 1, ps) > growth._CHUNK_ROWS or enumeration.fresh_count(j, ps) == 0:
+            return j
+    return enumeration._MAX_TABLE_N_SN
+
+
 @pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
 def test_count_lookup_matches_fresh_count(ps, tmp_path, monkeypatch):
     # with empty memos and gate, each step of the count lookup answers as
@@ -407,15 +417,23 @@ def test_count_lookup_matches_fresh_count(ps, tmp_path, monkeypatch):
     # one cache object writes are read back by a second, without growth
     # or states (S_n, n = 0 and every n below the shortest pattern are the
     # identity n!, never written)
+    # (and where the lookup grew, through the store, the counts of every
+    # width up to the reach)
     want = [enumeration.fresh_count(n, ps) for n in range(9)]
     path = tmp_path / "counts.txt"
+    grown = []
+    fresh_count = enumeration.fresh_count
     for cache in (None, CountCache(path)):
         monkeypatch.setattr(enumeration, "_MEMO", {})
         monkeypatch.setattr(enumeration, "_GATE", {})
+        monkeypatch.setattr(enumeration, "fresh_count", lambda n, ps, **kw: grown.append(cache is not None) or
+                            fresh_count(n, ps, **kw))
         assert [count_avoiders(n, ps, cache=cache) for n in range(9)] == want
+    monkeypatch.setattr(enumeration, "fresh_count", fresh_count)
     shortest = min((len(tau) for tau in ps), default=9)
-    written = [(enumeration.cache_key(n, ps), str(want[n])) for n in range(shortest, 9)]
-    assert CountCache(path).items() == written
+    top = max(8, reach(ps)) if any(grown) else 8
+    written = [(enumeration.cache_key(n, ps), str(fresh_count(n, ps))) for n in range(shortest, top + 1)]
+    assert CountCache(path).items() == sorted(written)
     monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "fresh_count", None)
     monkeypatch.setattr(enumeration, "_state_count", None)
@@ -758,9 +776,9 @@ def test_a_known_count_is_written_once(tmp_path, monkeypatch):
     puts = []
     put = CountCache.put
 
-    def counted_put(self, key, value):
-        puts.append(key)
-        put(self, key, value)
+    def counted_put(self, entries):
+        puts.extend(entries)
+        put(self, entries)
 
     monkeypatch.setattr(CountCache, "put", counted_put)
     cache = CountCache(tmp_path / "counts.txt")
@@ -769,10 +787,107 @@ def test_a_known_count_is_written_once(tmp_path, monkeypatch):
     assert puts.count("avoid=321;n=5") == 1
 
 
+# Prints, for each cache key given, the key, the count and the table line's
+# value, each grown by `fresh_count` and `fresh_table` from S_0.
+_FRESH_LINES = """
+import sys
+from permcluster import enumeration, growth
+for key in sys.argv[1:]:
+    n, ps = enumeration.parse_cache_key(key)
+    growth._KEPT = growth._KeptLevels()
+    count = enumeration.fresh_count(n, ps)
+    growth._KEPT = growth._KeptLevels()
+    print(key, count, enumeration.TableStore.encode(enumeration.fresh_table(n, ps)))
+"""
+
+# (patterns, n, lookup, reach): 1324 below and above its reach, a class of
+# reach 11, the classes grown as a half tree (S_n, SEP and 123+321, which
+# dies out at 5), the empty class 12+21 and a pattern longer than n
+REACH_CASES = [(ps_of("1324"), 6, event_count_table, 9), (ps_of("1324"), 11, count_avoiders, 9),
+               (ps_of("132"), 5, event_count_table, 11), (EMPTY_PATTERNS, 5, event_count_table, 9),
+               (SEP, 5, event_count_table, 9), (ps_of("123", "321"), 6, event_count_table, 5),
+               (ps_of("12", "21"), 4, event_count_table, 2), (ps_of("12345"), 3, event_count_table, 9)]
+
+
+def test_a_cold_lookup_with_a_store_writes_every_width_up_to_the_reach(tmp_path, monkeypatch):
+    # a lookup that grows writes the count (where the class is not all of
+    # S_j) and the table of every width from 2 up to the reach, plus what
+    # it was asked for; every line holds what fresh growth from S_0 in
+    # another process gives for its width
+    written = {}
+    for i, (ps, n, lookup, top) in enumerate(REACH_CASES):
+        assert reach(ps) == top, ps
+        monkeypatch.setattr(enumeration, "_MEMO", {})
+        monkeypatch.setattr(growth, "_KEPT", growth._KeptLevels())
+        cache = CountCache(tmp_path / str(i) / "counts.txt")
+        lookup(n, ps, cache=cache)
+        widths = set(range(2, top + 1)) | {n}
+        shortest = min(len(tau) for tau in ps) if len(ps) else math.inf
+        stores = {"count": CountCache(cache.path).items(), "table": CountCache(cache.path).tables.items()}
+        assert [key for key, _ in stores["count"]] == sorted(enumeration.cache_key(j, ps) for j in widths
+                                                             if j >= shortest), ps
+        table_widths = widths if lookup is event_count_table else widths - {n}
+        assert [key for key, _ in stores["table"]] == sorted(enumeration.cache_key(j, ps) for j in table_widths), ps
+        for kind, items in stores.items():
+            written.update(((kind, key), value) for key, value in items)
+    keys = sorted({key for _, key in written})
+    proc = subprocess.run([sys.executable, "-c", _FRESH_LINES, *keys], capture_output=True, text=True, check=True)
+    fresh = {}
+    for line in proc.stdout.splitlines():
+        key, count, table = line.split(" ")
+        fresh[("count", key)], fresh[("table", key)] = count, table
+    assert all(value == fresh[item] for item, value in written.items())
+
+
+def test_an_intact_width_is_not_regrown_and_a_tampered_one_is(tmp_path, monkeypatch):
+    # a later lookup that grows regrows only the widths whose lines fail:
+    # the table at 8 (a digit changed under its old checksum) and the width
+    # 5, whose table cannot be checked without its count; both lines are
+    # written again sealed, as they were, and no other line changes
+    ps, path = ps_of("1324"), tmp_path / "counts.txt"
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    event_count_table(6, ps, cache=CountCache(path))
+    tables = path.with_name("counts.txt.tables")
+    before = {file: file.read_text() for file in (path, tables)}
+    for file, key in ((path, "avoid=1324;n=5"), (tables, "avoid=1324;n=8")):
+        old = next(line for line in before[file].splitlines() if line.startswith(key + "\t"))
+        key, value, crc = old.split("\t")
+        file.write_text(before[file].replace(old, f"{key}\t{value[:-1]}{(int(value[-1]) + 1) % 10}\t{crc}"))
+    grown = []
+    for name in ("fresh_count", "fresh_table"):
+        fresh = getattr(enumeration, name)
+        monkeypatch.setattr(enumeration, name, lambda n, *a, fresh=fresh, **kw: grown.append((fresh.__name__, n))
+                            or fresh(n, *a, **kw))
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(growth, "_KEPT", growth._KeptLevels())
+    want = enumeration.fresh_table(10, ps)
+    grown.clear()
+    assert_same_table(event_count_table(10, ps, cache=CountCache(path)), want)
+    assert grown == [("fresh_table", 10), ("fresh_table", 5), ("fresh_table", 8)]
+    key = "avoid=1324;n=10"
+    added = {path: sealed(key, str(want.total)), tables: sealed(key, enumeration.TableStore.encode(want))}
+    for file in (path, tables):
+        assert file.read_text().splitlines() == sorted(before[file].splitlines() + added[file].splitlines())
+
+
+def test_a_lookup_without_a_store_grows_only_what_it_is_asked_for(monkeypatch):
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    grown = []
+    for name in ("count", "table"):
+        engine = getattr(growth, name)
+        monkeypatch.setattr(growth, name, lambda n, ps, jobs, name=name, engine=engine: grown.append((name, n))
+                            or engine(n, ps, jobs))
+    ps = ps_of("1324")
+    assert count_avoiders(7, ps) == 2762
+    assert event_count_table(6, ps).total == count_avoiders(6, ps) == 513
+    assert grown == [("count", 7), ("table", 6)]
+
+
 @pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: ps.key() or "S_n")
 def test_stored_table_reads_back_as_grown(ps, tmp_path, monkeypatch):
     # a table written to the table store and read back with fresh memos, by a
-    # cache object that has not seen it, equals the grown table
+    # cache object that has not seen it, equals the grown table; the first
+    # lookup grows, and writes every width from 2 up to the reach with it
     path = tmp_path / "counts.txt"
     for n in range(3, 9):
         grown = enumeration.fresh_table(n, ps)
@@ -784,7 +899,8 @@ def test_stored_table_reads_back_as_grown(ps, tmp_path, monkeypatch):
             stored = event_count_table(n, ps, cache=CountCache(path))
         assert_same_table(stored, grown)
     lines = (tmp_path / "counts.txt.tables").read_text().splitlines()
-    assert [line.split("\t")[0] for line in lines] == sorted(f"avoid={ps.key()};n={n}" for n in range(3, 9))
+    assert [line.split("\t")[0] for line in lines] == sorted(f"avoid={ps.key()};n={n}"
+                                                              for n in range(2, max(8, reach(ps)) + 1))
 
 
 def test_table_store_rejects_resealed_lines_out_of_range_or_bound(tmp_path):
@@ -798,7 +914,7 @@ def test_table_store_rejects_resealed_lines_out_of_range_or_bound(tmp_path):
 
     def stored(by_lka, union_by_l, total=good.total):
         table = enumeration.EventTable(n, ps.key(), total, by_lka, union_by_l)
-        store.put(key, enumeration.TableStore.encode(table))
+        store.put({key: enumeration.TableStore.encode(table)})
         return enumeration.TableStore(store.path).table(n, ps, good.total)
 
     assert_same_table(stored(good.by_lka, good.union_by_l), good)
@@ -818,14 +934,14 @@ def test_table_store_rejects_resealed_lines_out_of_range_or_bound(tmp_path):
 
 
 def test_a_stale_writer_keeps_another_writers_value(tmp_path):
-    # a put merges only its own key into the file as it stands under the
+    # a put merges only its own keys into the file as it stands under the
     # lock, so a writer's older view of another key does not undo a newer
     # write of that key
     path = tmp_path / "counts.txt"
     stale, other = CountCache(path), CountCache(path)
-    stale.put("avoid=321;n=5", 41)
-    other.put("avoid=321;n=5", 42)
-    stale.put("avoid=321;n=4", 14)
+    stale.put({"avoid=321;n=5": 41})
+    other.put({"avoid=321;n=5": 42})
+    stale.put({"avoid=321;n=4": 14})
     cache = CountCache(path)
     assert [cache.get("avoid=321;n=4"), cache.get("avoid=321;n=5")] == [14, 42]
 
@@ -834,7 +950,7 @@ def test_a_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
     # a write that cannot replace the file removes its temporary file and
     # leaves the file as it was
     path = tmp_path / "counts.txt"
-    CountCache(path).put("avoid=321;n=5", 42)
+    CountCache(path).put({"avoid=321;n=5": 42})
     before = path.read_text()
 
     def fail(src, dst):
@@ -842,15 +958,16 @@ def test_a_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(enumeration.os, "replace", fail)
     with pytest.raises(OSError, match="replace failed"):
-        CountCache(path).put("avoid=321;n=6", 132)
+        CountCache(path).put({"avoid=321;n=6": 132})
     assert path.read_text() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.txt", "counts.txt.lock"]
 
 
 def test_a_failed_write_answers_as_the_file_does(tmp_path, monkeypatch):
     # the writing object keeps no line that its file lacks: not a count, nor
-    # a table whose failed write the lookup passes over (|S_3(1342)| is 3!,
-    # never written, so only the table is)
+    # a line whose failed write the lookup passes over (|S_3(1342)| is 3!,
+    # never written, so only the tables and the counts of the other widths
+    # up to the reach are)
     path = tmp_path / "counts.txt"
     cache = CountCache(path)
 
@@ -860,16 +977,16 @@ def test_a_failed_write_answers_as_the_file_does(tmp_path, monkeypatch):
     monkeypatch.setattr(enumeration.os, "replace", fail)
     monkeypatch.setattr(enumeration, "_MEMO", {})
     with pytest.raises(OSError, match="replace failed"):
-        cache.put("avoid=321;n=6", 132)
+        cache.put({"avoid=321;n=6": 132})
     assert cache.get("avoid=321;n=6") is None and CountCache(path).get("avoid=321;n=6") is None
     assert event_count_table(3, ps_of("1342"), cache=cache).total == 6
-    assert cache.tables.get("avoid=1342;n=3") is None and cache.tables.items() == []
+    assert cache.tables.get("avoid=1342;n=3") is None and cache.tables.items() == [] and cache.items() == []
 
 
 def _put_many(path, pattern):
     cache = CountCache(path)
     for n in range(1, 101):
-        cache.put(f"avoid={pattern};n={n}", n)
+        cache.put({f"avoid={pattern};n={n}": n})
 
 
 def test_cache_two_writers_lose_nothing(tmp_path):

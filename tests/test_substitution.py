@@ -123,7 +123,9 @@ def test_decomposition_off_by_one_at_6_fails_the_gate(ps, field, monkeypatch):
 
 
 def test_decomposed_and_grown_tables_store_the_same_lines(tmp_path, monkeypatch):
-    # a table from the decomposition is written as the grown one would be
+    # a table from the decomposition is written as the grown one would be;
+    # growth also writes the tables of both classes at widths 2..9, the
+    # reach, and the separable counts there (4..9, not the identities)
     stores = []
     for gate in ({}, {("decomposition", ""): False, ("decomposition", SEP.key()): False}):
         monkeypatch.setattr(enumeration, "_MEMO", {})
@@ -131,8 +133,13 @@ def test_decomposed_and_grown_tables_store_the_same_lines(tmp_path, monkeypatch)
         path = tmp_path / f"{len(stores)}" / "counts.txt"
         for n, ps in ((10, EMPTY_PATTERNS), (10, SEP), (11, SEP)):
             enumeration.event_count_table(n, ps, cache=CountCache(path))
-        stores.append([path.with_name("counts.txt.tables").read_bytes(), path.read_bytes()])
-    assert stores[0] == stores[1]
+        stores.append([dict(line.split("\t", 1) for line in file.read_text().splitlines())
+                       for file in (path.with_name("counts.txt.tables"), path)])
+    (tables, counts), (grown_tables, grown_counts) = stores
+    assert tables.items() <= grown_tables.items() and counts.items() <= grown_counts.items()
+    assert sorted(grown_tables.keys() - tables.keys()) == sorted(f"avoid={key};n={n}" for key in ("", SEP.key())
+                                                                 for n in range(2, 10))
+    assert sorted(grown_counts.keys() - counts.keys()) == [f"avoid={SEP.key()};n={n}" for n in range(4, 10)]
 
 
 def test_s_n_past_the_table_cap_is_refused_before_the_decomposition(monkeypatch):
