@@ -182,9 +182,9 @@ def _cmd_verify(args) -> tuple[list[dict], bool]:
     from . import verify
 
     if args.suite == "all":
-        reports = verify.run_all(args.max_n)
+        reports = verify.run_all(args.max_n, args.jobs)
     else:
-        reports = [verify.run_suite(args.suite, args.max_n)]
+        reports = [verify.run_suite(args.suite, args.max_n, args.jobs)]
     records = []
     for rep in reports:
         for row in rep.rows:
@@ -319,11 +319,31 @@ def _cmd_cache_audit(args) -> tuple[list[dict], bool]:
 # ---------------------------------------------------------------------------
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity set, or the
+    machine's cores where the platform has no affinity call (macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_GROWTH_JOBS = "processes that share a growth of the class (default 1)"
+# What each command splits over --jobs processes, for its help.
+_JOBS_HELP = {
+    "count": _GROWTH_JOBS,
+    "enumerate": "accepted, unused: a listing is grown in one process",
+    "prob": _GROWTH_JOBS,
+    "verify": "processes that the suites' classes are dealt to (default: every usable core)",
+    "limits": "accepted, unused: limits are closed forms",
+    "table": _GROWTH_JOBS,
+    "cache-audit": _GROWTH_JOBS,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--cache", default=str(_DEFAULT_CACHE), metavar="PATH")
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--no-meta", action="store_true",
                         help="suppress timestamps for byte-identical reruns")
 
@@ -381,6 +401,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, dest="max_n", default=10,
                    help="recompute entries up to this n; larger ones are skipped")
 
+    for command, p in sub.choices.items():
+        p.add_argument("--jobs", type=int, default=None if command == "verify" else 1,
+                       metavar="N", help=_JOBS_HELP[command])
     return parser
 
 
@@ -408,7 +431,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     try:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        cpus = usable_cores()
+        if args.jobs is None:
+            args.jobs = cpus
         if not 1 <= args.jobs <= cpus:
             raise ParseError(f"--jobs {args.jobs} outside 1..{cpus}")
         records, failed = _COMMANDS[args.command](args)

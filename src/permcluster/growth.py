@@ -56,7 +56,9 @@ lookup with a store (see `enumeration`), which tabulates every width from
 from the kept level one width below it.  A "fresh" count
 or table (`enumeration.fresh_count`, `fresh_table`, and so `cache-audit`)
 is one grown in this process, from S_0 or from these levels, never read
-from the memo or the stores.  Workers of a parallel growth keep nothing.
+from the memo or the stores.  A process forked for a parallel growth
+starts from the levels kept here at the fork, and what it keeps ends with
+it.
 
 Event counts (which blocks of l consecutive values sit in l consecutive
 positions) start from the parents' cluster windows, found with sliding
@@ -88,9 +90,13 @@ A listing stays on the whole tree, so that the leaf tabulation the tests
 check tables against shares no code with the mirror.
 
 Work splitting deals an early level's rows, masks included, round-robin
-into 4 * jobs disjoint parts, which the worker processes take one at a
-time and grow depth-first like the serial path; `count` and `table` add
+into 4 * jobs disjoint parts, which `run_parts` hands to this process
+and jobs - 1 processes forked from it; each takes the parts one at a time
+and grows them depth-first like the serial path.  `count` and `table` add
 up the parts (a table's as arrays), so parallel runs are deterministic.
+`run_parts` is the package's one parallel path: the verification suites
+deal their classes through it too (see `verify`).  It needs `os.fork`, a
+POSIX call.
 
 This module imports numpy, and of the package only `perms`; `count` and
 `table` return plain ints and dicts.  `enumeration` imports it on the
@@ -100,7 +106,11 @@ stores and the closed forms start no numpy.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import pickle
+import signal
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
@@ -111,6 +121,7 @@ _CHUNK_ROWS = 1 << 13  # rows in a part of a level, a kernel chunk and a tabulat
 _MAX_ENUM_N = 60  # rank bitmasks are uint64
 
 T = TypeVar("T")
+U = TypeVar("U")
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +392,110 @@ def _mirror(n: int, total: int, lka: np.ndarray, union: np.ndarray) -> tuple[int
     return 2 * total, lka, 2 * union
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures.ProcessPoolExecutor, imported on the first parallel
-    growth; it keeps the class's name so that it can be replaced as one."""
-    from concurrent.futures import ProcessPoolExecutor
+# ---------------------------------------------------------------------------
+# parts in several processes
 
-    return ProcessPoolExecutor(max_workers=max_workers)
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a forked part process, set
+    as the cause of the exception that the parent raises again."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _taken(tasks: int) -> Iterator[int]:
+    """The indices of the parts that this process takes, one at a time,
+    from the pipe `tasks`; each is 4 bytes and every read asks for 4, so
+    that a read takes one whole index."""
+    while index := os.read(tasks, 4):
+        yield int.from_bytes(index, "little")
+
+
+def _run_child(fn: Callable[[T], U], parts: list[T], tasks: int, out: int) -> None:
+    """The body of a forked part process: fn over the parts it takes from
+    `tasks`, pickled to the pipe `out` as (True, [(index, result), ...]) or
+    (False, exception, traceback text); it never returns."""
+    try:
+        try:
+            payload = pickle.dumps((True, [(i, fn(parts[i])) for i in _taken(tasks)]))
+        except BaseException as exc:
+            import traceback
+
+            text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+            try:
+                payload = pickle.dumps((False, exc, text))
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}"), text))
+        with os.fdopen(out, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+_MAX_PARTS = 4096  # their indices fill 16 KiB, the least pipe buffer of the platforms (macOS)
+
+
+def run_parts(fn: Callable[[T], U], parts: list[T], jobs: int) -> list[U]:
+    """[fn(part) for part in parts], computed in min(jobs, len(parts))
+    processes: this one and the others forked from it.  Each takes the
+    parts one at a time, by index from one pipe, so that a process that
+    finishes early takes more of them; a child pickles its results, or its
+    exception, back through a pipe of its own.  The results come back in
+    part order; a child's exception is raised again here, with its
+    traceback as the cause.  Before this returns or raises, every child has
+    ended and been waited for, and on an error the children still running
+    are killed first.  A child sees this process's state as it was at the
+    fork, and what it changes ends with it."""
+    jobs = min(jobs, len(parts))
+    if jobs <= 1:
+        return [fn(part) for part in parts]
+    if len(parts) > _MAX_PARTS:
+        raise ValueError(f"{len(parts)} parts, over the {_MAX_PARTS} that run_parts deals")
+    results: list = [None] * len(parts)
+    tasks, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(parts))))
+    os.close(feed)
+    children: list[tuple[int, int]] = []  # (pid, read end) of each child not yet waited for
+    try:
+        for _ in range(jobs - 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _run_child(fn, parts, tasks, write)
+            os.close(write)
+            children.append((pid, read))
+        for i in _taken(tasks):
+            results[i] = fn(parts[i])
+        while children:
+            pid, read = children[0]
+            with os.fdopen(read, "rb") as pipe:
+                children[0] = (pid, -1)
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not payload:
+                raise RuntimeError(f"a part process ended without a result (wait status {status})")
+            answer = pickle.loads(payload)
+            if not answer[0]:
+                raise answer[1] from _ChildTraceback(answer[2])
+            for i, result in answer[1]:
+                results[i] = result
+    finally:
+        os.close(tasks)
+        for pid, read in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            if read >= 0:
+                os.close(read)
+            os.waitpid(pid, 0)
+    return results
 
 
 def _split_grow(n: int, ps: PatternSet, jobs: int,
@@ -401,10 +510,12 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
     in-process.  Otherwise the level is the first whole level with at least
     16 * jobs rows, and it is dealt out with its masks, row i to part i mod (4 * jobs), so that
     neighbouring subtrees, which tend to be alike in size, land in
-    different parts.  A ProcessPoolExecutor(max_workers=jobs) of workers
-    takes the parts one at a time, so a worker that finishes early, or runs
-    on a less busy core, takes more of them.  A level that reaches width
-    n - 1 first, still short of 16 * jobs rows, is consumed in-process.
+    different parts.  `run_parts` consumes them in `jobs` processes, this
+    one and jobs - 1 forked from it, which take the parts one at a time:
+    the subtrees of a shallow level differ in size, and fixed shares of
+    the parts of S_13(1324) differ by 14% in leaves.  A level that reaches
+    width n - 1 first, still short of 16 * jobs rows, is consumed
+    in-process.
     """
     metas = _pattern_metas(ps)
     half = n >= 3 and _complement_closed(ps)
@@ -416,8 +527,7 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
         return [consume(n, ps, level)], half
     k = 4 * jobs
     parts = [(level[0][i::k], level[1][i::k]) for i in range(k)]
-    with ProcessPoolExecutor(max_workers=jobs) as workers:
-        return list(workers.map(consume, [n] * k, [ps] * k, parts)), half
+    return run_parts(lambda part: consume(n, ps, part), parts, jobs), half
 
 
 def count(n: int, ps: PatternSet, jobs: int) -> int:

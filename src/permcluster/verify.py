@@ -4,6 +4,18 @@ Each suite returns a SuiteReport whose rows record the instances checked
 and the exact values compared.  Formula comparisons get one row per
 (n, l, k) instance; exhaustive structural checks (round trips, symmetry
 sweeps) aggregate one row per slice with the number of cases covered.
+
+`run_suites` (and so `run_suite`, `run_all` and the CLI's `verify`) cuts
+the suites into units by class: one unit per pattern of each pattern
+loop, whose class is that pattern, and one unit for each block without
+one (all of S_n: `uniform`, and the round trips and injectivity of
+`transform`; the separable class, `thm2`; `cor2`; `symmetry`).
+`growth.run_parts` deals whole classes to up to `jobs` processes, forked
+from this one after numpy, the growth engine and the closed forms are
+imported, so that the units of a class, and the levels that growth keeps
+of it, stay in one process.  The rows are put back in the order that one
+process gives, so no report depends on `jobs`.  The symmetry block grows
+again some classes that other units grow, in whichever process takes it.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import enumeration, formulas, transform
+from . import enumeration, formulas, growth, transform
 from .perms import (
     EMPTY_PATTERNS,
     SEP,
@@ -29,6 +41,7 @@ from .perms import (
 S3_PATTERNS = tuple(Permutation(p) for p in itertools.permutations((1, 2, 3)))
 S4_PATTERNS = tuple(Permutation(p) for p in itertools.permutations((1, 2, 3, 4)))
 CLUSTER_FREE_4 = (Permutation((2, 4, 1, 3)), Permutation((3, 1, 4, 2)))
+MONOTONE_3 = (Permutation((3, 2, 1)), Permutation((1, 2, 3)))
 
 
 class CheckRow(NamedTuple):
@@ -101,10 +114,10 @@ def uniform_suite(max_n: int = 8) -> SuiteReport:
     ))
 
 
-def monotone_exact_suite(max_n: int = 11) -> SuiteReport:
+def monotone_exact_suite(max_n: int = 11, patterns: tuple[Permutation, ...] = MONOTONE_3) -> SuiteReport:
     """Brute force over the 321- and 123-avoiders versus the exact formula."""
     rows = []
-    for tau in (Permutation((3, 2, 1)), Permutation((1, 2, 3))):
+    for tau in patterns:
         rows += _table_rows(
             "thm3", PatternSet((tau,)), max_n, "avoid={ps} n={n} l={l} k={k}",
             lambda n, l: _equals(lambda k: formulas.monotone_cluster_probability(n, l, k)),
@@ -138,10 +151,11 @@ def separable_exact_suite(max_n: int = 11) -> SuiteReport:
     return SuiteReport("thm2", rows)
 
 
-def cluster_free_singleton_suite(max_n: int = 10) -> SuiteReport:
+def cluster_free_singleton_suite(max_n: int = 10,
+                                 patterns: tuple[Permutation, ...] = CLUSTER_FREE_4) -> SuiteReport:
     """Exact product form for the cluster-free singleton classes."""
     rows = []
-    for tau in CLUSTER_FREE_4:
+    for tau in patterns:
         ps = PatternSet((tau,))
 
         def check(n, l):
@@ -152,11 +166,11 @@ def cluster_free_singleton_suite(max_n: int = 10) -> SuiteReport:
     return SuiteReport("thm1-exact", rows)
 
 
-def sandwich_suite(max_n: int = 9) -> SuiteReport:
+def sandwich_suite(max_n: int = 9, patterns: tuple[Permutation, ...] = S3_PATTERNS + S4_PATTERNS) -> SuiteReport:
     """Lower and upper bounds around the brute-force probability for every
     pattern of length 3 and 4."""
     rows = []
-    for tau in S3_PATTERNS + S4_PATTERNS:
+    for tau in patterns:
         def check(n, l):
             rep = formulas.cluster_probability_bounds(n, l, tau)
             lower_s = str(rep.lower) if rep.lower is not None else "(none)"
@@ -169,8 +183,11 @@ def sandwich_suite(max_n: int = 9) -> SuiteReport:
     return SuiteReport("thm1-bounds", rows)
 
 
-def thm1_suite(max_n: int = 9) -> SuiteReport:
-    rows = sandwich_suite(max_n).rows + cluster_free_singleton_suite(max_n).rows
+def thm1_suite(max_n: int = 9, bounds: tuple[Permutation, ...] = S3_PATTERNS + S4_PATTERNS,
+               exact: tuple[Permutation, ...] = CLUSTER_FREE_4) -> SuiteReport:
+    """The sandwich rows of the patterns `bounds`, then the exact rows of
+    the cluster-free patterns `exact`."""
+    rows = sandwich_suite(max_n, bounds).rows + cluster_free_singleton_suite(max_n, exact).rows
     return SuiteReport("thm1", rows)
 
 
@@ -378,9 +395,9 @@ def _expansions(etas: np.ndarray, l: int, rhos: np.ndarray) -> np.ndarray:
     return transform.expand_rows(hosts, windows, l, range(1, etas.shape[1] + 1))
 
 
-def _monotone_preservation_rows(max_n: int) -> list[CheckRow]:
+def _monotone_preservation_rows(max_n: int, patterns: tuple[Permutation, ...]) -> list[CheckRow]:
     rows = []
-    for tau in S3_PATTERNS + S4_PATTERNS:
+    for tau in patterns:
         conds = check_conditions(tau)
         if conds.tight12 and conds.tight21:
             continue
@@ -400,9 +417,9 @@ def _monotone_preservation_rows(max_n: int) -> list[CheckRow]:
     return rows
 
 
-def _cluster_free_expansion_rows(max_n: int) -> list[CheckRow]:
+def _cluster_free_expansion_rows(max_n: int, patterns: tuple[Permutation, ...]) -> list[CheckRow]:
     rows = []
-    for tau in CLUSTER_FREE_4:
+    for tau in patterns:
         # S_m(tau) serves both as the hosts and as the avoiding window patterns
         good = {m: enumeration.avoider_rows(m, PatternSet((tau,))) for m in range(2, max_n)}
         bad = {}
@@ -446,12 +463,18 @@ def _contract_monotone_rows(max_n: int, patterns: tuple[Permutation, ...]) -> li
     return rows
 
 
-def transform_suite(max_n: int = 8) -> SuiteReport:
-    rows = _round_trip_rows(max_n)
-    rows += _injectivity_rows(max_n)
-    rows += _monotone_preservation_rows(max_n)
-    rows += _cluster_free_expansion_rows(max_n)
-    rows += _contract_monotone_rows(max_n, S3_PATTERNS + CLUSTER_FREE_4)
+def transform_suite(max_n: int = 8, s_n: bool = True,
+                    monotone: tuple[Permutation, ...] = S3_PATTERNS + S4_PATTERNS,
+                    cluster_free: tuple[Permutation, ...] = CLUSTER_FREE_4,
+                    contract: tuple[Permutation, ...] = S3_PATTERNS + CLUSTER_FREE_4) -> SuiteReport:
+    """The round trips and injectivity over all of S_n (if `s_n`), then
+    avoidance kept by a monotone window for the patterns `monotone`, by
+    expansion for the cluster-free patterns `cluster_free`, and by
+    contraction for the patterns `contract`."""
+    rows = (_round_trip_rows(max_n) + _injectivity_rows(max_n)) if s_n else []
+    rows += _monotone_preservation_rows(max_n, monotone)
+    rows += _cluster_free_expansion_rows(max_n, cluster_free)
+    rows += _contract_monotone_rows(max_n, contract)
     return SuiteReport("transform", rows)
 
 
@@ -468,17 +491,76 @@ SUITES: dict[str, tuple] = {
 }
 
 
-def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
-    func, default = SUITES[name]
-    if default is None:
-        return func()
-    return func(max_n if max_n is not None else default)
+# The pattern loops of the suites that have them, in row order: the
+# keyword of the suite function that takes the patterns, and its default.
+_LOOPS: dict[str, tuple[tuple[str, tuple[Permutation, ...]], ...]] = {
+    "thm1": (("bounds", S3_PATTERNS + S4_PATTERNS), ("exact", CLUSTER_FREE_4)),
+    "thm3": (("patterns", MONOTONE_3),),
+    "transform": (("monotone", S3_PATTERNS + S4_PATTERNS), ("cluster_free", CLUSTER_FREE_4),
+                  ("contract", S3_PATTERNS + CLUSTER_FREE_4)),
+}
+# The class of each suite without pattern loops; cor2 grows nothing, and the
+# symmetry block spans many classes.
+_BLOCKS = {"uniform": EMPTY_PATTERNS.key(), "thm2": SEP.key(), "cor2": "cor2", "symmetry": "symmetry"}
 
 
-def run_all(max_n: int | None = None) -> list[SuiteReport]:
+def _units(name: str) -> list[tuple[str, dict]]:
+    """Suite `name` cut into units, in row order: (class, keyword arguments
+    of its SUITES function).  A pattern loop gives one unit per pattern,
+    whose class is the pattern; the transform suite's S_n block and each
+    suite without pattern loops are one unit each."""
+    if name not in _LOOPS:
+        return [(_BLOCKS[name], {})]
+    off = {keyword: () for keyword, _ in _LOOPS[name]}
+    units = []
+    if name == "transform":
+        off["s_n"] = False
+        units.append((EMPTY_PATTERNS.key(), dict(off, s_n=True)))
+    for keyword, patterns in _LOOPS[name]:
+        units += [(PatternSet((tau,)).key(), dict(off, **{keyword: (tau,)})) for tau in patterns]
+    return units
+
+
+def run_suites(sizes: dict[str, int | None], jobs: int = 1) -> list[SuiteReport]:
+    """The report of each suite named in `sizes`, in its order, at its size
+    (cor2 takes none).  The suites are cut into per-class units (`_units`),
+    and `growth.run_parts` deals the classes to min(jobs, classes)
+    processes, so that all units of a class, and the levels that growth
+    keeps of it, stay in one process.  The rows come back in the order that
+    running the suites one by one gives."""
+    units = [(name, cls, kwargs) for name in sizes for cls, kwargs in _units(name)]
+    by_class: dict[str, list[int]] = {}
+    for i, (_, cls, _) in enumerate(units):
+        by_class.setdefault(cls, []).append(i)
+
+    def run_class(indices: list[int]) -> list[list[CheckRow]]:
+        rows = []
+        for i in indices:
+            name, _, kwargs = units[i]
+            func, default = SUITES[name]
+            rows.append((func() if default is None else func(sizes[name], **kwargs)).rows)
+        return rows
+
+    # The processes take the classes one at a time, the blocks first: they
+    # are the largest, and the many small pattern classes after them even
+    # out when the processes end.
+    parts = sorted(by_class.values(), key=lambda indices: units[indices[0]][1] not in _BLOCKS.values())
+    done: dict[int, list[CheckRow]] = {}
+    for indices, rows in zip(parts, growth.run_parts(run_class, parts, jobs)):
+        done.update(zip(indices, rows))
+    reports: dict[str, list[CheckRow]] = {name: [] for name in sizes}
+    for i, (name, _, _) in enumerate(units):
+        reports[name] += done[i]
+    return [SuiteReport(name, rows) for name, rows in reports.items()]
+
+
+def run_suite(name: str, max_n: int | None = None, jobs: int = 1) -> SuiteReport:
+    """Suite `name` at max_n, or at its default size."""
+    default = SUITES[name][1]
+    return run_suites({name: default if max_n is None or default is None else max_n}, jobs)[0]
+
+
+def run_all(max_n: int | None = None, jobs: int = 1) -> list[SuiteReport]:
     """Every suite, each at its default size capped by max_n."""
-    reports = []
-    for name, (_, default) in SUITES.items():
-        cap = max_n if max_n is None or default is None else min(default, max_n)
-        reports.append(run_suite(name, cap))
-    return reports
+    return run_suites({name: default if max_n is None or default is None else min(default, max_n)
+                       for name, (_, default) in SUITES.items()}, jobs)

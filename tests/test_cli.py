@@ -193,6 +193,85 @@ def test_verify_reports_a_broken_transform(name, injective, tmp_path, monkeypatc
     assert failed.get("expansion injective and anchored n=3") == injective
 
 
+def _verify_run(argv, jobs, tmp_path, monkeypatch, capsys):
+    """(exit code, stdout less its command line, stderr) of one in-process
+    `verify` at --jobs `jobs`, from empty memos and kept levels, so that
+    every class is grown in the process the suites are dealt to."""
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    monkeypatch.setattr(growth, "_KEPT", growth._KeptLevels())
+    monkeypatch.setattr(cli, "usable_cores", lambda: 2)
+    code, out = run_cli(["verify", *argv, "--jobs", str(jobs), "--no-meta"], tmp_path)
+    assert out.startswith("# command=permcluster verify ")
+    return code, out.split("\n", 1)[1], capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["all", "--max-n", "6"]] + [[suite, "--max-n", "5"] for suite in cli._SUITE_NAMES],
+                         ids=lambda argv: "-".join(argv))
+def test_verify_prints_the_same_at_one_and_two_jobs(argv, tmp_path, monkeypatch, capsys):
+    # the suites are dealt to two processes by class, and the rows put back
+    # in the order of one process
+    serial = _verify_run(argv, 1, tmp_path, monkeypatch, capsys)
+    assert serial[0] == 0 and serial[1].count("\n") > 2
+    assert _verify_run(argv, 2, tmp_path, monkeypatch, capsys) == serial
+
+
+@pytest.mark.parametrize("name", ["expand_rows", "contract_rows"])
+def test_verify_reports_a_broken_transform_at_two_jobs(name, tmp_path, monkeypatch, capsys):
+    # a broken batch transform fails in whichever process runs its rows:
+    # the same FAIL rows, and the same counterexample line, at both settings
+    from permcluster import transform
+
+    def swapped(*args, fn=getattr(transform, name)):
+        out = fn(*args).copy()
+        out[:, [0, -1]] = out[:, [-1, 0]]
+        return out
+
+    monkeypatch.setattr(transform, name, swapped)
+    runs = [_verify_run(["transform", "--max-n", "4"], jobs, tmp_path, monkeypatch, capsys) for jobs in (1, 2)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 1 and err.startswith("counterexample in suite transform: round trips n=3: ")
+    assert any(r["status"] == "FAIL" for r in csv_rows(out))
+
+
+# Runs `verify thm3 --max-n 5 --jobs 2` in a fresh process, with the thm3
+# unit that a child takes raising there: the child marks that it started,
+# and the unit this process takes waits for the mark.  Then prints whether
+# any child of the process is left, running or not waited for.
+_CHILD_FAILURE_PROBE = """
+import os, sys, time
+from permcluster import cli, verify
+parent, mark = os.getpid(), sys.argv[1] + ".started"
+suite, default = verify.SUITES["thm3"]
+
+def failing(max_n, patterns):
+    if os.getpid() != parent:
+        open(mark, "w").close()
+        raise ZeroDivisionError("unit failed in a child")
+    while not os.path.exists(mark):
+        time.sleep(0.01)
+    return suite(max_n, patterns)
+
+verify.SUITES["thm3"] = (failing, default)
+cli.usable_cores = lambda: 2
+code = cli.main(["verify", "thm3", "--max-n", "5", "--jobs", "2", "--no-meta", "--cache", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print(code, "a child is left")
+except ChildProcessError:
+    print(code, "no child")
+"""
+
+
+def test_verify_unit_failing_in_a_child_is_an_internal_error(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _CHILD_FAILURE_PROBE, str(tmp_path / "counts.txt")],
+                          capture_output=True, text=True)
+    assert proc.stdout == "4 no child\n", proc.stderr
+    assert proc.stderr.startswith("internal error: ZeroDivisionError: unit failed in a child\n")
+    assert "in failing" in proc.stderr  # the child's traceback, as the cause
+
+
 def test_jobs_flag_gives_same_answers(tmp_path):
     from permcluster import enumeration
     from permcluster.perms import PatternSet, Permutation
@@ -213,7 +292,7 @@ def test_jobs_out_of_range_is_a_usage_error(tmp_path, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a rejected --jobs value started a worker pool")
 
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(growth, "run_parts", no_pool)
     for jobs in ("0", "-1", str((os.cpu_count() or 1) + 1)):
         code, out = run_cli(["count", "--n", "8", "--avoid", "132", "--jobs", jobs], tmp_path)
         assert code == 2 and out == ""

@@ -1,10 +1,12 @@
 import itertools
 import math
 import multiprocessing
+import os
 import pickle
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -1024,24 +1026,85 @@ def test_parallel_fresh_count_matches_serial():
         assert enumeration.fresh_count(8, ps, jobs=2) == enumeration.fresh_count(8, ps)
 
 
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("size", [0, 1, 2, 7])
+def test_run_parts_keeps_part_order(jobs, size):
+    # fewer parts than jobs run in fewer processes, more parts are taken one
+    # at a time; either way the results come back in part order
+    out = growth.run_parts(lambda x: (x * x, os.getpid()), list(range(size)), jobs)
+    assert [value for value, _ in out] == [x * x for x in range(size)]
+    pids = {pid for _, pid in out}
+    assert len(pids) <= min(jobs, size)
+    for pid in pids - {os.getpid()}:  # every child has been waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _two_processes(tmp_path, child, parent=lambda x: x):
+    """A part function for two parts at jobs = 2: a forked child writes its
+    pid under tmp_path and returns child(x); this process waits for that
+    pid, so that the child has taken the other part, and returns parent(x)."""
+    me = os.getpid()
+
+    def part(x):
+        if os.getpid() != me:
+            (tmp_path / str(os.getpid())).write_text("")
+            return child(x)
+        while not any(tmp_path.iterdir()):
+            time.sleep(0.01)
+        return parent(x)
+
+    return part
+
+
+def _fail(error):
+    raise error
+
+
+def test_run_parts_raises_a_childs_error_again(tmp_path):
+    # a child's DomainError comes back as a DomainError, its traceback as the cause
+    part = _two_processes(tmp_path, lambda x: _fail(DomainError("no such class")))
+    with pytest.raises(DomainError, match="no such class") as info:
+        growth.run_parts(part, [0, 1], 2)
+    assert "_fail" in str(info.value.__cause__)
+    (pid,) = (int(path.name) for path in tmp_path.iterdir())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+def test_run_parts_child_ending_without_a_result(tmp_path):
+    part = _two_processes(tmp_path, lambda x: os._exit(3))
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        growth.run_parts(part, [0, 1], 2)
+    # more indices than a pipe's buffer holds are refused before any fork
+    with pytest.raises(ValueError, match="4097 parts"):
+        growth.run_parts(part, list(range(growth._MAX_PARTS + 1)), 2)
+
+
+def test_run_parts_kills_its_children_when_this_process_fails(tmp_path):
+    # the child sleeps; this process's part fails once the child has
+    # started, and run_parts raises at once, its child killed and waited for
+    part = _two_processes(tmp_path, lambda x: time.sleep(60), lambda x: _fail(ValueError("this part failed")))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="this part failed"):
+        growth.run_parts(part, [0, 1], 2)
+    assert time.monotonic() - start < 30
+    (pid,) = (int(path.name) for path in tmp_path.iterdir())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
 class InlinePool:
-    """An in-process stand-in for the process pool that records the parts
+    """An in-process stand-in for `growth.run_parts` that records the parts
     it is dealt."""
 
     parts: list = []
 
-    def __init__(self, max_workers):
-        assert max_workers == 2
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *args):
-        self.parts.extend(args[2])
-        return map(fn, *args)
+    @classmethod
+    def run_parts(cls, fn, parts, jobs):
+        assert jobs == 2
+        cls.parts.extend(parts)
+        return [fn(part) for part in parts]
 
 
 def test_split_deals_rows_round_robin(monkeypatch):
@@ -1049,7 +1112,7 @@ def test_split_deals_rows_round_robin(monkeypatch):
     # hold every row once; the in-process stand-in for the pool records them
     parts = []
     monkeypatch.setattr(InlinePool, "parts", parts)
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(growth, "run_parts", InlinePool.run_parts)
     ps = ps_of("1342")
     assert enumeration.fresh_count(9, ps, jobs=2) == enumeration.fresh_count(9, ps)
     assert len(parts) == 8
@@ -1066,7 +1129,7 @@ def test_parallel_fresh_count_tiny_n_runs_in_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("no process pool expected")
 
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(growth, "run_parts", no_pool)
     for n in (1, 2, 3):
         assert enumeration.fresh_count(n, ps_of("231"), jobs=2) == catalan(n)
         assert enumeration.event_count_table(n, ps_of("2413", "13254"), jobs=2).total == math.factorial(n)
@@ -1084,7 +1147,7 @@ def test_growth_in_small_parts_matches_whole_levels(chunk, monkeypatch):
                         [enumeration.avoider_rows(n, ps) for n in sizes], enumeration.fresh_count(7, ps))
              for ps in DIFFERENTIAL_SETS}
     monkeypatch.setattr(growth, "_CHUNK_ROWS", chunk)
-    monkeypatch.setattr(growth, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(growth, "run_parts", InlinePool.run_parts)
     monkeypatch.setattr(InlinePool, "parts", [])
     for ps in DIFFERENTIAL_SETS:
         counts, tables, listings, count7 = whole[ps.key()]
