@@ -6,7 +6,8 @@ or as a JSON object {"meta": ..., "rows": ...}; numeric cells carry the
 exact rational next to a decimal approximation, and decimals are never
 used in any comparison.  Exit codes: 0 success; 1 verification
 counterexample, formula disagreement or cache-audit mismatch; 2 usage or
-parse error, or a --cache path that cannot be used; 3 domain error; 4
+parse error, a --cache path that cannot be used, or an output that
+cannot be written; 3 domain error; 4
 internal error (an unexpected exception, reported with its traceback on
 stderr).  A command imports only what it runs: the verification suites
 only for `verify`, the closed forms for `--formula` and `limits`, json for
@@ -437,6 +438,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if not 1 <= args.jobs <= cpus:
             raise ParseError(f"--jobs {args.jobs} outside 1..{cpus}")
         records, failed = _COMMANDS[args.command](args)
+        _emit(records, meta, args, out)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -448,9 +450,22 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-    _emit(records, meta, args, out)
     return EXIT_COUNTEREXAMPLE if failed else EXIT_OK
 
 
+def run() -> None:
+    """The `permcluster` script: `main()`, ended by `os._exit` once the output
+    is flushed; a failed flush exits 2 with one `error:` line, as in `main`."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_USAGE:  # else this is what is left of a write that failed, and main said so
+            print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -61,10 +61,11 @@ answers wins:
 2. the table store beside the count cache;
 3. for all of S_n or the separable class at n >= 10, the substitution
    decomposition (see `substitution`: pure Python, no numpy), gated in the
-   same gate memo: its tables must equal `_scalar_table`, a window scan
-   of every member of S_j that the scalar count's placement does not
-   build, for every j <= 6; and the table at n itself must be fixed by reverse, complement
-   and inverse, as the class is;
+   same gate memo: its tables must equal `_scalar_table`, the clusters
+   (`perms.clusters`) of every member of S_j that the scalar count's
+   placement does not build, for every j <= 6; and the table at n itself
+   must be fixed by reverse, complement and inverse (`perms.SYMMETRIES`),
+   as the class is;
 4. growth, by `fresh_table`.
 
 A table of all of S_n past _MAX_TABLE_N_SN that the stores lack is
@@ -109,12 +110,15 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from .perms import (
     SEP,
+    SYMMETRIES,
     ClusterEvent,
     DomainError,
     ParseError,
     PatternSet,
     Permutation,
     UndefinedProbabilityError,
+    clusters,
+    images,
     parse_permutation,
 )
 
@@ -348,12 +352,11 @@ def _decomposition_gated(ps: PatternSet) -> bool:
 
 def _symmetric(table: EventTable) -> bool:
     """Whether the anchored counts are invariant under reverse, complement
-    and inverse, which send (l, k, a) to (l, k, n+2-l-a), (l, n+2-l-k, a)
-    and (l, a, k): all of S_n and the separable class are closed under
-    each, and the unions and the total are fixed by them."""
+    and inverse, by their maps on the events (`perms.SYMMETRIES`): all of
+    S_n and the separable class are closed under each, and the unions and
+    the total are fixed by them."""
     n, by_lka = table.n, table.by_lka
-    return all(by_lka[(l, k, n + 2 - l - a)] == by_lka[(l, n + 2 - l - k, a)] == by_lka[(l, a, k)] == c
-               for (l, k, a), c in by_lka.items())
+    return all(by_lka[f(n, *event)] == c for _, f in SYMMETRIES for event, c in by_lka.items())
 
 
 def _decomposed_table(n: int, ps: PatternSet) -> EventTable | None:
@@ -596,28 +599,12 @@ def _scalar_count(n: int, ps: PatternSet) -> int:
 
 
 def _scalar_table(n: int, ps: PatternSet) -> EventTable:
-    """The event table of S_n(ps) from every member of S_n that `_containing`
-    does not place, by testing each of its windows for a cluster."""
-    total, by_lka, union = 0, Counter(), Counter()
+    """The event table of S_n(ps) from the clusters (`perms.clusters`) of
+    every member of S_n that `_containing` does not place."""
     containing = _containing(n, ps)
-    for s in itertools.permutations(range(1, n + 1)):
-        if s in containing:
-            continue
-        total += 1
-        ls = set()
-        for a in range(n - 1):  # the window of length l at a + 1 is a cluster iff max - min = l - 1
-            lo = hi = s[a]
-            for l in range(2, min(n, n + 1 - a)):
-                v = s[a + l - 1]
-                if v < lo:
-                    lo = v
-                elif v > hi:
-                    hi = v
-                if hi - lo == l - 1:
-                    by_lka[(l, lo, a + 1)] += 1
-                    ls.add(l)
-        union.update(ls)
-    return EventTable(n, ps.key(), total, by_lka, union)
+    found = [list(clusters(s)) for s in itertools.permutations(range(1, n + 1)) if s not in containing]
+    union = Counter(itertools.chain.from_iterable({l for l, _, _ in events} for events in found))
+    return EventTable(n, ps.key(), len(found), Counter(itertools.chain.from_iterable(found)), union)
 
 
 def _state_count(n: int, ps: PatternSet) -> int | None:
@@ -655,8 +642,7 @@ def _decomposed_count(n: int, ps: PatternSet) -> int | None:
 # The Wilf class of 1342: its 8 symmetric images and 2413 with its one
 # other image, 3142 (Stankova, "Forbidden subsequences", Discrete Math. 132,
 # 1994).
-_WILF_1342 = frozenset({(1, 3, 4, 2), (2, 4, 3, 1), (4, 2, 1, 3), (3, 1, 2, 4), (1, 4, 2, 3), (3, 2, 4, 1),
-                        (4, 1, 3, 2), (2, 3, 1, 4), (2, 4, 1, 3), (3, 1, 4, 2)})
+_WILF_1342 = frozenset(t.values for tau in ((1, 3, 4, 2), (2, 4, 1, 3)) for t in images(Permutation(tau)))
 
 
 def _bona_count(n: int) -> int:

@@ -115,7 +115,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
-from .perms import DomainError, PatternSet, Permutation
+from .perms import DomainError, PatternSet, Permutation, complement
 
 _CHUNK_ROWS = 1 << 13  # rows in a part of a level, a kernel chunk and a tabulation chunk
 _MAX_ENUM_N = 60  # rank bitmasks are uint64
@@ -298,7 +298,7 @@ def _complement_closed(ps: PatternSet) -> bool:
     values = tuple(tau.values for tau in ps.patterns)  # sorted, as PatternSet keeps them
     closed = _CLOSED.get(values)
     if closed is None:
-        closed = _CLOSED[values] = sorted(tuple(len(t) + 1 - v for v in t) for t in values) == list(values)
+        closed = _CLOSED[values] = PatternSet(tuple(map(complement, ps))) == ps
     return closed
 
 

@@ -7,6 +7,9 @@ classical pattern containment, tight containment (a contiguous,
 value-shifted copy), clusters of consecutive values sitting in consecutive
 positions, cluster-freeness, and separability.
 
+The one scalar cluster scan is `clusters`; `SYMMETRIES` and `images` are
+the one account of reverse, complement, inverse and their maps on events.
+
 All values are immutable and every operation is a pure function, so the
 module is safe for unrestricted concurrent use.
 """
@@ -14,33 +17,7 @@ module is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, NamedTuple, Sequence
-
-__all__ = [
-    "ApplicabilityError",
-    "ClusterEvent",
-    "ConditionReport",
-    "DomainError",
-    "EMPTY_PATTERNS",
-    "ParseError",
-    "PatternSet",
-    "Permutation",
-    "SEP",
-    "UndefinedProbabilityError",
-    "avoids_all",
-    "check_conditions",
-    "complement",
-    "contains_pattern",
-    "identity",
-    "in_any_cluster_event",
-    "in_cluster_event",
-    "is_cluster_free",
-    "is_separable",
-    "one_line",
-    "parse_permutation",
-    "reverse",
-    "tight_contains",
-]
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 
 class ParseError(ValueError):
@@ -315,36 +292,41 @@ def tight_contains(tau: Permutation, nu: Permutation) -> bool:
     return False
 
 
-def _window_has_cluster(values: tuple[int, ...], l: int, k: int | None) -> bool:
-    # A window of l distinct values is a cluster iff max - min = l - 1;
-    # its block then starts at the window minimum.
+def clusters(values: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(l, k, a), by a and then l, for every window of length l in 2..n-1
+    at position a (1-based) that holds the block k..k+l-1: its l distinct
+    values have max - min = l - 1, and k is the min.  Each start's windows
+    grow one entry at a time, keeping their min and max."""
     n = len(values)
-    for a in range(n - l + 1):
-        w = values[a : a + l]
-        lo = min(w)
-        if max(w) - lo == l - 1 and (k is None or lo == k):
-            return True
-    return False
+    for a in range(n - 1):
+        lo = hi = values[a]
+        for l in range(2, min(n, n + 1 - a)):
+            v = values[a + l - 1]
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+            if hi - lo == l - 1:
+                yield l, lo, a + 1
 
 
 def in_cluster_event(sigma: Permutation, event: ClusterEvent) -> bool:
     """Membership of sigma in the (anchored) cluster event."""
-    n = len(sigma)
-    event.validate(n)
+    event.validate(len(sigma))
     if event.k is None:
         raise DomainError("event needs k; use in_any_cluster_event for the union")
-    l, k = event.l, event.k
-    if event.a is not None:
-        w = sigma.values[event.a - 1 : event.a - 1 + l]
-        return min(w) == k and max(w) == k + l - 1
-    return _window_has_cluster(sigma.values, l, k)
+    l, k, a = event.l, event.k, event.a
+    if a is None:
+        return any(found[:2] == (l, k) for found in clusters(sigma.values))
+    w = sigma.values[a - 1 : a - 1 + l]
+    return min(w) == k and max(w) == k + l - 1
 
 
 def in_any_cluster_event(sigma: Permutation, l: int) -> bool:
     """True iff some block of l consecutive values sits in l consecutive
     positions of sigma (the union of the events over all k)."""
     ClusterEvent(l).validate(len(sigma))
-    return _window_has_cluster(sigma.values, l, None)
+    return any(found[0] == l for found in clusters(sigma.values))
 
 
 def is_cluster_free(tau: Permutation) -> bool:
@@ -352,8 +334,7 @@ def is_cluster_free(tau: Permutation) -> bool:
 
     For m <= 2 the range of l is empty, so the answer is vacuously true.
     """
-    m = len(tau)
-    return not any(_window_has_cluster(tau.values, l, None) for l in range(2, m))
+    return next(clusters(tau.values), None) is None
 
 
 def check_conditions(tau: Permutation) -> ConditionReport:
@@ -404,3 +385,28 @@ def complement(sigma: Permutation) -> Permutation:
     """Replace each value v by n + 1 - v (an involution)."""
     n = len(sigma)
     return Permutation(tuple(n + 1 - v for v in sigma.values))
+
+
+def inverse(sigma: Permutation) -> Permutation:
+    """The positions of the values 1..n of sigma, in order (an involution)."""
+    return Permutation(sorted(range(1, len(sigma) + 1), key=lambda p: sigma.values[p - 1]))
+
+
+#: Reverse, complement and inverse, each with the map (n, l, k, a) -> (l, k', a')
+#: on the events of S_n: sigma lies in (l, k, a) iff its image lies in (l, k', a').
+SYMMETRIES = (
+    (reverse, lambda n, l, k, a: (l, k, n + 2 - l - a)),
+    (complement, lambda n, l, k, a: (l, n + 2 - l - k, a)),
+    (inverse, lambda n, l, k, a: (l, a, k)),
+)
+
+
+def images(tau: Permutation) -> dict[Permutation, Callable[[int, int, int, int], tuple[int, int, int]]]:
+    """tau's images under compositions of the `SYMMETRIES`, tau first, each
+    with the map on events of a composition sending tau there: S_n(tau) in
+    (l, k, a) and S_n(image) in map(n, l, k, a) are equinumerous."""
+    found = {tau: lambda n, l, k, a: (l, k, a)}
+    for g, f in SYMMETRIES:
+        for t, h in list(found.items()):
+            found.setdefault(g(t), lambda n, l, k, a, f=f, h=h: f(n, *h(n, l, k, a)))
+    return found

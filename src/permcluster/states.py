@@ -9,9 +9,10 @@ generating trees and restricted permutations", JSC 2006; Marinov and
 Radoicic, "Counting 1324-avoiding permutations", EJC 2003).
 
 Which patterns.  The count of a class is the same for all 8 symmetric
-images of its pattern (reverse, complement, inverse), so the counter grows
-any image of the form t'.m: its last entry is its maximum m, and every
-entry of t' is a left-to-right maximum or a left-to-right minimum of t'.
+images of its pattern (reverse, complement, inverse: `perms.images`), so
+the counter grows any image of the form t'.m: its last entry is its
+maximum m, and every entry of t' is a left-to-right maximum or a
+left-to-right minimum of t'.
 Every length-3 pattern, 12...m and the length-4 classes of 1234, 1243,
 1432 and 1342 (through 2314) have one; 1324, 2143 and 2413 have none.
 (`enumeration` counts 1342's images, and 2413 and 3142, by Bóna's closed
@@ -49,20 +50,9 @@ rows for every n <= m + 1); on a miss the count is grown from rows.
 
 from __future__ import annotations
 
-from .perms import Permutation
+from .perms import Permutation, images
 
 Pair = tuple[int, int]  # (min, max) of a partial occurrence
-
-
-def _images(t: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The 8 images of t under reverse, complement and inverse."""
-    m = len(t)
-    inverse = tuple(sorted(range(1, m + 1), key=lambda v: t[v - 1]))
-    found = set()
-    for u in (t, inverse):
-        for v in (u, u[::-1]):
-            found |= {v, tuple(m + 1 - x for x in v)}
-    return found
 
 
 def _eligible(t: tuple[int, ...]) -> bool:
@@ -84,7 +74,7 @@ def _steps(t: tuple[int, ...]) -> tuple[list[bool], list[bool]]:
 def image(tau: Permutation) -> tuple[int, ...] | None:
     """The least symmetric image of tau that `count` grows, or None if tau
     has none."""
-    return min((t for t in _images(tau.values) if _eligible(t)), default=None)
+    return min((t.values for t in images(tau) if _eligible(t.values)), default=None)
 
 
 def _extend(prev: tuple[Pair, ...] | None, r: int, j: int, rises: bool) -> Pair | None:

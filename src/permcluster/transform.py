@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .perms import ClusterEvent, DomainError, Permutation, in_cluster_event
+from .perms import ClusterEvent, DomainError, Permutation, clusters, in_cluster_event
 
 if TYPE_CHECKING:
     import numpy as np
@@ -114,11 +114,11 @@ def expand(eta: Permutation, rho: Permutation, l: int, k: int, a: int) -> Permut
 def cluster_anchors(sigma: Permutation, l: int, k: int) -> list[int]:
     """All anchors a such that sigma lies in the event (l, k, a).
 
-    The block {k, ..., k+l-1} occupies a fixed set of positions, so the
-    list has at most one element; it is returned as a list for uniformity.
+    The block {k, ..., k+l-1} occupies a fixed set of positions, so at
+    most one of the windows that `perms.clusters` yields holds it.
     """
     ClusterEvent(l, k).validate(len(sigma))
-    return [a for a in range(1, len(sigma) - l + 2) if in_cluster_event(sigma, ClusterEvent(l, k, a))]
+    return [a for found_l, found_k, a in clusters(sigma.values) if (found_l, found_k) == (l, k)]
 
 
 # ---------------------------------------------------------------------------

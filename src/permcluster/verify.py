@@ -30,10 +30,12 @@ from . import enumeration, formulas, growth, transform
 from .perms import (
     EMPTY_PATTERNS,
     SEP,
+    SYMMETRIES,
     ClusterEvent,
     PatternSet,
     Permutation,
     check_conditions,
+    clusters,
     complement,
     reverse,
 )
@@ -232,19 +234,9 @@ def cor2_suite(max_n: int | None = None) -> SuiteReport:
 # symmetry
 
 
-def _cluster_events(rows: np.ndarray) -> np.ndarray:
-    """hit[i, l, k]: whether row i holds the values k..k+l-1 in l
-    consecutive positions, for l = 2 .. width - 1."""
-    n = rows.shape[1]
-    hit = np.zeros((len(rows), n, n + 1), dtype=bool)
-    for l, cluster, cmin in enumeration.cluster_windows(rows.T):
-        a, i = np.nonzero(cluster)
-        hit[i, l, cmin[a, i]] = True
-    return hit
-
-
 def symmetry_suite(max_n: int = 9) -> SuiteReport:
     rows = []
+    maps = dict(SYMMETRIES)
     ps321 = PatternSet((Permutation((3, 2, 1)),))
     ps123 = PatternSet((Permutation((1, 2, 3)),))
     for n in range(3, max_n + 1):
@@ -257,29 +249,29 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
                 "symmetry", f"avoid 321 vs 123: n={n} l={l} k={k}",
                 str(got321), str(got123), got321 == got123,
             ))
-            kk = n + 2 - k - l
+            _, kk, _ = maps[complement](n, l, k, None)  # the complement keeps every anchor
             a321, a_mapped = t321.count(event), t123.count(ClusterEvent(l, kk))
             rows.append(CheckRow(
                 "symmetry", f"complement map n={n} (l={l},k={k})->(l={l},k={kk})",
                 str(a321), str(a_mapped), a321 == a_mapped,
             ))
-    # pointwise window behavior under reverse and complement, exhaustive n=6:
-    # each member's events (l, k) against those of its reverse, and against
-    # those of its complement at (l, n+2-k-l)
+    # pointwise window behavior under reverse and complement, exhaustive
+    # n=6: each member's events (l, k) against those of its image, mapped
     n = 6
-    members = enumeration.avoider_rows(n, EMPTY_PATTERNS)
-    hit, rev, comp = (_cluster_events(rows) for rows in (members, members[:, ::-1], n + 1 - members))
-    bad = cases = 0
-    for l in range(2, n):
-        ks = np.arange(1, n - l + 2)
-        bad += int((hit[:, l, ks] != rev[:, l, ks]).sum() + (hit[:, l, ks] != comp[:, l, n + 2 - ks - l]).sum())
-        cases += 2 * hit[:, l, ks].size
+    events = {s: set(clusters(s)) for s in itertools.permutations(range(1, n + 1))}
+    bad = 0
+    for s, found in events.items():
+        sigma = Permutation(s)
+        for g in (reverse, complement):
+            mapped = {maps[g](n, *event) for event in found}
+            bad += len({event[:2] for event in mapped ^ events[g(sigma).values]})
+    cases = 2 * len(events) * len(list(_events(n)))
     rows.append(CheckRow("symmetry", f"pointwise reverse/complement n={n}",
                          f"0 of {cases} mismatches", f"{bad} mismatches", bad == 0))
     # reversing maps the 123-avoiders onto the 321-avoiders
     for n in range(2, 7):
         a123 = set(map(tuple, enumeration.avoider_rows(n, ps123).tolist()))
-        a321 = set(map(tuple, enumeration.avoider_rows(n, ps321)[:, ::-1].tolist()))
+        a321 = {reverse(Permutation(r)).values for r in enumeration.avoider_rows(n, ps321).tolist()}
         rows.append(CheckRow("symmetry", f"reverse bijection n={n}",
                              f"{len(a123)} avoiders", f"{len(a321)} mapped", a123 == a321))
     # count invariance under reversing / complementing the forbidden patterns;

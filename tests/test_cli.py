@@ -402,6 +402,68 @@ def test_console_entry_point(tmp_path):
     assert "4,321,14" in proc.stdout
 
 
+# The package this test imports, found from any working directory.
+SCRIPT_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))), os.environ.get("PYTHONPATH")]))}
+
+
+def run_script(args, cwd, **kwargs):
+    """The finished `python -m permcluster args` in cwd, stdout and stderr
+    as bytes (stdout to kwargs["stdout"] if given)."""
+    kwargs = {"stdout": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-m", "permcluster", *args], cwd=cwd, env=SCRIPT_ENV,
+                          stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("args", [["verify", "transform", "--max-n", "5", "--jobs", "1"],
+                                  ["table", "--avoid", "2413", "--n", "5..6", "--formula"]],
+                         ids=["verify", "table"])
+def test_script_prints_through_a_pipe_what_main_prints(args, tmp_path, monkeypatch):
+    # `run` ends the process once its output is flushed; nothing is lost
+    argv = [*args, "--no-meta", "--cache", "counts.txt"]
+    for side in ("script", "main"):
+        (tmp_path / side).mkdir()
+    proc = run_script(argv, tmp_path / "script")
+    monkeypatch.chdir(tmp_path / "main")
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == proc.returncode == 0
+    assert proc.stdout.decode() == out.getvalue() and proc.stderr == b""
+
+
+@pytest.mark.parametrize("args,code", [(["count", "--n", "5", "--avoid", "321"], 0),
+                                       (["count", "--avoid", "321"], 2),
+                                       (["prob", "--n", "3", "--avoid", "123", "--l", "5", "--k", "1"], 3)],
+                         ids=["ok", "usage", "domain"])
+def test_script_keeps_the_exit_codes(args, code, tmp_path):
+    assert run_script([*args, "--cache", str(tmp_path / "c.txt")], tmp_path).returncode == code
+
+
+def assert_one_write_error(code, err):
+    err = err.decode()
+    assert code == cli.EXIT_USAGE == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the Linux /dev/full")
+@pytest.mark.parametrize("n", [4, 8], ids=["buffered", "streamed"])
+def test_a_full_output_device_exits_2(n, tmp_path):
+    # a short output fails at the final flush, a long one inside main
+    with open("/dev/full", "wb") as full:
+        proc = run_script(["enumerate", "--n", str(n), "--avoid=", "--no-meta", "--cache", "c.txt"], tmp_path,
+                          stdout=full)
+    assert_one_write_error(proc.returncode, proc.stderr)
+
+
+def test_a_reader_that_closes_early_exits_2(tmp_path):
+    proc = subprocess.Popen([sys.executable, "-m", "permcluster", "enumerate", "--n", "8", "--avoid=", "--no-meta",
+                             "--cache", "c.txt"], cwd=tmp_path, env=SCRIPT_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"# command=permcluster enumerate")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert_one_write_error(proc.wait(), err)
+
+
 def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
     # exit 1 stays reserved for counterexamples; anything unforeseen exits 4
     def broken(args):

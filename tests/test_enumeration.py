@@ -37,7 +37,7 @@ from permcluster import (
     parse_permutation,
     ratio_sequence,
 )
-from permcluster import enumeration, growth, states, substitution
+from permcluster import enumeration, growth, perms, states, substitution
 
 
 def ps_of(*texts) -> PatternSet:
@@ -243,7 +243,8 @@ WILF_1342 = ["1342", "2431", "4213", "3124", "1423", "3241", "4132", "2314", "24
 
 
 def test_wilf_class_of_1342_is_its_images_and_2413():
-    assert enumeration._WILF_1342 == states._images((1, 3, 4, 2)) | states._images((2, 4, 1, 3))
+    assert enumeration._WILF_1342 == {t.values for tau in (Permutation((1, 3, 4, 2)), Permutation((2, 4, 1, 3)))
+                                      for t in perms.images(tau)}
     assert sorted(enumeration._WILF_1342) == sorted(parse_permutation(t).values for t in WILF_1342)
 
 

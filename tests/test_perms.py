@@ -8,6 +8,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import assert_value_semantics, permutations_up_to
+from permcluster import enumeration
+from permcluster.perms import SYMMETRIES, clusters, images, inverse
 from permcluster import (
     EMPTY_PATTERNS,
     SEP,
@@ -195,6 +197,86 @@ def test_anchored_membership_implies_membership(sigma):
             k = min(w)
             if in_cluster_event(sigma, ClusterEvent(l, k, a)):
                 assert in_cluster_event(sigma, ClusterEvent(l, k))
+
+
+def every_permutation(n):
+    return itertools.permutations(range(1, n + 1))
+
+
+def test_clusters_are_every_block_window_by_anchor_then_length():
+    # the definition: every slice of length 2..n-1 whose max - min is l - 1
+    for n in range(1, 8):
+        for vals in every_permutation(n):
+            want = [(l, min(vals[a : a + l]), a + 1) for a in range(n) for l in range(2, min(n, n - a + 1))
+                    if max(vals[a : a + l]) - min(vals[a : a + l]) == l - 1]
+            assert list(clusters(vals)) == want, vals
+
+
+def test_clusters_match_the_numpy_scan():
+    import numpy as np
+
+    from permcluster import growth
+
+    for n in range(2, 8):
+        rows = np.array(list(every_permutation(n)), dtype=np.int8)
+        found = [set() for _ in rows]
+        for l, cluster, cmin in growth.cluster_windows(rows.T):
+            for a, i in zip(*np.nonzero(cluster)):
+                found[i].add((l, int(cmin[a, i]), int(a) + 1))
+        assert [set(clusters(tuple(r))) for r in rows.tolist()] == found, n
+
+
+def test_inverse():
+    assert inverse(parse_permutation("2413")).text() == "3142"
+    assert inverse(parse_permutation("2314")).text() == "3124"
+    for vals in every_permutation(5):
+        p = Permutation(vals)
+        assert inverse(inverse(p)) == p
+        assert all(inverse(p)[v - 1] == i + 1 for i, v in enumerate(vals))
+
+
+def test_each_symmetry_maps_the_clusters_of_every_member():
+    # sigma lies in (l, k, a) iff its image lies in map(n, l, k, a)
+    for n in range(1, 7):
+        for vals in every_permutation(n):
+            p = Permutation(vals)
+            for g, f in SYMMETRIES:
+                assert {f(n, *event) for event in clusters(vals)} == set(clusters(g(p).values)), (vals, g)
+
+
+def closure(tau):
+    found, todo = {tau}, [tau]
+    while todo:
+        t = todo.pop()
+        for g in (reverse, complement, inverse):
+            u = g(t)
+            if u not in found:
+                found.add(u)
+                todo.append(u)
+    return found
+
+
+def test_images_are_the_closure_under_the_three_symmetries():
+    for m in range(1, 6):
+        for vals in every_permutation(m):
+            tau = Permutation(vals)
+            got = images(tau)
+            assert set(got) == closure(tau) and next(iter(got)) == tau, tau
+    assert set(images(parse_permutation("2413"))) == set(SEP)
+    assert len(images(parse_permutation("1342"))) == 8 and len(images(identity(4))) == 2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_image_maps_carry_the_anchored_counts(m):
+    # S_n(tau) in (l, k, a) has as many members as S_n(image) in map(n, l, k, a)
+    n = 6
+    for vals in every_permutation(m):
+        tau = Permutation(vals)
+        want = enumeration._scalar_table(n, PatternSet((tau,))).by_lka
+        for image, f in images(tau).items():
+            got = enumeration._scalar_table(n, PatternSet((image,))).by_lka
+            assert {event: got[f(n, *event)] for event in want} == dict(want), (tau, image)
+            assert sorted(f(n, *event) for event in want) == sorted(got), (tau, image)
 
 
 # ---------------------------------------------------------------------------
