@@ -8,7 +8,7 @@ the first call that has to enumerate, so that a process answered from the
 memo, the stores, the recurrence, the closed form for the class of 1342,
 the state counter or the substitution decomposition never imports numpy.
 The names of the engine that callers use (`avoider_rows`,
-`contains_pattern_rows`, `cluster_windows`) stay here.
+`contains_pattern_rows`) stay here.
 
 A count is looked up in one order, and the first step that applies
 answers:
@@ -41,12 +41,10 @@ the scalar count `_scalar_count` for every j <= 6, for each pattern of
 the class: j! less the members of S_j that contain the pattern, each
 built by placing the pattern on a set of positions and a set of values
 and filling the other positions in every order, so no member is tested
-for containment; on a miss 1342's images fall through to
-states and 2413 and 3142 to rows.  The state counter must reproduce, for
-every j <= max(6, m + 1), m the pattern's length, that scalar count for
-m <= 5, and the rows that `fresh_count` grows for m >= 6 (below j = m
-both sides are j!, so the scalar check alone would check nothing
-there).  Only counts take these paths: `fresh_count` (and so
+for containment; on a miss 1342's images fall through to states and
+2413 and 3142 to rows.  The state counter must reproduce that scalar
+count for every j <= max(6, m + 1), m the pattern's length (below j = m
+both sides are j!).  Only counts take these paths: `fresh_count` (and so
 `cache-audit`) and listings always grow rows, and event tables have a
 fast path of their own, below.  A listing is the one result that holds
 a whole class; it is counted first and refused (DomainError) if its rows
@@ -59,13 +57,13 @@ answers wins:
 
 1. the in-process memo;
 2. the table store beside the count cache;
-3. for all of S_n or the separable class at n >= 10, the substitution
-   decomposition (see `substitution`: pure Python, no numpy), gated in the
-   same gate memo: its tables must equal `_scalar_table`, the clusters
-   (`perms.clusters`) of every member of S_j that the scalar count's
-   placement does not build, for every j <= 6; and the table at n itself
-   must be fixed by reverse, complement and inverse (`perms.SYMMETRIES`),
-   as the class is;
+3. for all of S_n or the separable class, at every n >= 1, the
+   substitution decomposition (see `substitution`: pure Python, no
+   numpy), gated in the same gate memo: its tables must equal
+   `_scalar_table`, the clusters (`perms.clusters`) of every member of
+   S_j that the scalar count's placement does not build, for every
+   j <= 6; and the table at n itself must be fixed by reverse,
+   complement and inverse (`perms.SYMMETRIES`), as the class is;
 4. growth, by `fresh_table`.
 
 A table of all of S_n past _MAX_TABLE_N_SN that the stores lack is
@@ -79,19 +77,21 @@ written again.  A stored table is used only if it also passes every
 range and bound check, and its total is n! where the class is all of
 S_n, else the count that the memo or the count cache holds.
 
-A lookup that has to grow (count step 7, table step 4) with a store
-records more than it was asked for: the count and the table of every
-width j from 2 up to the reach R that neither the memo nor the stores
-hold, each grown serially by `fresh_table` over the levels that growth
-keeps, so that a session asking for the class at another n reads it from
-the stores without numpy.  R is the least j with |S_(j-1)(ps)| >
-growth._CHUNK_ROWS, whose table reads the first level that growth does
-not keep whole: 9 for the length-4 classes, SEP and S_n, 11 for the
-length-3 classes.  A class that dies out stops at its first empty width,
-and one that grows too slowly to get there stops at _MAX_TABLE_N_SN.
-Each store takes the new lines in one locked write.  Without a store (the
-verification suites, `cache-audit`, `fresh_*`) a lookup grows only what
-it is asked for.
+So a lookup grows rows, and imports numpy, only for a class that no step
+before growth answers: never for all of S_n or the separable class while
+the decomposition passes its gate.  A lookup that has to grow (count
+step 7, table step 4) with a store records more than it was asked for:
+the count and the table of every width j from 2 up to the reach R that
+neither the memo nor the stores hold, each grown serially by
+`fresh_table` over the levels that growth keeps, so that a session asking
+for the class at another n reads it from the stores without numpy.  R is
+the least j with |S_(j-1)(ps)| > growth._CHUNK_ROWS, whose table reads
+the first level that growth does not keep whole: 9 for the length-4
+classes, 11 for the length-3 classes.  A class that dies out stops at its
+first empty width, and one that grows too slowly to get there stops at
+_MAX_TABLE_N_SN.  Each store takes the new lines in one locked write.
+Without a store (the verification suites, `cache-audit`, `fresh_*`) a
+lookup grows only what it is asked for.
 
 All counting is exact integer arithmetic; probabilities are Fractions.
 """
@@ -120,6 +120,7 @@ from .perms import (
     clusters,
     images,
     parse_permutation,
+    pattern_facts,
 )
 
 if TYPE_CHECKING:
@@ -128,8 +129,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _VALIDATE_UPTO = 10
-_DECOMPOSE_FROM = 10  # S_n and separable tables from this n on come from `substitution`
-_DECOMPOSITION_GATE_UPTO = 6  # the decomposition must match `_scalar_table` for every j <= 6
+_GATE_UPTO = 6  # the decomposition, Bóna's form and the states each match a scalar reference for j <= 6 at least
 # S_n event tables grow n! / (2n) parents, those under 12: growing the
 # table of all of S_12 (`fresh_table`, and so `cache-audit`) takes 7-8 s
 # at 39 MiB peak RSS on a 2-vCPU machine, where the lookup takes it from
@@ -191,31 +191,17 @@ class EventTable:
 _MEMO: dict[str, "int | EventTable"] = {}  # this process's counts and tables, keyed as in the stores
 
 
-# By the patterns' one-line values: the class's key and its shortest
-# pattern's length (inf for no pattern), which every lookup reads.
-_PATTERN_FACTS: dict[tuple[tuple[int, ...], ...], tuple[str, float]] = {}
-
-
-def _facts(ps: PatternSet) -> tuple[str, float]:
-    """ps.key() and the length of ps's shortest pattern, memoized."""
-    values = tuple(tau.values for tau in ps.patterns)
-    facts = _PATTERN_FACTS.get(values)
-    if facts is None:
-        facts = _PATTERN_FACTS[values] = (ps.key(), min(map(len, values), default=math.inf))
-    return facts
-
-
 _SEP_KEY = SEP.key()
 
 
 def _is_separable_class(ps: PatternSet) -> bool:
     """Whether ps is SEP, {2413, 3142}, by its memoized key."""
-    return _facts(ps)[0] == _SEP_KEY
+    return pattern_facts(ps).key == _SEP_KEY
 
 
 def _is_all_of_s_n(n: int, ps: PatternSet) -> bool:
     """Whether S_n(ps) is all of S_n: no patterns, n = 0, or n below the shortest pattern."""
-    return n < _facts(ps)[1]
+    return n < pattern_facts(ps).shortest
 
 
 def _known_count(n: int, ps: PatternSet, cache: "CountCache | None") -> int | None:
@@ -320,7 +306,9 @@ def _add_reach(ps: PatternSet, counts: dict[int, int], tables: dict[int, EventTa
     level too large to keep whole; or the first empty width, where the
     class dies out before; and at most _MAX_TABLE_N_SN, for a class that
     grows too slowly to pass _CHUNK_ROWS by then (up to width 60, the
-    tables of S_n(132, 321), C(n, 2) + 1 members, took 11 MB)."""
+    tables of S_n(132, 321), C(n, 2) + 1 members, took 11 MB).  Only a
+    class that the lookup grows gets here: never all of S_n or the
+    separable class, unless the decomposition failed its gate."""
     chunk_rows = _engine()._CHUNK_ROWS
     parents = 1  # |S_1(ps)|, the level that the table at width 2 reads
     for j in range(2, _MAX_TABLE_N_SN + 1):
@@ -344,10 +332,9 @@ def _decomposed(n: int, ps: PatternSet) -> EventTable:
 def _decomposition_gated(ps: PatternSet) -> bool:
     """Whether the substitution decomposition may serve ps, all of S_n or
     the separable class: its tables must equal `_scalar_table` for every
-    j <= _DECOMPOSITION_GATE_UPTO, checked once per class in a process.
-    Its tables and its separable counts pass or fail together."""
-    return _gated("decomposition", ps, lambda j: _decomposed(j, ps), lambda j: _scalar_table(j, ps),
-                  _DECOMPOSITION_GATE_UPTO)
+    j <= _GATE_UPTO, checked once per class in a process.  Its tables and
+    its separable counts pass or fail together."""
+    return _gated("decomposition", ps, lambda j: _decomposed(j, ps), lambda j: _scalar_table(j, ps), _GATE_UPTO)
 
 
 def _symmetric(table: EventTable) -> bool:
@@ -362,11 +349,11 @@ def _symmetric(table: EventTable) -> bool:
 def _decomposed_table(n: int, ps: PatternSet) -> EventTable | None:
     """The event table of all of S_n or of the separable class from the
     substitution decomposition, or None where it does not apply: another
-    class, n below _DECOMPOSE_FROM, S_n past _MAX_TABLE_N_SN (which
+    class, n = 0 (which growth refuses), S_n past _MAX_TABLE_N_SN (which
     `fresh_table` refuses), a decomposition that missed `_scalar_table`
-    at some j <= _DECOMPOSITION_GATE_UPTO, or a table at n itself that
-    some symmetry of the class does not fix."""
-    if n < _DECOMPOSE_FROM or not (_is_separable_class(ps) or (ps.is_empty() and n <= _MAX_TABLE_N_SN)) \
+    at some j <= _GATE_UPTO, or a table at n itself that some symmetry of
+    the class does not fix."""
+    if n < 1 or not (_is_separable_class(ps) or (ps.is_empty() and n <= _MAX_TABLE_N_SN)) \
             or not _decomposition_gated(ps):
         return None
     table = _decomposed(n, ps)
@@ -378,7 +365,7 @@ def _decomposed_table(n: int, ps: PatternSet) -> EventTable | None:
 
 
 def cache_key(n: int, ps: PatternSet) -> str:
-    return f"avoid={_facts(ps)[0]};n={n}"
+    return f"avoid={pattern_facts(ps).key};n={n}"
 
 
 def table_key(key: str) -> str:
@@ -558,7 +545,6 @@ def fresh_count(n: int, ps: PatternSet, *, jobs: int = 1) -> int:
     return _engine().count(n, ps, jobs)
 
 
-_STATE_GATE_UPTO = 6  # the gate checks every j <= max(6, m + 1), m the pattern's length
 _GATE: dict[tuple[str, str], bool] = {}
 
 
@@ -566,7 +552,7 @@ def _gated(source: str, ps: PatternSet, form: Callable[[int], int], reference: C
            upto: int) -> bool:
     """Whether the fast path `source` may count ps: form(j) == reference(j)
     for every j <= upto, checked once per (source, ps) in a process."""
-    key = (source, _facts(ps)[0])
+    key = (source, pattern_facts(ps).key)
     if key not in _GATE:
         _GATE[key] = all(form(j) == reference(j) for j in range(1, upto + 1))
     return _GATE[key]
@@ -610,10 +596,9 @@ def _scalar_table(n: int, ps: PatternSet) -> EventTable:
 def _state_count(n: int, ps: PatternSet) -> int | None:
     """|S_n(ps)| from generating-tree states (see `states`), or None where
     they do not apply: ps is not one pattern, no image of it is eligible,
-    or the counter missed the reference count at some j <= max(6, m + 1)
-    for a pattern of length m: `_scalar_count` for m <= 5, which loads no
-    numpy, and `fresh_count` for m >= 6, where the scalar count of S_(m+1)
-    would take seconds."""
+    or the counter missed `_scalar_count` at some j <= max(_GATE_UPTO,
+    m + 1) for a pattern of length m (below j = m both sides are j!, so a
+    long pattern is checked past its own length too)."""
     if len(ps) != 1:
         return None
     from . import states
@@ -621,10 +606,8 @@ def _state_count(n: int, ps: PatternSet) -> int | None:
     image = states.image(ps.patterns[0])
     if image is None:
         return None
-    m = len(image)
-    reference = _scalar_count if m <= 5 else fresh_count
-    if not _gated("states", ps, lambda j: states.count(j, image), lambda j: reference(j, ps),
-                  max(_STATE_GATE_UPTO, m + 1)):
+    if not _gated("states", ps, lambda j: states.count(j, image), lambda j: _scalar_count(j, ps),
+                  max(_GATE_UPTO, len(image) + 1)):
         return None
     return states.count(n, image)
 
@@ -662,10 +645,9 @@ def _bona_count(n: int) -> int:
 def _wilf_1342_count(n: int, ps: PatternSet) -> int | None:
     """|S_n(ps)| from Bóna's closed form, or None where it does not apply:
     ps is not one pattern of the Wilf class of 1342, or the form missed
-    `_scalar_count` at some j <= _STATE_GATE_UPTO, the check the state
-    counter meets."""
+    `_scalar_count` at some j <= _GATE_UPTO."""
     if len(ps) != 1 or ps.patterns[0].values not in _WILF_1342 or not _gated(
-            "bona", ps, _bona_count, lambda j: _scalar_count(j, ps), _STATE_GATE_UPTO):
+            "bona", ps, _bona_count, lambda j: _scalar_count(j, ps), _GATE_UPTO):
         return None
     return _bona_count(n)
 
@@ -717,12 +699,6 @@ def avoider_rows(n: int, ps: PatternSet) -> np.ndarray:
 def contains_pattern_rows(rows: np.ndarray, tau: Permutation) -> np.ndarray:
     """Vectorized containment: for each row, does it contain tau anywhere."""
     return _engine().contains_pattern_rows(rows, tau)
-
-
-def cluster_windows(cols: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Sliding window min/max scan over rows given as cols = rows.T, for
-    l = 2 .. width - 1, window-major; see `growth.cluster_windows`."""
-    return _engine().cluster_windows(cols)
 
 
 def enumerate_avoiders(n: int, ps: PatternSet) -> Iterator[Permutation]:

@@ -386,7 +386,7 @@ def cluster_limit_report(
 
 
 def union_asymptotic_ratio(n: int, l: int, *, cache=None, jobs: int = 1) -> float:
-    """The exhaustive union probability over S_n rescaled by its n -> infinity
+    """The exact union probability over S_n rescaled by its n -> infinity
     scale l! / n^(l-2); tends to 1 as n grows, for l >= 3."""
     if l < 3:
         raise DomainError("the union asymptotic is stated for l >= 3")

@@ -3,16 +3,15 @@
 One engine serves every class, S_n included (no forbidden patterns): it
 grows every count that `enumeration` asks it for, every listing, every
 table of `fresh_table` (and so of `cache-audit`), and every table of the
-lookup but those of S_n and of the separable class from n = 10 on, which
-come from the substitution decomposition (`substitution`).  It grows
-avoiders length by length.  Because avoidance only depends on
-relative order, each level below n is a numpy array of avoiding patterns
-of that length; a length-j avoider is extended by appending a new last
-entry of rank r in 1..j+1 (existing values >= r are bumped up by one).
-Since the parent already avoids everything, the child survives iff the
-appended entry does not complete a forbidden occurrence ending at the last
-position, and that test reduces per candidate occurrence to an
-interval of bad ranks.  Every row carries the union of those intervals as
+lookup but those of S_n and of the separable class, which come from the
+substitution decomposition (`substitution`).  It grows avoiders length
+by length.  Because avoidance only depends on relative order, each level
+below n is a numpy array of avoiding patterns of that length; a length-j
+avoider is extended by appending a new last entry of rank r in 1..j+1
+(existing values >= r are bumped up by one).  Since the parent already
+avoids everything, the child survives iff the appended entry does not
+complete a forbidden occurrence ending at the last position, and that
+test reduces per candidate occurrence to an interval of bad ranks.  Every row carries the union of those intervals as
 a bitmask.  A child inherits its parent's mask with the ranks at and above
 r moved up by one, so the kernel only scans the head occurrences that end
 at the new column: C(j-1, h-1) column subsets for a head of length h at
@@ -115,7 +114,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
-from .perms import DomainError, PatternSet, Permutation, complement
+from .perms import DomainError, PatternSet, Permutation, pattern_facts
 
 _CHUNK_ROWS = 1 << 13  # rows in a part of a level, a kernel chunk and a tabulation chunk
 _MAX_ENUM_N = 60  # rank bitmasks are uint64
@@ -290,18 +289,6 @@ def _count_leaves(n: int, ps: PatternSet, level: Level) -> int:
                for _, bad in _descendants(level, n - 1, _pattern_metas(ps)))
 
 
-_CLOSED: dict[tuple[tuple[int, ...], ...], bool] = {}  # by the patterns' one-line values
-
-
-def _complement_closed(ps: PatternSet) -> bool:
-    """Whether ps is closed under complement, memoized per pattern set."""
-    values = tuple(tau.values for tau in ps.patterns)  # sorted, as PatternSet keeps them
-    closed = _CLOSED.get(values)
-    if closed is None:
-        closed = _CLOSED[values] = PatternSet(tuple(map(complement, ps))) == ps
-    return closed
-
-
 def _start(n: int, ps: PatternSet, metas: Metas) -> tuple[Level, bool]:
     """The level that counts and tables grow from, and whether it is the
     half root: S_0, or, for a complement-closed ps and n >= 3, the width-2
@@ -309,7 +296,7 @@ def _start(n: int, ps: PatternSet, metas: Metas) -> tuple[Level, bool]:
     kernel gives it.  The half root's descendants are the members with
     s_1 < s_2, and their complements (`_mirror`) are the rest of S_n(ps)."""
     root = _root(n)
-    if n < 3 or not _complement_closed(ps):
+    if n < 3 or not pattern_facts(ps).complement_closed:
         return root, False
     rows, bad = _children(_children(root, metas), metas)
     rising = rows[:, 0] < rows[:, 1]
@@ -508,21 +495,20 @@ def _split_grow(n: int, ps: PatternSet, jobs: int,
     With one job the level is the whole level at width n - 1, or the first
     one past _CHUNK_ROWS rows above it (`_whole_level`), consumed
     in-process.  Otherwise the level is the first whole level with at least
-    16 * jobs rows, and it is dealt out with its masks, row i to part i mod (4 * jobs), so that
-    neighbouring subtrees, which tend to be alike in size, land in
-    different parts.  `run_parts` consumes them in `jobs` processes, this
-    one and jobs - 1 forked from it, which take the parts one at a time:
-    the subtrees of a shallow level differ in size, and fixed shares of
-    the parts of S_13(1324) differ by 14% in leaves.  A level that reaches
-    width n - 1 first, still short of 16 * jobs rows, is consumed
+    16 * jobs rows, and it is dealt out with its masks, row i to part
+    i mod (4 * jobs), so that neighbouring subtrees, which tend to be alike
+    in size, land in different parts.  `run_parts` consumes them in `jobs`
+    processes, this one and jobs - 1 forked from it, which take the parts
+    one at a time: the subtrees of a shallow level differ in size, and
+    fixed shares of the parts of S_13(1324) differ by 14% in leaves.  A
+    level still short of 16 * jobs rows, because it reaches width n - 1
+    first or (for jobs > 512) passes _CHUNK_ROWS rows first, is consumed
     in-process.
     """
     metas = _pattern_metas(ps)
-    half = n >= 3 and _complement_closed(ps)
+    half = n >= 3 and pattern_facts(ps).complement_closed
     level = _whole_level(n, ps, metas, half,
                          lambda rows: rows.shape[1] >= n - 1 or (jobs > 1 and len(rows) >= 16 * jobs))
-    while jobs > 1 and level[0].shape[1] < n - 1 and len(level[0]) < 16 * jobs:
-        level = _children(level, metas)
     if jobs <= 1 or len(level[0]) < 16 * jobs:
         return [consume(n, ps, level)], half
     k = 4 * jobs

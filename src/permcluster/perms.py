@@ -8,7 +8,9 @@ value-shifted copy), clusters of consecutive values sitting in consecutive
 positions, cluster-freeness, and separability.
 
 The one scalar cluster scan is `clusters`; `SYMMETRIES` and `images` are
-the one account of reverse, complement, inverse and their maps on events.
+the one account of reverse, complement, inverse and their maps on events;
+`pattern_facts` holds, once per pattern set, what counting and growth read
+of it.
 
 All values are immutable and every operation is a pure function, so the
 module is safe for unrestricted concurrent use.
@@ -399,6 +401,27 @@ SYMMETRIES = (
     (complement, lambda n, l, k, a: (l, n + 2 - l - k, a)),
     (inverse, lambda n, l, k, a: (l, a, k)),
 )
+
+
+class PatternFacts(NamedTuple):
+    """What every lookup and growth asks of a pattern set."""
+
+    key: str  # PatternSet.key()
+    shortest: float  # the length of the shortest pattern, inf for none
+    complement_closed: bool  # complement maps the set onto itself
+
+
+_FACTS: dict[tuple[tuple[int, ...], ...], PatternFacts] = {}  # by the patterns' one-line values
+
+
+def pattern_facts(ps: PatternSet) -> PatternFacts:
+    """ps's key, shortest length and complement closure, memoized."""
+    values = tuple(tau.values for tau in ps.patterns)
+    facts = _FACTS.get(values)
+    if facts is None:
+        facts = _FACTS[values] = PatternFacts(ps.key(), min(map(len, values), default=float("inf")),
+                                              PatternSet(tuple(map(complement, ps))) == ps)
+    return facts
 
 
 def images(tau: Permutation) -> dict[Permutation, Callable[[int, int, int, int], tuple[int, int, int]]]:

@@ -43,9 +43,9 @@ multiplicity * h over the width n - 1 states.  For 1342 (image 2314) the
 width 10 level has 1,014 states where growth holds 555,662 rows.
 `enumeration` uses this counter in its count lookup after the
 identities, the memo, the cache, the separable decomposition and Bóna's
-form, and only once its counts have matched, in the same process, the scalar containment count
-for every n <= 6 (for a pattern of length m >= 6, the counts grown from
-rows for every n <= m + 1); on a miss the count is grown from rows.
+form, and only once its counts have matched, in the same process, the
+scalar containment count for every n <= max(6, m + 1), m the pattern's
+length; on a miss the count is grown from rows.
 """
 
 from __future__ import annotations

@@ -81,8 +81,8 @@ def _table_rows(suite: str, ps: PatternSet, max_n: int, instance: str, check,
     is evaluated once per (n, l) and returns judge(k, got) -> (expected
     text, passed).  tables(n, ps) gives the table: the lookup by default,
     and `enumeration.fresh_table` for S_n and the separable class, whose
-    lookup would answer from the substitution decomposition from n = 10
-    on, a closed form and no brute force.
+    lookup answers from the substitution decomposition, a closed form and
+    no brute force.
     """
     rows = []
     for n in range(3, max_n + 1):
@@ -275,8 +275,8 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
         rows.append(CheckRow("symmetry", f"reverse bijection n={n}",
                              f"{len(a123)} avoiders", f"{len(a321)} mapped", a123 == a321))
     # count invariance under reversing / complementing the forbidden patterns;
-    # the image side is grown, since the state counter (`states`) and
-    # Bóna's form count a pattern and its images alike
+    # the image side is grown, since the state counter (`states`), Bóna's
+    # form and the decomposition count a pattern set and its images alike
     samples = [PatternSet((t,)) for t in S3_PATTERNS]
     samples += [PatternSet((Permutation(v),)) for v in ((1, 3, 4, 2), (1, 2, 3, 4), (2, 4, 1, 3))]
     samples.append(SEP)
@@ -286,7 +286,7 @@ def symmetry_suite(max_n: int = 9) -> SuiteReport:
         for n in range(2, min(max_n, 8) + 1):
             base = enumeration.count_avoiders(n, ps)
             for label, image in images:
-                got = enumeration.event_count_table(n, image).total
+                got = enumeration.fresh_count(n, image)
                 rows.append(CheckRow("symmetry", f"avoid={ps} {label} n={n}",
                                      str(base), str(got), base == got))
     return SuiteReport("symmetry", rows)
@@ -307,7 +307,7 @@ def _cluster_walk(n: int, ps: PatternSet):
     holds a cluster window: the members `sigmas` that do, at the indices
     `idx` of the lexicographic listing.  l-major, then a."""
     members = enumeration.avoider_rows(n, ps)
-    for l, cluster, _ in enumeration.cluster_windows(members.T):
+    for l, cluster, _ in growth.cluster_windows(members.T):
         for a0 in np.flatnonzero(cluster.any(axis=1)).tolist():
             idx = np.flatnonzero(cluster[a0])
             yield l, a0 + 1, idx, members[idx]

@@ -18,7 +18,6 @@ from permcluster import (
     PatternSet,
     Permutation,
     catalan,
-    event_count_table,
     monotone_cluster_limit,
     monotone_cluster_probability,
     separable_cluster_limit,
@@ -106,7 +105,7 @@ def test_criterion_06_catalan_and_factorial_counts():
                 ok, detail = False, f"avoid={Permutation(p)} n={n}"
                 break
     for n in range(1, 9):
-        if event_count_table(n, EMPTY_PATTERNS).total != math.factorial(n):
+        if enumeration.fresh_table(n, EMPTY_PATTERNS).total != math.factorial(n):
             ok, detail = False, f"unrestricted n={n}"
     _check(
         6,

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from permcluster import cli, enumeration, growth
+from permcluster import SEP, cli, enumeration, growth
 
 
 def run_cli(args, tmp_path):
@@ -620,6 +620,28 @@ def test_s_n_table_leaves_out_numpy(tmp_path):
     assert code == 0 and loaded == {"permcluster.formulas", "fractions"}
     assert output[-1].startswith("10,,3,2,,,241920,3628800,1/15,")
     assert (tmp_path / "counts.txt.tables").read_text().startswith("avoid=;n=10\t")
+
+
+def test_decomposed_tables_and_long_patterns_leave_out_numpy(tmp_path, monkeypatch):
+    # cold tables of S_n and of the separable class below n = 10 come from
+    # the gated decomposition, and print the rows that growth gives (the
+    # decomposition's gate failed in process); patterns of length 6 and 7
+    # are counted by states, gated on the scalar count up to m + 1: no
+    # process loads numpy or the growth engine
+    engine = {"numpy", "permcluster.growth"}
+    grown = {("decomposition", ""): False, ("decomposition", SEP.key()): False}
+    for name, args in (("sn", ["table", "--avoid=", "--n", "2..9"]),
+                       ("sep", ["table", "--avoid", "sep", "--n", "2..9", "--union"])):
+        output, code, loaded = loaded_modules(*args, "--no-meta", "--cache", str(tmp_path / name / "counts.txt"))
+        assert code == 0 and not loaded & engine, args
+        monkeypatch.setattr(enumeration, "_MEMO", {})
+        monkeypatch.setattr(enumeration, "_GATE", dict(grown))
+        code, want = run_cli(args + ["--no-meta"], tmp_path / f"{name}-grown")
+        assert code == 0 and output[1:] == want.splitlines()[1:], args
+    for name, args, want in (("m6", ["count", "--n", "12", "--avoid", "123456"], "12,123456,370531683"),
+                             ("m7", ["count", "--n", "9", "--avoid", "1234567"], "9,1234567,361302")):
+        output, code, loaded = loaded_modules(*args, "--no-meta", "--cache", str(tmp_path / name / "counts.txt"))
+        assert code == 0 and not loaded & engine and output[-1] == want, args
 
 
 def test_separable_counts_leave_out_numpy(tmp_path):

@@ -93,7 +93,7 @@ def test_gate_passes_once_per_pattern(monkeypatch):
     monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "_GATE", {})
     assert [count_avoiders(n, ps_of("1432")) for n in (3, 4, 10, 12)] == [6, 23, 586590, 24792705]
-    assert checked == list(range(1, enumeration._STATE_GATE_UPTO + 1))
+    assert checked == list(range(1, enumeration._GATE_UPTO + 1))
     assert enumeration._GATE == {("states", "1432"): True}
 
 
@@ -108,3 +108,24 @@ def test_gate_reaches_past_the_length_of_a_long_pattern(monkeypatch):
     assert [states.count(j, (1, 2, 3, 4, 5, 6, 7)) for j in (6, 7)] == [720, 5040]
     assert count_avoiders(9, ps) == 361302 == enumeration.fresh_count(9, ps)
     assert enumeration._GATE == {("states", "1234567"): False}
+
+
+def test_a_six_pattern_is_gated_on_the_scalar_count_up_to_its_length_plus_one(monkeypatch):
+    # 123456 is checked on the scalar count for j = 1..7, without growth; a
+    # counter off by one at j = 7 alone fails the gate, and rows count
+    checked = []
+    scalar = enumeration._scalar_count
+    monkeypatch.setattr(enumeration, "_scalar_count", lambda n, ps: checked.append(n) or scalar(n, ps))
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    ps = ps_of("123456")
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_engine", None)
+        assert count_avoiders(12, ps) == 370531683
+    assert checked == list(range(1, 8)) and enumeration._GATE == {("states", "123456"): True}
+    right = states.count
+    monkeypatch.setattr(states, "count", lambda n, t: right(n, t) + (n == 7))
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_GATE", {})
+    assert count_avoiders(8, ps) == enumeration.fresh_count(8, ps) == right(8, (1, 2, 3, 4, 5, 6))
+    assert enumeration._GATE == {("states", "123456"): False}

@@ -83,20 +83,23 @@ def test_marked_count_wrong_past_the_gate_fails_the_symmetry_check(monkeypatch):
 
 @pytest.mark.parametrize("ps,top", CLASSES, ids=["S_n", "SEP"])
 def test_lookup_serves_decomposed_tables_behind_the_gate(ps, top, monkeypatch):
-    # from n = 10 the lookup takes the decomposition without growth, after
-    # a gate that checked it for exactly j = 1..6
+    # at every n the lookup takes the decomposition without growth, after a
+    # gate that checked it for exactly j = 1..6, and equals growth; n = 0 is
+    # still refused
     checked = []
     table = substitution.table
     monkeypatch.setattr(substitution, "table", lambda n, sep: checked.append(n) or table(n, sep))
     monkeypatch.setattr(enumeration, "_MEMO", {})
     monkeypatch.setattr(enumeration, "_GATE", {})
-    want = enumeration.fresh_table(top, ps)
-    monkeypatch.setattr(enumeration, "_engine", None)
-    assert enumeration.event_count_table(top, ps) == want
-    assert checked == [*range(1, enumeration._DECOMPOSITION_GATE_UPTO + 1), top]
-    assert enumeration._GATE == {("decomposition", ps.key()): True}
-    with pytest.raises(TypeError):  # below n = 10, growth
-        enumeration.event_count_table(9, ps)
+    want = [enumeration.fresh_table(n, ps) for n in range(1, top + 1)]
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_engine", None)
+        assert enumeration.event_count_table(top, ps) == want[-1]
+        assert checked == [*range(1, enumeration._GATE_UPTO + 1), top]
+        assert enumeration._GATE == {("decomposition", ps.key()): True}
+        assert [enumeration.event_count_table(n, ps) for n in range(1, top)] == want[:-1]  # no growth at any n
+    with pytest.raises(enumeration.DomainError):
+        enumeration.event_count_table(0, ps)
 
 
 @pytest.mark.parametrize("field", ["total", "by_lka", "union"])
@@ -147,3 +150,4 @@ def test_s_n_past_the_table_cap_is_refused_before_the_decomposition(monkeypatch)
     monkeypatch.setattr(substitution, "table", None)
     with pytest.raises(enumeration.DomainError, match="out of reach"):
         enumeration.event_count_table(13, EMPTY_PATTERNS)
+
